@@ -2,16 +2,35 @@
 SU(C): duals, types, neighbours, tree distance, r-invariants, and
 central lattices.
 
-A lattice is held in a canonical column normal form over the truncated
-ring: generators p^(-e) * (p^a * v0 + w * v1) and p^(-e) * (p^b * v1)
-with w reduced mod p^b and min(a, b, val(w)) = 0.  The tuple
-(e, a, b, w) identifies the lattice, so equality is tuple equality.
+The tree core runs on plain ints.  An element x + y*delta of o_{k,p}
+known modulo p^q is the triple (x, y, q) with x, y reduced mod p^q; a
+vector p^(-e) * (a0 * v0 + a1 * v1) is the tuple
+(e, x0, y0, q0, x1, y1, q1), normalized like padic.VectorC so that
+min(val(a0), val(a1)) = 0 unless both coordinates vanish at precision.
+Precision follows the rules of padic.QuadLocalElem, with the same
+results, raises and `needed` values as the element-wise computation:
+sums and products carry the smaller precision, exact division by p^k
+costs k digits, and a valuation that precision cannot decide raises
+PrecisionExhaustedError.
+Vectors cross the public interface as padic.VectorC and are converted at
+the boundary.
 
-Neighbour enumeration goes through a hyperbolic basis (two isotropic
-generators pairing to delta, resp. delta/p, by type); the construction
-finds a primitive isotropic vector on the residue projective line and
-Hensel-lifts the isotropy condition.  Neighbours inherit hyperbolic
-bases for free, which keeps ball enumeration linear in the ball size.
+A lattice is held in a canonical column normal form: generators
+p^(-e) * (p^a * v0 + w * v1) and p^(-e) * (p^b * v1) with w reduced mod
+p^b and min(a, b, val(w)) = 0.  The tuple (e, a, b, w) identifies the
+lattice, so equality is tuple equality.  `_hnf` is the one routine that
+computes it, and `VertexLattice._solve` the one membership solve against
+it.
+
+Every vertex carries a hyperbolic basis (two isotropic generators
+pairing to delta, resp. delta/p, by type).  The neighbours of a type-0
+vertex with basis (u0, u1) are span{p^-1 u0, u1} and
+span{u0, p^-1 (alpha u0 + u1)}, one for each isotropic line of the
+residue plane, and they inherit those generators as their own hyperbolic
+bases, which keeps ball enumeration linear in the ball size.  A vertex
+not reached as a neighbour (a central lattice, a dual) builds its basis
+once: a primitive isotropic vector on the residue projective line,
+Hensel-lifted.
 """
 
 from __future__ import annotations
@@ -22,10 +41,157 @@ from cyclelift.errors import (
     PrecisionExhaustedError,
     SearchRadiusExceededError,
 )
-from cyclelift.padic import LocalContext, QuadLocalElem, VectorC, epsilon, herm, qform
+from cyclelift.padic import LocalContext, QuadLocalElem, VectorC, epsilon, qform
 
 _HNF_GUARD = 4
 DEFAULT_SEARCH_RADIUS = 40
+
+
+# -- integer elements and vectors ---------------------------------------------
+
+
+def _val(p: int, x: int, y: int) -> int | None:
+    """Valuation of x + y*delta (reduced mod its precision); None when it
+    vanishes at that precision."""
+    if not (x or y):
+        return None
+    v = 0
+    while not (x % p or y % p):
+        x //= p
+        y //= p
+        v += 1
+    return v
+
+
+def _vector(ctx: LocalContext, e, x0, y0, q0, x1, y1, q1) -> tuple:
+    """The normalized vector tuple: the common p-power of the coordinates
+    moves into the denominator (padic.VectorC's rule)."""
+    p = ctx.p
+    if x0 % p or y0 % p or x1 % p or y1 % p:
+        return (e, x0, y0, q0, x1, y1, q1)
+    v0 = _val(p, x0, y0)
+    v1 = _val(p, x1, y1)
+    shift = v1 if v0 is None else (v0 if v1 is None or v0 <= v1 else v1)
+    if shift:
+        # A coordinate that vanishes at its carried precision must still
+        # be certifiably divisible by p^shift.
+        pk = ctx.pows[shift]
+        if v0 is None:
+            q0 = _zero_shift(q0, shift)
+        else:
+            x0, y0, q0 = x0 // pk, y0 // pk, q0 - shift
+        if v1 is None:
+            q1 = _zero_shift(q1, shift)
+        else:
+            x1, y1, q1 = x1 // pk, y1 // pk, q1 - shift
+        e -= shift
+    return (e, x0, y0, q0, x1, y1, q1)
+
+
+def _zero_shift(q: int, shift: int) -> int:
+    if q - shift < 1:
+        raise PrecisionExhaustedError("no residual precision left", needed=shift + 1)
+    return q - shift
+
+
+def _tuple(b: VectorC) -> tuple:
+    a0, a1 = b.a0, b.a1
+    return (b.denom_exp, a0.x, a0.y, a0.prec, a1.x, a1.y, a1.prec)
+
+
+def _to_vector(ctx: LocalContext, t: tuple) -> VectorC:
+    e, x0, y0, q0, x1, y1, q1 = t
+    return VectorC(ctx, QuadLocalElem(ctx, x0, y0, q0), QuadLocalElem(ctx, x1, y1, q1), e)
+
+
+def _hnf(ctx: LocalContext, u: tuple, v: tuple) -> tuple:
+    """Canonical key (e, a, b, (wx, wy)) of the lattice spanned by two
+    vector tuples: column HNF with p-power pivots, then the common
+    p-power moved into the denominator."""
+    p, d, pw = ctx.p, ctx.delta_sq, ctx.pows
+    ue, x00, y00, q00, x10, y10, q10 = u
+    ve, x01, y01, q01, x11, y11, q11 = v
+    # Matrix entries m_ij: coordinate i of generator j, at denominator e.
+    e = ue if ue >= ve else ve
+    if e > ue:
+        s = pw[e - ue]
+        m = pw[q00]
+        x00, y00 = x00 * s % m, y00 * s % m
+        m = pw[q10]
+        x10, y10 = x10 * s % m, y10 * s % m
+    if e > ve:
+        s = pw[e - ve]
+        m = pw[q01]
+        x01, y01 = x01 * s % m, y01 * s % m
+        m = pw[q11]
+        x11, y11 = x11 * s % m, y11 * s % m
+
+    t0 = 0 if x00 % p or y00 % p else _val(p, x00, y00)
+    t1 = 0 if x01 % p or y01 % p else _val(p, x01, y01)
+    if t0 is None and t1 is None:
+        # Both generators lie in span(v1): rank-1 within precision.
+        raise DegenerateVectorError("degenerate lattice (rank < 2 at precision)")
+    if t1 is not None and (t0 is None or t1 < t0):
+        x00, y00, q00, x01, y01, q01 = x01, y01, q01, x00, y00, q00
+        x10, y10, q10, x11, y11, q11 = x11, y11, q11, x10, y10, q10
+        a = t1
+    else:
+        a = t0
+
+    # Elimination with the unit u = m00 / p^a, known mod p^qi:
+    # lam = m01 / p^a / u, then z = m11 - lam * m10 carries the second
+    # pivot.  Since u z = (m00 m11 - m01 m10) / p^a and both m00 and m01
+    # are divisible by p^a, val(z) is read off that determinant without
+    # inverting u.
+    pa = pw[a]
+    qi = q00 - a
+    ql = q01 if q01 < qi else qi
+    if a and ql <= a:
+        raise PrecisionExhaustedError(
+            f"cannot divide by p^{a} at precision {ql}", needed=a + 1
+        )
+    qz = ql - a
+    if q11 < qz:
+        qz = q11
+    if q10 < qz:
+        qz = q10
+    m = pw[qz]
+    zx = (x00 * x11 + d * y00 * y11 - x01 * x10 - d * y01 * y10) // pa % m
+    zy = (x00 * y11 + y00 * x11 - x01 * y10 - y01 * x10) // pa % m
+    b = 0 if zx % p or zy % p else _val(p, zx, zy)
+    if b is None:
+        raise PrecisionExhaustedError(
+            f"valuation undecidable at precision {qz}", needed=qz + 1
+        )
+    # w = m10 / u scales column 0 so its first entry is p^a.  It is known
+    # mod p^min(q10, qi), a bound at least qz, and has the valuation of m10.
+    if qz < b + _HNF_GUARD:
+        raise PrecisionExhaustedError(
+            "pivot valuations too close to working precision",
+            needed=a + b + _HNF_GUARD,
+        )
+
+    # Extract content so that min(a, b, val(w)) = 0 (a valuation of w at
+    # or above qz > b cannot lower t).  The offset is w / p^t mod
+    # p^(b - t), so u is inverted only mod p^b.
+    t = a if a < b else b
+    if t and not (x10 % p or y10 % p):
+        wv = _val(p, x10, y10)
+        if wv is not None and wv < t:
+            t = wv
+    elif t:
+        t = 0
+    if b == t:
+        return e - t, a - t, 0, (0, 0)
+    m = pw[b]
+    ux, uy = x00 // pa, y00 // pa
+    ninv = pow((ux * ux - d * uy * uy) % m, -1, m)
+    ix, iy = ux * ninv, -uy * ninv
+    pt = pw[t]
+    return e - t, a - t, b - t, (
+        (x10 * ix + d * y10 * iy) % m // pt,
+        (x10 * iy + y10 * ix) % m // pt,
+    )
 
 
 class VertexLattice:
@@ -45,58 +211,15 @@ class VertexLattice:
         self.piv1 = piv1
         self.off = off  # pair of ints, reduced mod p^piv1
         self._vtype = _vtype  # -1 = not yet certified
-        self._hyperbolic = _hyperbolic
+        self._hyperbolic = _hyperbolic  # pair of vector tuples, or None
 
     # -- construction ----------------------------------------------------------
 
     @classmethod
-    def from_vectors(cls, u: VectorC, v: VectorC, _vtype=-1, _hyperbolic=None) -> "VertexLattice":
+    def from_vectors(cls, u: VectorC, v: VectorC, _vtype=-1) -> "VertexLattice":
         """Canonicalize the lattice spanned by two vectors (HNF with
         p-power pivots plus denominator normalization)."""
-        ctx = u.ctx
-        p = ctx.p
-        e = max(u.denom_exp, v.denom_exp)
-        m00 = u.a0.mul_int(p ** (e - u.denom_exp))
-        m10 = u.a1.mul_int(p ** (e - u.denom_exp))
-        m01 = v.a0.mul_int(p ** (e - v.denom_exp))
-        m11 = v.a1.mul_int(p ** (e - v.denom_exp))
-
-        t0 = m00.valuation_or_none()
-        t1 = m01.valuation_or_none()
-        if t0 is None and t1 is None:
-            # Both generators lie in span(v1): rank-1 within precision.
-            raise DegenerateVectorError("degenerate lattice (rank < 2 at precision)")
-        if t1 is not None and (t0 is None or t1 < t0):
-            m00, m01 = m01, m00
-            m10, m11 = m11, m10
-            a = t1
-        else:
-            a = t0
-
-        unit0 = m00.divide_p_power(a)
-        inv0 = unit0.unit_inverse()
-        lam = m01.mul(inv0).divide_p_power(a)
-        z = m11.sub(lam.mul(m10))
-        b = z.valuation()  # PrecisionExhausted if undecidable
-        w = m10.mul(inv0)  # column 0 scaled so its first entry is p^a
-
-        if min(w.prec, z.prec) < b + _HNF_GUARD:
-            raise PrecisionExhaustedError(
-                "pivot valuations too close to working precision",
-                needed=a + b + _HNF_GUARD,
-            )
-
-        # Extract content so that min(a, b, val(w)) = 0.
-        wv = w.valuation_or_none()
-        t = min(a, b) if wv is None else min(a, b, wv)
-        if t:
-            a -= t
-            b -= t
-            e -= t
-            w = w.divide_p_power(t)
-        pb = p**b
-        off = (w.x % pb, w.y % pb)
-        return cls(ctx, e, a, b, off, _vtype=_vtype, _hyperbolic=_hyperbolic)
+        return cls(u.ctx, *_hnf(u.ctx, _tuple(u), _tuple(v)), _vtype)
 
     @property
     def key(self) -> tuple:
@@ -124,12 +247,15 @@ class VertexLattice:
 
     # -- basic data --------------------------------------------------------
 
-    def basis(self) -> tuple[VectorC, VectorC]:
-        """The canonical-form generators as ambient vectors."""
+    def _basis(self) -> tuple[tuple, tuple]:
+        """The canonical-form generators as vector tuples at working
+        precision."""
         ctx = self.ctx
-        p = ctx.p
-        g1 = ctx.vector_from_ints((p**self.piv0, 0), self.off, self.denom_exp)
-        g2 = ctx.vector_from_ints((0, 0), (p**self.piv1, 0), self.denom_exp)
+        n = ctx.precision
+        m = ctx.pows[n]
+        wx, wy = self.off
+        g1 = _vector(ctx, self.denom_exp, ctx.pows[self.piv0] % m, 0, n, wx % m, wy % m, n)
+        g2 = _vector(ctx, self.denom_exp, 0, 0, n, ctx.pows[self.piv1] % m, 0, n)
         return g1, g2
 
     def det_valuation(self) -> int:
@@ -145,29 +271,31 @@ class VertexLattice:
     # -- duality and type --------------------------------------------------
 
     def dual(self) -> "VertexLattice":
-        """The dual lattice under h, in canonical form; an involution."""
-        g1, g2 = self.basis()
-        # Integral part M has columns (p^a, w), (0, p^b); denominator e.
+        """The dual lattice under h, in canonical form; an involution.
+
+        With M the integral part of the canonical basis, the dual is
+        spanned by the columns of p^e * (G conj(M))^-t, G the Gram matrix
+        of (v0, v1); det = Delta p^(a+b) is inverted at precision
+        N - a - b.
+        """
         ctx = self.ctx
-        p = ctx.p
-        m = [
-            [ctx.elem(p**self.piv0), ctx.elem(0)],
-            [ctx.elem(*self.off), ctx.elem(p**self.piv1)],
-        ]
-        delta = ctx.delta()
-        # A = G * conj(M) with G = [[0, delta], [-delta, 0]]; T = A^t.
-        a00 = delta.mul(m[1][0].conj())
-        a01 = delta.mul(m[1][1].conj())
-        a10 = delta.mul(m[0][0].conj()).neg()
-        a11 = delta.mul(m[0][1].conj()).neg()
-        t00, t01, t10, t11 = a00, a10, a01, a11
-        det = t00.mul(t11).sub(t01.mul(t10))
-        dv = det.valuation()
-        dunit_inv = det.divide_p_power(dv).unit_inverse()
-        # Columns of adj(T) * dunit_inv, with denominator exponent dv - e.
-        c0 = VectorC(ctx, t11.mul(dunit_inv), t10.neg().mul(dunit_inv), dv - self.denom_exp)
-        c1 = VectorC(ctx, t01.neg().mul(dunit_inv), t00.mul(dunit_inv), dv - self.denom_exp)
-        return VertexLattice.from_vectors(c0, c1)
+        n = ctx.precision
+        dv = self.piv0 + self.piv1
+        if dv >= n:
+            raise PrecisionExhaustedError(
+                f"valuation undecidable at precision {n}", needed=n + 1
+            )
+        q = n - dv
+        m = ctx.pows[q]
+        dinv = pow(ctx.delta_sq, -1, m)
+        wx, wy = self.off
+        e = dv - self.denom_exp
+        c0 = _vector(ctx, e, 0, 0, q, 0, -ctx.pows[self.piv1] * dinv % m, q)
+        c1 = _vector(
+            ctx, e, 0, ctx.pows[self.piv0] * dinv % m, q,
+            -ctx.delta_sq * wy * dinv % m, wx * dinv % m, q,
+        )
+        return VertexLattice(ctx, *_hnf(ctx, c0, c1))
 
     @property
     def vtype(self) -> int | None:
@@ -190,28 +318,39 @@ class VertexLattice:
 
     # -- membership --------------------------------------------------------
 
+    def _solve(self, x0, y0, q0, x1, y1, q1) -> tuple:
+        """Coordinates of the vector (c0, c1) in the canonical basis are
+        y1 = c0 / p^a and y2 = (c1 p^a - w c0) / p^(a+b), up to the
+        denominators.  Returns the valuations of the two numerators (None
+        when zero at precision) and the second numerator's precision."""
+        ctx = self.ctx
+        d = ctx.delta_sq
+        wx, wy = self.off
+        pa = ctx.pows[self.piv0]
+        q2 = min(q0, q1, ctx.precision)
+        m = ctx.pows[q2]
+        n2x = (x1 * pa - wx * x0 - d * wy * y0) % m
+        n2y = (y1 * pa - wx * y0 - wy * x0) % m
+        return _val(ctx.p, x0, y0), _val(ctx.p, n2x, n2y), q2
+
     def r_invariant(self, b: VectorC) -> int:
         """max r such that p^(-r) b lies in the lattice (may be negative).
 
         Solved against the canonical triangular basis; exact integer
         valuation comparisons throughout.
         """
-        if b.is_zero():
+        a0, a1 = b.a0, b.a1
+        if not (a0.x or a0.y or a1.x or a1.y):
             raise DegenerateVectorError("r-invariant of the zero vector")
-        ctx = self.ctx
-        p = ctx.p
-        c0, c1 = b.a0, b.a1
-        w = ctx.elem(*self.off)
-        # Coordinates y1 = c0 / p^a, y2 = (c1 p^a - w c0) / p^(a+b).
-        n2 = c1.mul_int(p**self.piv0).sub(w.mul(c0))
-        v1 = c0.valuation_or_none()
-        v2 = n2.valuation_or_none()
-        y1 = None if v1 is None else v1 - self.piv0
-        y2 = None if v2 is None else v2 - self.piv0 - self.piv1
-        finite = [v for v in (y1, y2) if v is not None]
-        if not finite:
-            raise PrecisionExhaustedError("membership undecidable at precision")
-        r = min(finite)
+        v1, v2, _ = self._solve(a0.x, a0.y, a0.prec, a1.x, a1.y, a1.prec)
+        if v2 is None:
+            if v1 is None:
+                raise PrecisionExhaustedError("membership undecidable at precision")
+            r = v1 - self.piv0
+        else:
+            r = v2 - self.piv0 - self.piv1
+            if v1 is not None and v1 - self.piv0 < r:
+                r = v1 - self.piv0
         return r + self.denom_exp - b.denom_exp
 
     def contains(self, b: VectorC) -> bool:
@@ -219,12 +358,16 @@ class VertexLattice:
 
     # -- hyperbolic basis and neighbours ------------------------------------
 
-    def hyperbolic_basis(self) -> tuple[VectorC, VectorC]:
-        """An o-basis (u0, u1) of isotropic vectors with h(u0, u1) equal
-        to delta (type 0) or delta/p (type 2); cached."""
+    def _hyperbolic_tuples(self) -> tuple[tuple, tuple]:
         if self._hyperbolic is None:
             self._hyperbolic = _build_hyperbolic_basis(self)
         return self._hyperbolic
+
+    def hyperbolic_basis(self) -> tuple[VectorC, VectorC]:
+        """An o-basis (u0, u1) of isotropic vectors with h(u0, u1) equal
+        to delta (type 0) or delta/p (type 2); built once per lattice."""
+        u0, u1 = self._hyperbolic_tuples()
+        return _to_vector(self.ctx, u0), _to_vector(self.ctx, u1)
 
     def neighbors(self) -> list["VertexLattice"]:
         """The p+1 adjacent vertex lattices, of the opposite type.
@@ -233,117 +376,116 @@ class VertexLattice:
         the residue representatives alpha = 0, ..., p-1.
         """
         vt = self.require_vertex()
-        u0, u1 = self.hyperbolic_basis()
+        u0, u1 = self._hyperbolic_tuples()
         ctx = self.ctx
-        p = ctx.p
-        out = []
+        pw = ctx.pows
         opposite = 2 - vt
         if vt == 0:
             # span{p^-1 u0, u1} and span{u0, p^-1 (alpha u0 + u1)}.
-            out.append(
-                VertexLattice.from_vectors(
-                    u0.scale_p_power(-1), u1, _vtype=opposite,
-                    _hyperbolic=(u0.scale_p_power(-1), u1),
-                )
-            )
-            for alpha in range(p):
-                w1 = _vector_combination(ctx, alpha, u0, u1).scale_p_power(-1)
-                out.append(
-                    VertexLattice.from_vectors(
-                        u0, w1, _vtype=opposite, _hyperbolic=(u0, w1)
-                    )
-                )
+            g, h = (u0[0] + 1,) + u0[1:], u1
+            lift = 1
         else:
             # span{u0, p u1} and span{p u0, alpha u0 + u1}.
-            out.append(
-                VertexLattice.from_vectors(
-                    u0, u1.scale_p_power(1), _vtype=opposite,
-                    _hyperbolic=(u0, u1.scale_p_power(1)),
-                )
+            g, h = u0, (u1[0] - 1,) + u1[1:]
+            lift = 0
+        out = [VertexLattice(ctx, *_hnf(ctx, g, h), opposite, (g, h))]
+        g = u0 if vt == 0 else (u0[0] - 1,) + u0[1:]
+        # alpha u0 + u1 at the common denominator e, each coordinate at
+        # the smaller precision of its two terms; `lift` divides by p.
+        e0, x00, y00, q00, x01, y01, q01 = u0
+        e1, x10, y10, q10, x11, y11, q11 = u1
+        e = e0 if e0 >= e1 else e1
+        s0 = pw[e - e0]
+        s1 = pw[e - e1]
+        x10, y10, x11, y11 = x10 * s1, y10 * s1, x11 * s1, y11 * s1
+        q0 = q00 if q00 < q10 else q10
+        q1 = q01 if q01 < q11 else q11
+        m0 = pw[q0]
+        m1 = pw[q1]
+        for alpha in range(ctx.p):
+            k = alpha * s0
+            h = _vector(
+                ctx, e + lift,
+                (k * x00 + x10) % m0, (k * y00 + y10) % m0, q0,
+                (k * x01 + x11) % m1, (k * y01 + y11) % m1, q1,
             )
-            for alpha in range(p):
-                w1 = _vector_combination(ctx, alpha, u0, u1)
-                pu0 = u0.scale_p_power(1)
-                out.append(
-                    VertexLattice.from_vectors(
-                        pu0, w1, _vtype=opposite, _hyperbolic=(pu0, w1)
-                    )
-                )
+            out.append(VertexLattice(ctx, *_hnf(ctx, g, h), opposite, (g, h)))
         return out
 
 
-def _vector_combination(ctx: LocalContext, alpha: int, u0: VectorC, u1: VectorC) -> VectorC:
-    """alpha * u0 + u1 at a common denominator."""
-    e = max(u0.denom_exp, u1.denom_exp)
-    p = ctx.p
-    s0 = p ** (e - u0.denom_exp)
-    s1 = p ** (e - u1.denom_exp)
-    a0 = u0.a0.mul_int(alpha * s0).add(u1.a0.mul_int(s1))
-    a1 = u0.a1.mul_int(alpha * s0).add(u1.a1.mul_int(s1))
-    return VectorC(ctx, a0, a1, e)
+# -- hyperbolic basis from scratch --------------------------------------------
+#
+# Elements here are triples (x, y, q); every operation reduces its result
+# mod p^q with q the smallest precision involved, as QuadLocalElem does.
 
 
-def _gram(scale_exp: int, g1: VectorC, g2: VectorC):
-    """Entries of p^scale_exp * Gram(g1, g2) as ring elements; raises if
-    the scaled Gram is not integral (the lattice is not a vertex
-    lattice of the expected type)."""
-    entries = []
-    for u in (g1, g2):
-        row = []
-        for w in (g1, g2):
-            val, exp = herm(u, w)
-            shift = exp + scale_exp
-            if shift >= 0:
-                row.append(val.mul_int(u.ctx.p**shift))
-            else:
-                row.append(val.divide_p_power(-shift))
-        entries.append(row)
-    return entries
-
-
-def _build_hyperbolic_basis(lat: VertexLattice) -> tuple[VectorC, VectorC]:
+def _build_hyperbolic_basis(lat: VertexLattice) -> tuple[tuple, tuple]:
+    """A hyperbolic basis of a vertex lattice in coordinates over its
+    canonical basis (g1, g2): a residue-isotropic direction Hensel-lifted
+    to an isotropic u0, then u1 isotropic with the normalized pairing."""
     vt = lat.require_vertex()
     ctx = lat.ctx
-    p = ctx.p
+    p, d, pw, n = ctx.p, ctx.delta_sq, ctx.pows, ctx.precision
+
+    def mul(s, t):
+        q = s[2] if s[2] < t[2] else t[2]
+        m = pw[q]
+        return ((s[0] * t[0] + d * s[1] * t[1]) % m, (s[0] * t[1] + s[1] * t[0]) % m, q)
+
+    def add(s, t):
+        q = s[2] if s[2] < t[2] else t[2]
+        m = pw[q]
+        return ((s[0] + t[0]) % m, (s[1] + t[1]) % m, q)
+
+    def conj(s):
+        return (s[0], -s[1] % pw[s[2]], s[2])
+
+    def neg(s):
+        m = pw[s[2]]
+        return (-s[0] % m, -s[1] % m, s[2])
+
+    def unit_inverse(s):
+        x, y, q = s
+        m = pw[q]
+        ninv = pow((x * x - d * y * y) % m, -1, m)
+        return (x * ninv % m, -y * ninv % m, q)
+
+    def is_unit(s):
+        return s[0] % p != 0 or s[1] % p != 0
+
     scale_exp = 1 if vt == 2 else 0  # work with p*h on type 2 lattices
-    g1, g2 = lat.basis()
-    gram = _gram(scale_exp, g1, g2)
+    g1, g2 = lat._basis()
+    gram = [[_herm_scaled(ctx, scale_exp, u, w) for w in (g1, g2)] for u in (g1, g2)]
 
-    def qtilde(a: QuadLocalElem, b: QuadLocalElem) -> QuadLocalElem:
+    def qtilde(a, b):
         # q~(a g1 + b g2) = n(a) G00 + Tr(a conj(b) G01) + n(b) G11
-        cross = a.mul(b.conj()).mul(gram[0][1])
-        return (
-            a.mul(a.conj()).mul(gram[0][0])
-            .add(cross).add(cross.conj())
-            .add(b.mul(b.conj()).mul(gram[1][1]))
+        cross = mul(mul(a, conj(b)), gram[0][1])
+        return add(
+            add(add(mul(mul(a, conj(a)), gram[0][0]), cross), conj(cross)),
+            mul(mul(b, conj(b)), gram[1][1]),
         )
 
-    def htilde(a, b, c, d) -> QuadLocalElem:
-        # h~(a g1 + b g2, c g1 + d g2)
-        return (
-            a.mul(c.conj()).mul(gram[0][0])
-            .add(a.mul(d.conj()).mul(gram[0][1]))
-            .add(b.mul(c.conj()).mul(gram[1][0]))
-            .add(b.mul(d.conj()).mul(gram[1][1]))
+    def htilde(a, b, c, e):
+        # h~(a g1 + b g2, c g1 + e g2)
+        return add(
+            add(mul(mul(a, conj(c)), gram[0][0]), mul(mul(a, conj(e)), gram[0][1])),
+            add(mul(mul(b, conj(c)), gram[1][0]), mul(mul(b, conj(e)), gram[1][1])),
         )
 
-    one = ctx.one()
-    zero = ctx.zero()
+    one = (1, 0, n)
+    zero = (0, 0, n)
     # Residue projective line: [1 : x] for x in F_{p^2}, then [0 : 1].
-    candidate = None
-    for xx in range(p):
-        for xy in range(p):
-            x = ctx.elem(xx, xy)
-            q = qtilde(one, x)
-            if q.is_zero() or q.valuation() >= 1:
-                candidate = (one, x)
-                break
-        if candidate:
-            break
-    if candidate is None:
-        q = qtilde(zero, one)
-        if q.is_zero() or q.valuation() >= 1:
-            candidate = (zero, one)
+    candidate = next(
+        (
+            (one, (xx, xy, n))
+            for xx in range(p)
+            for xy in range(p)
+            if not is_unit(qtilde(one, (xx, xy, n)))
+        ),
+        None,
+    )
+    if candidate is None and not is_unit(qtilde(zero, one)):
+        candidate = (zero, one)
     if candidate is None:
         raise HyperbolicBasisError(
             "no isotropic direction on the residue line; not a vertex lattice?"
@@ -352,53 +494,80 @@ def _build_hyperbolic_basis(lat: VertexLattice) -> tuple[VectorC, VectorC]:
     a, b = candidate
     # Complementary generator keeping (u0, w) a basis: need the other
     # coordinate to be a unit.
-    bv = b.valuation_or_none()
-    if bv == 0:
-        wc = (one, zero)
-    else:
-        wc = (zero, one)
+    wc = (one, zero) if is_unit(b) else (zero, one)
     z = htilde(a, b, *wc)
-    if z.valuation_or_none() != 0:
+    if not is_unit(z):
         raise HyperbolicBasisError("pairing with complement is not a unit")
 
     # Hensel: replace u0 <- u0 + c*w with Tr(conj(c) z) = -q~(u0);
     # the defect then picks up n(c) q~(w), so the valuation doubles.
-    inv2 = pow(2, -1, p**ctx.precision)
+    half = ((pw[n] + 1) // 2, 0, n)
     while True:
         q = qtilde(a, b)
-        if q.is_zero():
+        if not (q[0] or q[1]):
             break
-        zinv = z.unit_inverse()
-        c = q.mul_int(inv2).mul(zinv).neg().conj()
-        a = a.add(c.mul(wc[0]))
-        b = b.add(c.mul(wc[1]))
+        c = conj(neg(mul(mul(q, half), unit_inverse(z))))
+        a = add(a, mul(c, wc[0]))
+        b = add(b, mul(c, wc[1]))
         z = htilde(a, b, *wc)
 
     # Second isotropic generator: u1' = w + c u0 with c = -q~(w)/(2 z),
     # then scale by conj(delta * z^-1) to normalize the pairing.
-    qw = qtilde(*wc)
-    zinv = z.unit_inverse()
-    c = qw.mul_int(inv2).mul(zinv).neg()
-    d0 = wc[0].add(c.mul(a))
-    d1 = wc[1].add(c.mul(b))
-    lam = ctx.delta().mul(zinv).conj()
-    d0 = d0.mul(lam)
-    d1 = d1.mul(lam)
-
-    u0 = _coords_to_ambient(a, b, g1, g2)
-    u1 = _coords_to_ambient(d0, d1, g1, g2)
-    return u0, u1
+    zinv = unit_inverse(z)
+    c = neg(mul(mul(qtilde(*wc), half), zinv))
+    lam = conj(mul((0, 1, n), zinv))
+    d0 = mul(add(wc[0], mul(c, a)), lam)
+    d1 = mul(add(wc[1], mul(c, b)), lam)
+    return _coords_to_ambient(ctx, a, b, g1, g2), _coords_to_ambient(ctx, d0, d1, g1, g2)
 
 
-def _coords_to_ambient(a: QuadLocalElem, b: QuadLocalElem, g1: VectorC, g2: VectorC) -> VectorC:
-    ctx = g1.ctx
-    p = ctx.p
-    e = max(g1.denom_exp, g2.denom_exp)
-    s1 = p ** (e - g1.denom_exp)
-    s2 = p ** (e - g2.denom_exp)
-    c0 = a.mul(g1.a0.mul_int(s1)).add(b.mul(g2.a0.mul_int(s2)))
-    c1 = a.mul(g1.a1.mul_int(s1)).add(b.mul(g2.a1.mul_int(s2)))
-    return VectorC(ctx, c0, c1, e)
+def _herm_scaled(ctx: LocalContext, scale_exp: int, u: tuple, w: tuple) -> tuple:
+    """p^scale_exp * h(u, w) as an element triple, where
+    h(u, w) = p^-(eu + ew) * delta * (u0 conj(w1) - u1 conj(w0)); raises
+    if the scaled value is not integral."""
+    d, pw = ctx.delta_sq, ctx.pows
+    eu, ux0, uy0, uq0, ux1, uy1, uq1 = u
+    ew, wx0, wy0, wq0, wx1, wy1, wq1 = w
+    q = min(uq0, wq1, uq1, wq0, ctx.precision)
+    m = pw[q]
+    # inner = u0 conj(w1) - u1 conj(w0); value = delta * inner.
+    ix = ux0 * wx1 - d * uy0 * wy1 - (ux1 * wx0 - d * uy1 * wy0)
+    iy = uy0 * wx1 - ux0 * wy1 - (uy1 * wx0 - ux1 * wy0)
+    x, y = d * iy % m, ix % m
+    shift = scale_exp - eu - ew
+    if shift >= 0:
+        return (x * pw[shift] % m, y * pw[shift] % m, q)
+    k = -shift
+    if q <= k:
+        raise PrecisionExhaustedError(
+            f"cannot divide by p^{k} at precision {q}", needed=k + 1
+        )
+    if x % pw[k] or y % pw[k]:
+        raise ValueError(f"element has valuation below {k}")
+    return (x // pw[k], y // pw[k], q - k)
+
+
+def _coords_to_ambient(ctx: LocalContext, a: tuple, b: tuple, g1: tuple, g2: tuple) -> tuple:
+    """The vector a * g1 + b * g2 for element triples a, b."""
+    pw, d = ctx.pows, ctx.delta_sq
+    e1, x10, y10, q10, x11, y11, q11 = g1
+    e2, x20, y20, q20, x21, y21, q21 = g2
+    e = e1 if e1 >= e2 else e2
+    s1 = pw[e - e1]
+    s2 = pw[e - e2]
+    ax, ay, aq = a
+    bx, by, bq = b
+    q0 = min(aq, q10, bq, q20)
+    q1 = min(aq, q11, bq, q21)
+    m0 = pw[q0]
+    m1 = pw[q1]
+    return _vector(
+        ctx, e,
+        (ax * x10 * s1 + d * ay * y10 * s1 + bx * x20 * s2 + d * by * y20 * s2) % m0,
+        (ax * y10 * s1 + ay * x10 * s1 + bx * y20 * s2 + by * x20 * s2) % m0, q0,
+        (ax * x11 * s1 + d * ay * y11 * s1 + bx * x21 * s2 + d * by * y21 * s2) % m1,
+        (ax * y11 * s1 + ay * x11 * s1 + bx * y21 * s2 + by * x21 * s2) % m1, q1,
+    )
 
 
 # -- standard lattices and tree operations ----------------------------------
@@ -407,11 +576,12 @@ def _coords_to_ambient(a: QuadLocalElem, b: QuadLocalElem, g1: VectorC, g2: Vect
 def standard_lattices(ctx: LocalContext) -> tuple[VertexLattice, VertexLattice]:
     """The base vertex: Lambda0 = span{v0, v1} (type 0) and its
     neighbour Lambda0' = span{p^-1 v0, v1} (type 2)."""
-    v0 = ctx.vector_from_ints((1, 0), (0, 0))
-    v1 = ctx.vector_from_ints((0, 0), (1, 0))
-    lam0 = VertexLattice.from_vectors(v0, v1, _vtype=0, _hyperbolic=(v0, v1))
-    w0 = v0.scale_p_power(-1)
-    lam0p = VertexLattice.from_vectors(w0, v1, _vtype=2, _hyperbolic=(w0, v1))
+    n = ctx.precision
+    v0 = (0, 1, 0, n, 0, 0, n)
+    v1 = (0, 0, 0, n, 1, 0, n)
+    w0 = (1, 1, 0, n, 0, 0, n)
+    lam0 = VertexLattice(ctx, *_hnf(ctx, v0, v1), 0, (v0, v1))
+    lam0p = VertexLattice(ctx, *_hnf(ctx, w0, v1), 2, (w0, v1))
     return lam0, lam0p
 
 
@@ -447,29 +617,22 @@ def distance(
     the other have divisor exponents b <= a, the geodesic length is
     a - b = val(det) - 2 b.
 
-    Exact and O(1); distance_bfs is the breadth-first reference this is
-    checked against in the test suite.
+    Exact and O(1); the test suite checks it against a breadth-first
+    search over neighbours.
     """
     lat.require_vertex()
     other.require_vertex()
     if lat.key == other.key:
         return 0
-    ctx = lat.ctx
-    p = ctx.p
     # Transition matrix X = B_lat^-1 * B_other, up to a known p-power:
     # with triangular canonical bases, solve column by column.
-    w = ctx.elem(*lat.off)
     entries = []  # (valuation or None, lower bound when None)
-    g1, g2 = other.basis()
-    for col in (g1, g2):
-        c0, c1 = col.a0, col.a1
-        # y1 = c0 / p^a; y2 = (c1 p^a - w c0) / p^(a+b): track exponents
-        n2 = c1.mul_int(p**lat.piv0).sub(w.mul(c0))
-        shift = lat.denom_exp - col.denom_exp
-        for elem, drop in ((c0, lat.piv0), (n2, lat.piv0 + lat.piv1)):
-            v = elem.valuation_or_none()
+    for e, *coords in other._basis():
+        v1, v2, q2 = lat._solve(*coords)
+        shift = lat.denom_exp - e
+        for v, q, drop in ((v1, coords[2], lat.piv0), (v2, q2, lat.piv0 + lat.piv1)):
             if v is None:
-                entries.append((None, elem.prec - drop + shift))
+                entries.append((None, q - drop + shift))
             else:
                 entries.append((v - drop + shift, None))
     finite = [v for v, _ in entries if v is not None]
@@ -492,33 +655,6 @@ def distance(
     return d
 
 
-def distance_bfs(
-    lat: VertexLattice, other: VertexLattice, radius_cap: int = DEFAULT_SEARCH_RADIUS
-) -> int:
-    """Reference breadth-first-search distance with canonical-form
-    deduplication (exponential in the distance; test oracle)."""
-    lat.require_vertex()
-    other.require_vertex()
-    target = other.key
-    if lat.key == target:
-        return 0
-    frontier = [lat]
-    seen = {lat.key}
-    for depth in range(1, radius_cap + 1):
-        nxt = []
-        for node in frontier:
-            for nb in node.neighbors():
-                k = nb.key
-                if k in seen:
-                    continue
-                if k == target:
-                    return depth
-                seen.add(k)
-                nxt.append(nb)
-        frontier = nxt
-    raise SearchRadiusExceededError(f"no path within radius {radius_cap}")
-
-
 def tree_ball(center: VertexLattice, radius: int) -> list[tuple[VertexLattice, int]]:
     """All vertex lattices within tree distance `radius` of `center`,
     with their distances.  Uses the tree structure: children of a
@@ -530,11 +666,11 @@ def tree_ball(center: VertexLattice, radius: int) -> list[tuple[VertexLattice, i
     for depth in range(1, radius + 1):
         nxt = []
         for node, parent_key in frontier:
+            key = node.key
             for nb in node.neighbors():
-                k = nb.key
-                if k == parent_key:
+                if nb.key == parent_key:
                     continue
                 out.append((nb, depth))
-                nxt.append((nb, node.key))
+                nxt.append((nb, key))
         frontier = nxt
     return out

@@ -402,6 +402,8 @@ def emit(data: dict, out_path: str | None, fmt: str = "json") -> None:
 
 
 def _report_exit(report: VerificationReport, args) -> int:
+    if report.checked == 0:
+        raise ValueError("the sweep checked nothing, so it cannot pass")
     emit(report.to_json_dict(), args.out, args.format)
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
@@ -416,7 +418,16 @@ def _require(args, *names) -> None:
             raise ValueError(f"verify {args.kind} requires {flag}")
 
 
+# Smallest accepted value of each sweep-size flag: a sweep below it
+# would check nothing (or only the centre of a ball) and pass vacuously.
+_SWEEP_MINIMA = (("max", "--max", 1), ("count", "--count", 1),
+                 ("radius", "--radius", 1), ("alpha_max", "--alpha-max", 0))
+
+
 def cmd_verify(args) -> int:
+    for name, flag, least in _SWEEP_MINIMA:
+        if getattr(args, name) < least:
+            raise ValueError(f"{flag} must be at least {least}, got {getattr(args, name)}")
     rng = random.Random(args.seed)
     kind = args.kind
     if kind == "rho":
@@ -471,8 +482,13 @@ def cmd_lift(args) -> int:
     if args.infile == "-":
         data = json.load(sys.stdin)
     else:
-        with open(args.infile, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            with open(args.infile, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise ValueError(
+                f"cannot read {args.infile}: {exc.strerror or exc}"
+            ) from exc
     series = qseries.series_from_json_dict(data, symbolic_parser=parse_symbolic_entries)
     if args.chi_kronecker is not None:
         params = qseries.ShimuraParams(

@@ -322,8 +322,11 @@ def superspecial_exponents(
     clamped at zero when the point misses the cycle."""
     if lat0.require_vertex() != 0 or lat2.require_vertex() != 2:
         raise NotAdjacentError("expected a (type 0, type 2) pair")
-    if not any(nb == lat2 for nb in lat0.neighbors()):
-        raise NotAdjacentError("lattices are not tree neighbours")
+    # Opposite types lie at odd distance, so adjacency is distance <= 1.
+    try:
+        distance(lat0, lat2, radius_cap=1)
+    except SearchRadiusExceededError:
+        raise NotAdjacentError("lattices are not tree neighbours") from None
     r = lat0.r_invariant(hom.vec)
     rp = lat2.r_invariant(hom.vec)
     if hom.sign == MINUS:

@@ -31,6 +31,22 @@ def required_precision(t_max: int, radius: int) -> int:
     return max(2 * (max(t_max, 0) + max(radius, 0)) + 8, DEFAULT_MIN_PRECISION)
 
 
+class _Powers(dict):
+    """p**k by exponent k, each computed on first use: the one power
+    table of a context, shared by the element arithmetic below and the
+    integer tree core."""
+
+    __slots__ = ("p",)
+
+    def __init__(self, p: int):
+        super().__init__()
+        self.p = p
+
+    def __missing__(self, k: int) -> int:
+        value = self[k] = self.p**k
+        return value
+
+
 @dataclass(frozen=True)
 class LocalContext:
     """Odd inert prime p, the nonresidue Delta, and working precision."""
@@ -49,20 +65,13 @@ class LocalContext:
             )
         if self.precision < DEFAULT_MIN_PRECISION:
             raise ValueError(f"precision must be >= 8, got {self.precision}")
-        object.__setattr__(self, "modulus", self.p**self.precision)
-        object.__setattr__(
-            self, "_pows", tuple(self.p**i for i in range(self.precision + 1))
-        )
-
-    def ppow(self, k: int) -> int:
-        pows = self._pows
-        return pows[k] if 0 <= k <= self.precision else self.p**k
+        object.__setattr__(self, "pows", _Powers(self.p))
 
     # -- element constructors -------------------------------------------------
 
     def elem(self, x: int, y: int = 0, prec: int | None = None) -> QuadLocalElem:
         prec = self.precision if prec is None else prec
-        m = self.p**prec
+        m = self.pows[prec]
         return QuadLocalElem(self, x % m, y % m, prec)
 
     def delta(self) -> QuadLocalElem:
@@ -84,7 +93,8 @@ class LocalContext:
 
 
 class QuadLocalElem:
-    """x + y*delta in o_{k,p}, known modulo p^prec."""
+    """x + y*delta in o_{k,p}, known modulo p^prec; x and y are stored
+    reduced mod p^prec, so zero at precision means x == y == 0."""
 
     __slots__ = ("ctx", "x", "y", "prec")
 
@@ -101,7 +111,7 @@ class QuadLocalElem:
         if not isinstance(other, QuadLocalElem):
             return NotImplemented
         prec = min(self.prec, other.prec)
-        m = self.ctx.p**prec
+        m = self.ctx.pows[prec]
         return (self.x - other.x) % m == 0 and (self.y - other.y) % m == 0
 
     def __hash__(self):
@@ -110,7 +120,7 @@ class QuadLocalElem:
     # -- ring operations ------------------------------------------------------
 
     def _wrap(self, x: int, y: int, prec: int) -> QuadLocalElem:
-        m = self.ctx.p**prec
+        m = self.ctx.pows[prec]
         return QuadLocalElem(self.ctx, x % m, y % m, prec)
 
     def add(self, other: QuadLocalElem) -> QuadLocalElem:
@@ -141,7 +151,7 @@ class QuadLocalElem:
 
     def is_zero(self) -> bool:
         """True iff the element vanishes at its carried precision."""
-        m = self.ctx.p**self.prec
+        m = self.ctx.pows[self.prec]
         return self.x % m == 0 and self.y % m == 0
 
     def valuation(self) -> int:
@@ -166,7 +176,7 @@ class QuadLocalElem:
 
     def norm_int(self) -> int:
         """The norm x^2 - Delta*y^2, a residue mod p^prec."""
-        m = self.ctx.p**self.prec
+        m = self.ctx.pows[self.prec]
         return (self.x * self.x - self.ctx.delta_sq * self.y * self.y) % m
 
     def unit_inverse(self) -> QuadLocalElem:
@@ -174,7 +184,7 @@ class QuadLocalElem:
         n = self.norm_int()
         if n % self.ctx.p == 0:
             raise ValueError("unit_inverse of a non-unit")
-        m = self.ctx.p**self.prec
+        m = self.ctx.pows[self.prec]
         ninv = pow(n, -1, m)
         return self._wrap(self.x * ninv, -self.y * ninv, self.prec)
 
@@ -183,7 +193,7 @@ class QuadLocalElem:
         digits of precision."""
         if k == 0:
             return self
-        pk = self.ctx.p**k
+        pk = self.ctx.pows[k]
         if self.prec <= k:
             raise PrecisionExhaustedError(
                 f"cannot divide by p^{k} at precision {self.prec}", needed=k + 1
@@ -280,12 +290,12 @@ def qform(b: VectorC) -> QFormValue:
     isotropic at working precision.
     """
     value, exp = herm(b, b)
-    if value.y % (b.ctx.p ** value.prec) != 0:
+    if value.y % b.ctx.pows[value.prec] != 0:
         raise AssertionError("q(b) acquired a delta-component; hermitian bug")
     if value.is_zero():
         return QFormValue(valuation=None, unit_residue=None)
     v = value.valuation()
-    unit = (value.x // b.ctx.p**v) % b.ctx.p
+    unit = (value.x // b.ctx.pows[v]) % b.ctx.p
     return QFormValue(valuation=v + exp, unit_residue=unit)
 
 

@@ -381,6 +381,6 @@ def series_from_json_dict(data: dict, symbolic_parser=None) -> FormalSeries:
                 coeffs[n] = symbolic_parser(c)
             else:
                 raise ValueError(f"symbolic coefficient at {n} not supported here")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed series data: {exc}") from exc
     return FormalSeries(coeffs, bound)

@@ -1,12 +1,22 @@
 """Independent oracles used by the test suite: brute-force conic
 solvability for Hilbert symbols, ideal-class enumeration for class
-numbers, and residue-square tables.
+numbers, residue-square tables, and the object-path Bruhat-Tits tree
+core with a breadth-first tree distance.
 
 These deliberately avoid the code paths they check.
 """
 
 from fractions import Fraction
 from math import gcd, isqrt
+
+from cyclelift.bttree import _HNF_GUARD
+from cyclelift.errors import (
+    DegenerateVectorError,
+    HyperbolicBasisError,
+    PrecisionExhaustedError,
+    SearchRadiusExceededError,
+)
+from cyclelift.padic import LocalContext, QuadLocalElem, VectorC, epsilon, herm, qform
 
 
 def squares_mod(n: int) -> set:
@@ -162,3 +172,462 @@ def class_number_by_ideals(delta: int) -> int:
             if not any(ideals_equivalent(ideal, rep) for rep in reps):
                 reps.append(ideal)
     return len(reps)
+
+
+# -- the object-path tree core ------------------------------------------------
+#
+# The Bruhat-Tits tree operations on padic.QuadLocalElem / VectorC objects,
+# as cyclelift.bttree computed them before its integer core: the reference
+# the property suite compares the integer core against (keys, neighbour
+# order, r-invariants, precision errors and their `needed` values).
+
+
+class ObjectLattice:
+    """An o_{k,p}-lattice in C in canonical form.
+
+    Instances are immutable after construction; equality and hashing
+    use the canonical tuple.  `vtype` is 0 or 2 for vertex lattices and
+    None for other lattices (certified against the dual on first use).
+    """
+
+    __slots__ = ("ctx", "denom_exp", "piv0", "piv1", "off", "_vtype", "_hyperbolic")
+
+    def __init__(self, ctx, denom_exp, piv0, piv1, off, _vtype=-1, _hyperbolic=None):
+        self.ctx = ctx
+        self.denom_exp = denom_exp
+        self.piv0 = piv0
+        self.piv1 = piv1
+        self.off = off  # pair of ints, reduced mod p^piv1
+        self._vtype = _vtype  # -1 = not yet certified
+        self._hyperbolic = _hyperbolic
+
+    # -- construction ----------------------------------------------------------
+
+    @classmethod
+    def from_vectors(cls, u: VectorC, v: VectorC, _vtype=-1, _hyperbolic=None) -> "ObjectLattice":
+        """Canonicalize the lattice spanned by two vectors (HNF with
+        p-power pivots plus denominator normalization)."""
+        ctx = u.ctx
+        p = ctx.p
+        e = max(u.denom_exp, v.denom_exp)
+        m00 = u.a0.mul_int(p ** (e - u.denom_exp))
+        m10 = u.a1.mul_int(p ** (e - u.denom_exp))
+        m01 = v.a0.mul_int(p ** (e - v.denom_exp))
+        m11 = v.a1.mul_int(p ** (e - v.denom_exp))
+
+        t0 = m00.valuation_or_none()
+        t1 = m01.valuation_or_none()
+        if t0 is None and t1 is None:
+            # Both generators lie in span(v1): rank-1 within precision.
+            raise DegenerateVectorError("degenerate lattice (rank < 2 at precision)")
+        if t1 is not None and (t0 is None or t1 < t0):
+            m00, m01 = m01, m00
+            m10, m11 = m11, m10
+            a = t1
+        else:
+            a = t0
+
+        unit0 = m00.divide_p_power(a)
+        inv0 = unit0.unit_inverse()
+        lam = m01.mul(inv0).divide_p_power(a)
+        z = m11.sub(lam.mul(m10))
+        b = z.valuation()  # PrecisionExhausted if undecidable
+        w = m10.mul(inv0)  # column 0 scaled so its first entry is p^a
+
+        if min(w.prec, z.prec) < b + _HNF_GUARD:
+            raise PrecisionExhaustedError(
+                "pivot valuations too close to working precision",
+                needed=a + b + _HNF_GUARD,
+            )
+
+        # Extract content so that min(a, b, val(w)) = 0.
+        wv = w.valuation_or_none()
+        t = min(a, b) if wv is None else min(a, b, wv)
+        if t:
+            a -= t
+            b -= t
+            e -= t
+            w = w.divide_p_power(t)
+        pb = p**b
+        off = (w.x % pb, w.y % pb)
+        return cls(ctx, e, a, b, off, _vtype=_vtype, _hyperbolic=_hyperbolic)
+
+    @property
+    def key(self) -> tuple:
+        return (self.denom_exp, self.piv0, self.piv1, self.off)
+
+    def describe(self) -> dict:
+        """Canonical-form data in JSON-friendly shape."""
+        return {
+            "denom_exp": self.denom_exp,
+            "pivots": [self.piv0, self.piv1],
+            "off": list(self.off),
+        }
+
+    def __eq__(self, other):
+        if not isinstance(other, ObjectLattice):
+            return NotImplemented
+        return self.key == other.key and self.ctx == other.ctx
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def __repr__(self):
+        e, a, b, (wx, wy) = self.denom_exp, self.piv0, self.piv1, self.off
+        return f"Lattice(p^-{e} * span[(p^{a}, {wx}+{wy}d), (0, p^{b})])"
+
+    # -- basic data --------------------------------------------------------
+
+    def basis(self) -> tuple[VectorC, VectorC]:
+        """The canonical-form generators as ambient vectors."""
+        ctx = self.ctx
+        p = ctx.p
+        g1 = ctx.vector_from_ints((p**self.piv0, 0), self.off, self.denom_exp)
+        g2 = ctx.vector_from_ints((0, 0), (p**self.piv1, 0), self.denom_exp)
+        return g1, g2
+
+    def det_valuation(self) -> int:
+        """Valuation of the basis determinant (a lattice invariant)."""
+        return self.piv0 + self.piv1 - 2 * self.denom_exp
+
+    def scale_p_power(self, k: int) -> "ObjectLattice":
+        """The lattice p^k * self."""
+        return ObjectLattice(
+            self.ctx, self.denom_exp - k, self.piv0, self.piv1, self.off
+        )
+
+    # -- duality and type --------------------------------------------------
+
+    def dual(self) -> "ObjectLattice":
+        """The dual lattice under h, in canonical form; an involution."""
+        g1, g2 = self.basis()
+        # Integral part M has columns (p^a, w), (0, p^b); denominator e.
+        ctx = self.ctx
+        p = ctx.p
+        m = [
+            [ctx.elem(p**self.piv0), ctx.elem(0)],
+            [ctx.elem(*self.off), ctx.elem(p**self.piv1)],
+        ]
+        delta = ctx.delta()
+        # A = G * conj(M) with G = [[0, delta], [-delta, 0]]; T = A^t.
+        a00 = delta.mul(m[1][0].conj())
+        a01 = delta.mul(m[1][1].conj())
+        a10 = delta.mul(m[0][0].conj()).neg()
+        a11 = delta.mul(m[0][1].conj()).neg()
+        t00, t01, t10, t11 = a00, a10, a01, a11
+        det = t00.mul(t11).sub(t01.mul(t10))
+        dv = det.valuation()
+        dunit_inv = det.divide_p_power(dv).unit_inverse()
+        # Columns of adj(T) * dunit_inv, with denominator exponent dv - e.
+        c0 = VectorC(ctx, t11.mul(dunit_inv), t10.neg().mul(dunit_inv), dv - self.denom_exp)
+        c1 = VectorC(ctx, t01.neg().mul(dunit_inv), t00.mul(dunit_inv), dv - self.denom_exp)
+        return ObjectLattice.from_vectors(c0, c1)
+
+    @property
+    def vtype(self) -> int | None:
+        """0 if self-dual, 2 if the dual is p^-1 * self, else None."""
+        if self._vtype == -1:
+            dual_key = self.dual().key
+            if dual_key == self.key:
+                self._vtype = 0
+            elif dual_key == self.scale_p_power(1).key:
+                self._vtype = 2
+            else:
+                self._vtype = None
+        return self._vtype
+
+    def require_vertex(self) -> int:
+        vt = self.vtype
+        if vt is None:
+            raise ValueError(f"{self!r} is not a vertex lattice")
+        return vt
+
+    # -- membership --------------------------------------------------------
+
+    def r_invariant(self, b: VectorC) -> int:
+        """max r such that p^(-r) b lies in the lattice (may be negative).
+
+        Solved against the canonical triangular basis; exact integer
+        valuation comparisons throughout.
+        """
+        if b.is_zero():
+            raise DegenerateVectorError("r-invariant of the zero vector")
+        ctx = self.ctx
+        p = ctx.p
+        c0, c1 = b.a0, b.a1
+        w = ctx.elem(*self.off)
+        # Coordinates y1 = c0 / p^a, y2 = (c1 p^a - w c0) / p^(a+b).
+        n2 = c1.mul_int(p**self.piv0).sub(w.mul(c0))
+        v1 = c0.valuation_or_none()
+        v2 = n2.valuation_or_none()
+        y1 = None if v1 is None else v1 - self.piv0
+        y2 = None if v2 is None else v2 - self.piv0 - self.piv1
+        finite = [v for v in (y1, y2) if v is not None]
+        if not finite:
+            raise PrecisionExhaustedError("membership undecidable at precision")
+        r = min(finite)
+        return r + self.denom_exp - b.denom_exp
+
+    def contains(self, b: VectorC) -> bool:
+        return self.r_invariant(b) >= 0
+
+    # -- hyperbolic basis and neighbours ------------------------------------
+
+    def hyperbolic_basis(self) -> tuple[VectorC, VectorC]:
+        """An o-basis (u0, u1) of isotropic vectors with h(u0, u1) equal
+        to delta (type 0) or delta/p (type 2); cached."""
+        if self._hyperbolic is None:
+            self._hyperbolic = _build_hyperbolic_basis(self)
+        return self._hyperbolic
+
+    def neighbors(self) -> list["ObjectLattice"]:
+        """The p+1 adjacent vertex lattices, of the opposite type.
+
+        Ordering is deterministic: the 'infinity' neighbour first, then
+        the residue representatives alpha = 0, ..., p-1.
+        """
+        vt = self.require_vertex()
+        u0, u1 = self.hyperbolic_basis()
+        ctx = self.ctx
+        p = ctx.p
+        out = []
+        opposite = 2 - vt
+        if vt == 0:
+            # span{p^-1 u0, u1} and span{u0, p^-1 (alpha u0 + u1)}.
+            out.append(
+                ObjectLattice.from_vectors(
+                    u0.scale_p_power(-1), u1, _vtype=opposite,
+                    _hyperbolic=(u0.scale_p_power(-1), u1),
+                )
+            )
+            for alpha in range(p):
+                w1 = _vector_combination(ctx, alpha, u0, u1).scale_p_power(-1)
+                out.append(
+                    ObjectLattice.from_vectors(
+                        u0, w1, _vtype=opposite, _hyperbolic=(u0, w1)
+                    )
+                )
+        else:
+            # span{u0, p u1} and span{p u0, alpha u0 + u1}.
+            out.append(
+                ObjectLattice.from_vectors(
+                    u0, u1.scale_p_power(1), _vtype=opposite,
+                    _hyperbolic=(u0, u1.scale_p_power(1)),
+                )
+            )
+            for alpha in range(p):
+                w1 = _vector_combination(ctx, alpha, u0, u1)
+                pu0 = u0.scale_p_power(1)
+                out.append(
+                    ObjectLattice.from_vectors(
+                        pu0, w1, _vtype=opposite, _hyperbolic=(pu0, w1)
+                    )
+                )
+        return out
+
+
+def _vector_combination(ctx: LocalContext, alpha: int, u0: VectorC, u1: VectorC) -> VectorC:
+    """alpha * u0 + u1 at a common denominator."""
+    e = max(u0.denom_exp, u1.denom_exp)
+    p = ctx.p
+    s0 = p ** (e - u0.denom_exp)
+    s1 = p ** (e - u1.denom_exp)
+    a0 = u0.a0.mul_int(alpha * s0).add(u1.a0.mul_int(s1))
+    a1 = u0.a1.mul_int(alpha * s0).add(u1.a1.mul_int(s1))
+    return VectorC(ctx, a0, a1, e)
+
+
+def _gram(scale_exp: int, g1: VectorC, g2: VectorC):
+    """Entries of p^scale_exp * Gram(g1, g2) as ring elements; raises if
+    the scaled Gram is not integral (the lattice is not a vertex
+    lattice of the expected type)."""
+    entries = []
+    for u in (g1, g2):
+        row = []
+        for w in (g1, g2):
+            val, exp = herm(u, w)
+            shift = exp + scale_exp
+            if shift >= 0:
+                row.append(val.mul_int(u.ctx.p**shift))
+            else:
+                row.append(val.divide_p_power(-shift))
+        entries.append(row)
+    return entries
+
+
+def _build_hyperbolic_basis(lat: ObjectLattice) -> tuple[VectorC, VectorC]:
+    vt = lat.require_vertex()
+    ctx = lat.ctx
+    p = ctx.p
+    scale_exp = 1 if vt == 2 else 0  # work with p*h on type 2 lattices
+    g1, g2 = lat.basis()
+    gram = _gram(scale_exp, g1, g2)
+
+    def qtilde(a: QuadLocalElem, b: QuadLocalElem) -> QuadLocalElem:
+        # q~(a g1 + b g2) = n(a) G00 + Tr(a conj(b) G01) + n(b) G11
+        cross = a.mul(b.conj()).mul(gram[0][1])
+        return (
+            a.mul(a.conj()).mul(gram[0][0])
+            .add(cross).add(cross.conj())
+            .add(b.mul(b.conj()).mul(gram[1][1]))
+        )
+
+    def htilde(a, b, c, d) -> QuadLocalElem:
+        # h~(a g1 + b g2, c g1 + d g2)
+        return (
+            a.mul(c.conj()).mul(gram[0][0])
+            .add(a.mul(d.conj()).mul(gram[0][1]))
+            .add(b.mul(c.conj()).mul(gram[1][0]))
+            .add(b.mul(d.conj()).mul(gram[1][1]))
+        )
+
+    one = ctx.one()
+    zero = ctx.zero()
+    # Residue projective line: [1 : x] for x in F_{p^2}, then [0 : 1].
+    candidate = None
+    for xx in range(p):
+        for xy in range(p):
+            x = ctx.elem(xx, xy)
+            q = qtilde(one, x)
+            if q.is_zero() or q.valuation() >= 1:
+                candidate = (one, x)
+                break
+        if candidate:
+            break
+    if candidate is None:
+        q = qtilde(zero, one)
+        if q.is_zero() or q.valuation() >= 1:
+            candidate = (zero, one)
+    if candidate is None:
+        raise HyperbolicBasisError(
+            "no isotropic direction on the residue line; not a vertex lattice?"
+        )
+
+    a, b = candidate
+    # Complementary generator keeping (u0, w) a basis: need the other
+    # coordinate to be a unit.
+    bv = b.valuation_or_none()
+    if bv == 0:
+        wc = (one, zero)
+    else:
+        wc = (zero, one)
+    z = htilde(a, b, *wc)
+    if z.valuation_or_none() != 0:
+        raise HyperbolicBasisError("pairing with complement is not a unit")
+
+    # Hensel: replace u0 <- u0 + c*w with Tr(conj(c) z) = -q~(u0);
+    # the defect then picks up n(c) q~(w), so the valuation doubles.
+    inv2 = pow(2, -1, p**ctx.precision)
+    while True:
+        q = qtilde(a, b)
+        if q.is_zero():
+            break
+        zinv = z.unit_inverse()
+        c = q.mul_int(inv2).mul(zinv).neg().conj()
+        a = a.add(c.mul(wc[0]))
+        b = b.add(c.mul(wc[1]))
+        z = htilde(a, b, *wc)
+
+    # Second isotropic generator: u1' = w + c u0 with c = -q~(w)/(2 z),
+    # then scale by conj(delta * z^-1) to normalize the pairing.
+    qw = qtilde(*wc)
+    zinv = z.unit_inverse()
+    c = qw.mul_int(inv2).mul(zinv).neg()
+    d0 = wc[0].add(c.mul(a))
+    d1 = wc[1].add(c.mul(b))
+    lam = ctx.delta().mul(zinv).conj()
+    d0 = d0.mul(lam)
+    d1 = d1.mul(lam)
+
+    u0 = _coords_to_ambient(a, b, g1, g2)
+    u1 = _coords_to_ambient(d0, d1, g1, g2)
+    return u0, u1
+
+
+def _coords_to_ambient(a: QuadLocalElem, b: QuadLocalElem, g1: VectorC, g2: VectorC) -> VectorC:
+    ctx = g1.ctx
+    p = ctx.p
+    e = max(g1.denom_exp, g2.denom_exp)
+    s1 = p ** (e - g1.denom_exp)
+    s2 = p ** (e - g2.denom_exp)
+    c0 = a.mul(g1.a0.mul_int(s1)).add(b.mul(g2.a0.mul_int(s2)))
+    c1 = a.mul(g1.a1.mul_int(s1)).add(b.mul(g2.a1.mul_int(s2)))
+    return VectorC(ctx, c0, c1, e)
+
+
+# -- standard lattices and tree operations ----------------------------------
+
+
+def standard_lattices(ctx: LocalContext) -> tuple[ObjectLattice, ObjectLattice]:
+    """The base vertex: Lambda0 = span{v0, v1} (type 0) and its
+    neighbour Lambda0' = span{p^-1 v0, v1} (type 2)."""
+    v0 = ctx.vector_from_ints((1, 0), (0, 0))
+    v1 = ctx.vector_from_ints((0, 0), (1, 0))
+    lam0 = ObjectLattice.from_vectors(v0, v1, _vtype=0, _hyperbolic=(v0, v1))
+    w0 = v0.scale_p_power(-1)
+    lam0p = ObjectLattice.from_vectors(w0, v1, _vtype=2, _hyperbolic=(w0, v1))
+    return lam0, lam0p
+
+
+def central_lattice(b: VectorC) -> ObjectLattice:
+    """The unique vertex lattice containing the rescaled b primitively:
+    span{b0, epsilon(b0)} where b0 = p^-t b has ord q in {0, -1}.
+
+    Type 0 when ord q(b) is even, type 2 when odd; raises
+    DegenerateVectorError for isotropic b.
+    """
+    q = qform(b)
+    if q.is_isotropic:
+        raise DegenerateVectorError("central lattice of an isotropic vector")
+    t = -((-q.valuation) // 2)  # ceil(ord/2)
+    b0 = b.scale_p_power(-t)
+    vt = 0 if q.valuation % 2 == 0 else 2
+    return ObjectLattice.from_vectors(b0, epsilon(b0), _vtype=vt)
+
+
+def distance_bfs(lat, other, radius_cap: int = 40) -> int:
+    """Reference breadth-first-search distance with canonical-form
+    deduplication (exponential in the distance).  Works on any lattice
+    class with `require_vertex`, `key` and `neighbors`."""
+    lat.require_vertex()
+    other.require_vertex()
+    target = other.key
+    if lat.key == target:
+        return 0
+    frontier = [lat]
+    seen = {lat.key}
+    for depth in range(1, radius_cap + 1):
+        nxt = []
+        for node in frontier:
+            for nb in node.neighbors():
+                k = nb.key
+                if k in seen:
+                    continue
+                if k == target:
+                    return depth
+                seen.add(k)
+                nxt.append(nb)
+        frontier = nxt
+    raise SearchRadiusExceededError(f"no path within radius {radius_cap}")
+
+
+
+def tree_ball(center: ObjectLattice, radius: int) -> list[tuple[ObjectLattice, int]]:
+    """All vertex lattices within tree distance `radius` of `center`,
+    with their distances.  Uses the tree structure: children of a
+    vertex are its neighbours minus its BFS parent, so deduplication
+    is only against the parent key."""
+    center.require_vertex()
+    out = [(center, 0)]
+    frontier = [(center, None)]
+    for depth in range(1, radius + 1):
+        nxt = []
+        for node, parent_key in frontier:
+            for nb in node.neighbors():
+                k = nb.key
+                if k == parent_key:
+                    continue
+                out.append((nb, depth))
+                nxt.append((nb, node.key))
+        frontier = nxt
+    return out

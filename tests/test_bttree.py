@@ -6,7 +6,6 @@ from cyclelift.bttree import (
     VertexLattice,
     central_lattice,
     distance,
-    distance_bfs,
     dual,
     standard_lattices,
     tree_ball,
@@ -17,6 +16,7 @@ from cyclelift.errors import (
     SearchRadiusExceededError,
 )
 from cyclelift.padic import LocalContext, herm, qform
+from oracles import distance_bfs
 
 CTX = LocalContext(p=5, delta_sq=-2, precision=26)
 CTX3 = LocalContext(p=3, delta_sq=-10, precision=26)

@@ -86,6 +86,34 @@ class TestVerifyCommand:
         assert code == EXIT_HYPOTHESIS
         assert "--delta" in err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("rho", "--max", "-3"), "--max"),
+            (("hilbert", "--count", "-1"), "--count"),
+            (("r-formula", "--p", "5", "--delta", "-2", "--count", "0"), "--count"),
+            (("r-formula", "--p", "5", "--delta", "-2", "--radius", "-1"), "--radius"),
+            (("local-compare", "--p", "3", "--delta", "-10", "--alpha-max", "-1"),
+             "--alpha-max"),
+        ],
+    )
+    def test_vacuous_sweep_exits_2(self, capsys, argv, flag):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == EXIT_HYPOTHESIS
+        assert out == ""
+        assert flag in err
+
+    def test_empty_report_never_passes(self, capsys):
+        from argparse import Namespace
+
+        from cyclelift.cli import _report_exit
+        from cyclelift.identity import VerificationReport
+
+        empty = VerificationReport(params={}, checked=0, mismatches=[])
+        with pytest.raises(ValueError):
+            _report_exit(empty, Namespace(out=None, format="json"))
+        assert capsys.readouterr().out == ""
+
     def test_tree_sweeps_smoke(self, capsys):
         code, out, _ = run(
             capsys, "verify", "r-formula", "--p", "3", "--delta", "-10",
@@ -205,6 +233,21 @@ class TestLiftCommand:
         src.write_text(json.dumps({"coeffs": []}))
         code, _, _ = run(capsys, "lift", "--level", "35", "--t", "2", "--in", str(src))
         assert code == EXIT_HYPOTHESIS
+
+    def test_zero_denominator_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps({"max_exponent": 10, "coeffs": [{"n": 2, "c": "1/0"}]}))
+        code, _, err = run(capsys, "lift", "--level", "35", "--t", "2", "--in", str(src))
+        assert code == EXIT_HYPOTHESIS
+        assert len(err.strip().splitlines()) == 1
+
+    def test_unreadable_input_exit_2(self, tmp_path, capsys):
+        for path in (tmp_path / "missing.json", tmp_path):
+            code, _, err = run(
+                capsys, "lift", "--level", "35", "--t", "2", "--in", str(path)
+            )
+            assert code == EXIT_HYPOTHESIS
+            assert len(err.strip().splitlines()) == 1 and str(path) in err
 
     def test_roundtrip_through_files(self, tmp_path, capsys):
         src = tmp_path / "in.json"

@@ -355,6 +355,19 @@ class TestSuperspecialExponents:
                 SpecialHom.from_vector(MINUS, UNIT_VEC), LAM0P, LAM0
             )
 
+    def test_pair_beyond_distance_cap_not_adjacent(self):
+        # Farther apart than distance()'s default radius cap (40): still
+        # NotAdjacentError, never SearchRadiusExceededError.
+        ctx = LocalContext(p=3, delta_sq=-10, precision=100)
+        lam0, _ = standard_lattices(ctx)
+        far = lam0
+        for _ in range(41):
+            far = far.neighbors()[-1]
+        assert far.vtype == 2
+        hom = SpecialHom.from_vector(MINUS, ctx.vector_from_ints((0, 1), (1, 0)))
+        with pytest.raises(NotAdjacentError):
+            superspecial_exponents(hom, lam0, far)
+
 
 class TestHorizontalComparison:
     def test_matrix_realization_and_polynomial_match(self):
