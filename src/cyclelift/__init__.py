@@ -16,7 +16,6 @@ from cyclelift.errors import (
     NotAdjacentError,
     PrecisionExhaustedError,
     SearchBoundExhaustedError,
-    SearchRadiusExceededError,
     TruncationInsufficientError,
 )
 
@@ -28,7 +27,6 @@ __all__ = [
     "NotAdjacentError",
     "PrecisionExhaustedError",
     "SearchBoundExhaustedError",
-    "SearchRadiusExceededError",
     "TruncationInsufficientError",
 ]
 

@@ -39,12 +39,10 @@ from cyclelift.errors import (
     DegenerateVectorError,
     HyperbolicBasisError,
     PrecisionExhaustedError,
-    SearchRadiusExceededError,
 )
 from cyclelift.padic import LocalContext, QuadLocalElem, VectorC, epsilon, qform
 
 _HNF_GUARD = 4
-DEFAULT_SEARCH_RADIUS = 40
 
 
 # -- integer elements and vectors ---------------------------------------------
@@ -585,14 +583,6 @@ def standard_lattices(ctx: LocalContext) -> tuple[VertexLattice, VertexLattice]:
     return lam0, lam0p
 
 
-def dual(lat: VertexLattice) -> VertexLattice:
-    return lat.dual()
-
-
-def r_invariant(b: VectorC, lat: VertexLattice) -> int:
-    return lat.r_invariant(b)
-
-
 def central_lattice(b: VectorC) -> VertexLattice:
     """The unique vertex lattice containing the rescaled b primitively:
     span{b0, epsilon(b0)} where b0 = p^-t b has ord q in {0, -1}.
@@ -609,9 +599,7 @@ def central_lattice(b: VectorC) -> VertexLattice:
     return VertexLattice.from_vectors(b0, epsilon(b0), _vtype=vt)
 
 
-def distance(
-    lat: VertexLattice, other: VertexLattice, radius_cap: int = DEFAULT_SEARCH_RADIUS
-) -> int:
+def distance(lat: VertexLattice, other: VertexLattice) -> int:
     """Graph distance on the tree via the elementary divisors of the
     transition matrix: if the coordinates of one lattice in a basis of
     the other have divisor exponents b <= a, the geodesic length is
@@ -648,10 +636,6 @@ def distance(
     d = det_val - 2 * bmin
     if d < 0:
         raise AssertionError("negative tree distance; canonical-form bug")
-    if d > radius_cap:
-        raise SearchRadiusExceededError(
-            f"distance {d} exceeds radius cap {radius_cap}"
-        )
     return d
 
 

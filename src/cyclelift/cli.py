@@ -44,18 +44,26 @@ EXIT_TRUNCATION = 4
 
 # -- randomized generators -----------------------------------------------------
 
+# Random vectors draw coordinates mod p^_DRAW_DIGITS and scale the second
+# one by up to p^_SKEW_MAX, so lattice pivots can sit _COORD_BUDGET digits
+# above what (t, radius) alone would predict.
+_DRAW_DIGITS = 6
+_SKEW_MAX = 3
+_COORD_BUDGET = _DRAW_DIGITS + _SKEW_MAX
+
 
 def random_anisotropic_vector(ctx: LocalContext, rng: random.Random, ord_max: int = 6):
     """A random anisotropic vector with ord q in [-1, ord_max], mixing
     integral vectors, p-power-skewed coordinates, and central
     rescalings so both parities and negative valuation occur."""
     p = ctx.p
+    mod = p**_DRAW_DIGITS
     while True:
-        a0 = (rng.randrange(p**6), rng.randrange(p**6))
-        a1 = (rng.randrange(p**6), rng.randrange(p**6))
+        a0 = (rng.randrange(mod), rng.randrange(mod))
+        a1 = (rng.randrange(mod), rng.randrange(mod))
         if all(x % p == 0 for x in a0 + a1):
             continue
-        skew = rng.randrange(0, 4)
+        skew = rng.randrange(0, _SKEW_MAX + 1)
         a1 = (a1[0] * p**skew, a1[1] * p**skew)
         vec = ctx.vector_from_ints(a0, a1)
         q = qform(vec)
@@ -114,20 +122,6 @@ def sweep_hilbert(count: int, rng: random.Random) -> VerificationReport:
     return VerificationReport(
         params={"count": count}, checked=count, mismatches=mismatches
     )
-
-
-def _mult_known_distance(hom, lat, d: int) -> int:
-    """multiplicity(hom, lat) with the tree distance supplied by the
-    caller (ball enumerations already know it); the membership test
-    stays an independent exact solve."""
-    if lat.r_invariant(hom.vec) < 0:
-        return 0
-    return localcycles._mult_from_depth(hom.ord_qpm, d)
-
-
-# Random vectors draw coordinates mod p^6, so lattice pivots can sit
-# 6 digits above what (t, radius) alone would predict.
-_COORD_BUDGET = 6
 
 
 def sweep_r_formula(
@@ -197,14 +191,14 @@ def sweep_local_compare(
             ball = bttree.tree_ball(center, alpha + 2)
             for lat, d in ball:
                 checked += 1
-                total = _mult_known_distance(hp, lat, d) + _mult_known_distance(
+                total = localcycles.multiplicity(hp, lat, d) + localcycles.multiplicity(
                     hm, lat, d
                 )
                 expected = max(alpha - d, 0)
                 if total != expected:
                     mismatches.append(Mismatch(m=d, lhs=total, rhs=expected))
-            # Exercise the public multiplicity op (with its own BFS
-            # distance) on a spot sample.
+            # Exercise the multiplicity op with its own tree distance on
+            # a spot sample.
             for lat, d in rng.sample(ball, min(spot_checks, len(ball))):
                 checked += 1
                 total = localcycles.multiplicity(hp, lat) + localcycles.multiplicity(
@@ -252,7 +246,7 @@ def horizontal_polynomials_match(j, hp, hm) -> bool:
 
     lead, mid, low = poly_from_linear(eq_p, eq_m)
     basis = center.hyperbolic_basis()
-    a0, a1 = localcycles._solve_coordinates(center, basis, j.eigvec)
+    a0, a1 = localcycles.solve_coordinates(center, basis, j.eigvec)
     qlead = a0.mul(a0.conj())
     qmid = a0.mul(a1.conj()).add(a0.conj().mul(a1))
     qlow = a1.mul(a1.conj())
@@ -317,7 +311,7 @@ def sweep_chart_consistency(
             supported.append((lat, d))
             checked += 1
             eq = localcycles.ordinary_equation(hom, lat)
-            m = _mult_known_distance(hom, lat, d)
+            m = localcycles.multiplicity(hom, lat, d)
             if eq.p_exp != m:
                 mismatches.append(Mismatch(m=d, lhs=eq.p_exp, rhs=m))
             is_center = lat.key == center.key
@@ -332,8 +326,8 @@ def sweep_chart_consistency(
                     continue
                 lat0, lat2 = (lat, nb) if lat.vtype == 0 else (nb, lat)
                 e0, e1 = localcycles.superspecial_exponents(hom, lat0, lat2)
-                m0 = _mult_known_distance(hom, lat0, depth[lat0.key])
-                m2 = _mult_known_distance(hom, lat2, depth[lat2.key])
+                m0 = localcycles.multiplicity(hom, lat0, depth[lat0.key])
+                m2 = localcycles.multiplicity(hom, lat2, depth[lat2.key])
                 checked += 1
                 if (e0, e1) != (m2, m0):
                     mismatches.append(Mismatch(m=d, lhs=[e0, e1], rhs=[m2, m0]))
@@ -421,7 +415,8 @@ def _require(args, *names) -> None:
 # Smallest accepted value of each sweep-size flag: a sweep below it
 # would check nothing (or only the centre of a ball) and pass vacuously.
 _SWEEP_MINIMA = (("max", "--max", 1), ("count", "--count", 1),
-                 ("radius", "--radius", 1), ("alpha_max", "--alpha-max", 0))
+                 ("radius", "--radius", 1), ("alpha_max", "--alpha-max", 0),
+                 ("mmax", "--mmax", 0))
 
 
 def cmd_verify(args) -> int:
@@ -473,7 +468,7 @@ def cmd_cycle(args) -> int:
     else:
         hom = localcycles.SpecialHom.from_vector(args.sign, vec)
         cycle = localcycles.unitary_cycle(hom)
-    data = localcycles.cycle_to_json_dict(cycle, radius_cap=args.label_radius)
+    data = localcycles.cycle_to_json_dict(cycle)
     emit(data, args.out, "json")
     return EXIT_OK
 
@@ -570,7 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--alpha", type=int, default=None, help="orthogonal valuation")
     pc.add_argument("--radius", type=int, default=None)
     pc.add_argument("--precision", type=int, default=None)
-    pc.add_argument("--label-radius", type=int, default=8, dest="label_radius")
     pc.add_argument("--out", default=None)
     pc.set_defaults(func=cmd_cycle)
 

@@ -33,10 +33,6 @@ class DegenerateVectorError(CycleLiftError):
     """An operation requiring an anisotropic vector got an isotropic one."""
 
 
-class SearchRadiusExceededError(CycleLiftError):
-    """Tree search exceeded its radius cap without terminating."""
-
-
 class SearchBoundExhaustedError(CycleLiftError):
     """An integer search (e.g. for an auxiliary prime) hit its bound."""
 

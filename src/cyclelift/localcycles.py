@@ -19,11 +19,7 @@ from cyclelift.bttree import (
     standard_lattices,
     tree_ball,
 )
-from cyclelift.errors import (
-    EmptyIntersectionError,
-    NotAdjacentError,
-    SearchRadiusExceededError,
-)
+from cyclelift.errors import EmptyIntersectionError, NotAdjacentError
 from cyclelift.padic import QuadLocalElem, VectorC, epsilon, ord_qform
 
 PLUS = "plus"
@@ -119,14 +115,18 @@ def _mult_from_depth(ord_qpm: int, d: int) -> int:
     return t - (d + 1) // 2
 
 
-def multiplicity(hom: SpecialHom, lat: VertexLattice) -> int:
+def multiplicity(hom: SpecialHom, lat: VertexLattice, depth: int | None = None) -> int:
     """Vertical multiplicity m(b, Lambda): zero unless the vector lies
     in the lattice, else t - floor(d/2) or t - floor((d+1)/2) by the
     parity of ord q^+-, with d the tree distance to the central
-    lattice."""
+    lattice.
+
+    A caller that already knows d (a ball enumeration around the
+    central lattice) passes it as `depth`; the membership test stays an
+    independent exact solve either way."""
     if lat.r_invariant(hom.vec) < 0:
         return 0
-    d = distance(lat, hom.central())
+    d = distance(lat, hom.central()) if depth is None else depth
     m = _mult_from_depth(hom.ord_qpm, d)
     if m < 0:
         raise AssertionError("negative multiplicity with membership; formula bug")
@@ -259,7 +259,7 @@ class OrdinaryEquation:
         return v is None or v >= 1
 
 
-def _solve_coordinates(lat: VertexLattice, basis: tuple[VectorC, VectorC], vec: VectorC):
+def solve_coordinates(lat: VertexLattice, basis: tuple[VectorC, VectorC], vec: VectorC):
     """Coordinates of vec in an o-basis of lat (exact; assumes vec in
     the span over k)."""
     ctx = lat.ctx
@@ -301,7 +301,7 @@ def ordinary_equation(hom: SpecialHom, lat: VertexLattice) -> OrdinaryEquation:
     if r < 0:
         raise EmptyIntersectionError("vector not in the lattice; cycle misses chart")
     basis = lat.hyperbolic_basis()
-    a0, a1 = _solve_coordinates(lat, basis, hom.vec)
+    a0, a1 = solve_coordinates(lat, basis, hom.vec)
     alpha0 = a0.divide_p_power(r) if not a0.is_zero() else a0
     alpha1 = a1.divide_p_power(r) if not a1.is_zero() else a1
     if hom.sign == MINUS:
@@ -322,11 +322,8 @@ def superspecial_exponents(
     clamped at zero when the point misses the cycle."""
     if lat0.require_vertex() != 0 or lat2.require_vertex() != 2:
         raise NotAdjacentError("expected a (type 0, type 2) pair")
-    # Opposite types lie at odd distance, so adjacency is distance <= 1.
-    try:
-        distance(lat0, lat2, radius_cap=1)
-    except SearchRadiusExceededError:
-        raise NotAdjacentError("lattices are not tree neighbours") from None
+    if distance(lat0, lat2) != 1:
+        raise NotAdjacentError("lattices are not tree neighbours")
     r = lat0.r_invariant(hom.vec)
     rp = lat2.r_invariant(hom.vec)
     if hom.sign == MINUS:
@@ -337,52 +334,55 @@ def superspecial_exponents(
 # -- serialization -----------------------------------------------------------
 
 
-DEFAULT_LABEL_RADIUS = 8
+def path_words(target: VertexLattice, keys: set) -> dict:
+    """Label a connected vertex set by neighbour-index paths from Lambda0.
 
-
-def path_words(
-    ctx, keys: set, radius_cap: int = DEFAULT_LABEL_RADIUS
-) -> dict:
-    """Label tree vertices by neighbour-index paths from Lambda0.
-
-    The root gets the empty word; a child reached as neighbour i of a
-    word w gets w + '.' + str(i).  Deterministic because neighbour
-    enumeration is."""
-    lam0, _ = standard_lattices(ctx)
-    words = {lam0.key: ""}
-    missing = set(keys) - set(words)
-    frontier = [(lam0, None, "")]
-    depth = 0
-    while missing and depth < radius_cap:
-        depth += 1
+    Lambda0 gets the empty word; a child reached as neighbour i of a
+    word w gets w + '.' + str(i).  `keys` holds the canonical keys of the
+    set (a cycle's support: its central lattice and a ball around it)
+    and must contain `target`.  A connected set of a tree is convex, so
+    the geodesic from Lambda0 to any of its vertices enters it at one
+    vertex, the first on the geodesic to `target`: walk there by the
+    neighbour one step closer at each step, then search breadth-first
+    over children inside the set.  Each vertex is reached along its
+    geodesic from Lambda0, so it has the neighbour order a search from
+    Lambda0 would give it."""
+    if target.key not in keys:
+        raise ValueError("target vertex is not in the labelled set")
+    node, _ = standard_lattices(target.ctx)
+    parent_key, word = None, ""
+    d = distance(node, target)
+    while node.key not in keys:
+        i, nb = next(
+            (i, nb) for i, nb in enumerate(node.neighbors()) if distance(nb, target) < d
+        )
+        node, parent_key, d = nb, node.key, d - 1
+        word = f"{word}.{i}" if word else str(i)
+    words = {node.key: word}
+    frontier = [(node, parent_key, word)]
+    while frontier and len(words) < len(keys):
         nxt = []
         for node, parent_key, word in frontier:
             for i, nb in enumerate(node.neighbors()):
                 k = nb.key
-                if k == parent_key:
-                    continue
-                child_word = f"{word}.{i}" if word else str(i)
-                if k not in words:
+                if k != parent_key and k in keys:
+                    child_word = f"{word}.{i}" if word else str(i)
                     words[k] = child_word
-                    missing.discard(k)
-                nxt.append((nb, node.key, child_word))
+                    nxt.append((nb, node.key, child_word))
         frontier = nxt
-    if missing:
-        raise SearchRadiusExceededError(
-            f"{len(missing)} vertices beyond labelling radius {radius_cap}"
-        )
+    if len(words) < len(keys):
+        raise ValueError(f"{len(keys) - len(words)} vertices not connected to the rest")
     return words
 
 
-def cycle_to_json_dict(cycle: LocalCycle, radius_cap: int = DEFAULT_LABEL_RADIUS) -> dict:
+def cycle_to_json_dict(cycle: LocalCycle) -> dict:
     """JSON form with path-word vertex labels and a table of the
     vertices' canonical-form pivot data; deterministic ordering."""
     lattices = [c.central for c in cycle.horizontal] + list(cycle.vertical)
     if not lattices:
         return {"horizontal": [], "vertical": [], "vertices": {}}
-    ctx = lattices[0].ctx
     keys = {lat.key for lat in lattices}
-    words = path_words(ctx, keys, radius_cap=radius_cap)
+    words = path_words(lattices[0], keys)
     horizontal = sorted(
         ({"vertex": words[c.central.key], "count": c.count} for c in cycle.horizontal),
         key=lambda d: d["vertex"],

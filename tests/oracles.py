@@ -1,7 +1,7 @@
 """Independent oracles used by the test suite: brute-force conic
 solvability for Hilbert symbols, ideal-class enumeration for class
-numbers, residue-square tables, and the object-path Bruhat-Tits tree
-core with a breadth-first tree distance.
+numbers, residue-square tables, the object-path Bruhat-Tits tree
+core, and breadth-first searches for tree distance and path-word labels.
 
 These deliberately avoid the code paths they check.
 """
@@ -14,7 +14,6 @@ from cyclelift.errors import (
     DegenerateVectorError,
     HyperbolicBasisError,
     PrecisionExhaustedError,
-    SearchRadiusExceededError,
 )
 from cyclelift.padic import LocalContext, QuadLocalElem, VectorC, epsilon, herm, qform
 
@@ -585,6 +584,10 @@ def central_lattice(b: VectorC) -> ObjectLattice:
     return ObjectLattice.from_vectors(b0, epsilon(b0), _vtype=vt)
 
 
+class SearchRadiusExceeded(Exception):
+    """A breadth-first search below ran past its radius cap."""
+
+
 def distance_bfs(lat, other, radius_cap: int = 40) -> int:
     """Reference breadth-first-search distance with canonical-form
     deduplication (exponential in the distance).  Works on any lattice
@@ -608,8 +611,37 @@ def distance_bfs(lat, other, radius_cap: int = 40) -> int:
                 seen.add(k)
                 nxt.append(nb)
         frontier = nxt
-    raise SearchRadiusExceededError(f"no path within radius {radius_cap}")
+    raise SearchRadiusExceeded(f"no path within radius {radius_cap}")
 
+
+def path_words_bfs(root, keys: set, radius_cap: int) -> dict:
+    """Reference path-word labels: a breadth-first search out from `root`
+    (Lambda0) over the whole ball of radius `radius_cap`, until every key
+    is labelled.  The root gets the empty word; a child reached as
+    neighbour i of a word w gets w + '.' + str(i)."""
+    words = {root.key: ""}
+    missing = set(keys) - set(words)
+    frontier = [(root, None, "")]
+    depth = 0
+    while missing and depth < radius_cap:
+        depth += 1
+        nxt = []
+        for node, parent_key, word in frontier:
+            for i, nb in enumerate(node.neighbors()):
+                k = nb.key
+                if k == parent_key:
+                    continue
+                child_word = f"{word}.{i}" if word else str(i)
+                if k not in words:
+                    words[k] = child_word
+                    missing.discard(k)
+                nxt.append((nb, node.key, child_word))
+        frontier = nxt
+    if missing:
+        raise SearchRadiusExceeded(
+            f"{len(missing)} vertices beyond labelling radius {radius_cap}"
+        )
+    return {k: words[k] for k in keys}
 
 
 def tree_ball(center: ObjectLattice, radius: int) -> list[tuple[ObjectLattice, int]]:

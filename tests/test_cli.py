@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -95,6 +96,7 @@ class TestVerifyCommand:
             (("r-formula", "--p", "5", "--delta", "-2", "--radius", "-1"), "--radius"),
             (("local-compare", "--p", "3", "--delta", "-10", "--alpha-max", "-1"),
              "--alpha-max"),
+            (("main-identity", "--delta", "-2", "--db", "35", "--mmax", "-5"), "--mmax"),
         ],
     )
     def test_vacuous_sweep_exits_2(self, capsys, argv, flag):
@@ -102,6 +104,20 @@ class TestVerifyCommand:
         assert code == EXIT_HYPOTHESIS
         assert out == ""
         assert flag in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--p", "3", "--delta", "-10", "--alpha-max", "4", "--seed", "22"),
+            ("--p", "5", "--delta", "-2", "--alpha-max", "3", "--seed", "21"),
+        ],
+    )
+    def test_local_compare_precision_covers_skewed_draws(self, capsys, argv):
+        # These seeds draw vectors whose second coordinate carries the
+        # largest p-power skew; the working precision must budget for it.
+        code, out, err = run(capsys, "verify", "local-compare", *argv)
+        assert code == EXIT_OK, err
+        assert json.loads(out)["mismatches"] == []
 
     def test_empty_report_never_passes(self, capsys):
         from argparse import Namespace
@@ -163,6 +179,25 @@ class TestCycleCommand:
         assert data["horizontal"] == [{"count": 2, "vertex": ""}]
         mults = sorted(v["mult"] for v in data["vertical"])
         assert mults == [1] * 6 + [2]
+
+    @pytest.mark.parametrize(
+        "argv, vertical, digest",
+        [
+            # The README commands.
+            (("--p", "5", "--delta", "-2", "--sign", "minus", "--b", "0+5d,5+0d"), 7,
+             "5990fe685edd7c6e9d0fe5bfb5a41709e77aed7acaf7e47d62c8a770800705a6"),
+            (("--p", "5", "--delta", "-2", "--ortho", "--alpha", "2", "--b", "0+1d,1+0d"), 7,
+             "2858bcb4b51f3125c8c12de2e0924925ae3476af87ae0a0aaeab420bc8c47f6a"),
+            # Centre at depth 5 and labels out to depth 9 from Lambda0.
+            (("--p", "3", "--delta", "-10", "--sign", "minus", "--b", "1+0d,0+243d"), 161,
+             "6969bfa660d2ae439c5a3dd50ac43d7054d6e4a81bb8337e0aac47f333371b96"),
+        ],
+    )
+    def test_pinned_stdout(self, capsys, argv, vertical, digest):
+        code, out, _ = run(capsys, "cycle", *argv)
+        assert code == EXIT_OK
+        assert len(json.loads(out)["vertical"]) == vertical
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_isotropic_exits_2(self, capsys):
         code, _, err = run(

@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cyclelift.bttree import standard_lattices, tree_ball
+import oracles
+from cyclelift.bttree import distance, standard_lattices, tree_ball
 from cyclelift.errors import (
     DegenerateVectorError,
     EmptyIntersectionError,
@@ -20,6 +23,7 @@ from cyclelift.localcycles import (
     ordinary_equation,
     orthogonal_cycle,
     orthogonal_multiplicity,
+    path_words,
     split_pair,
     superspecial_exponents,
     unitary_cycle,
@@ -356,8 +360,8 @@ class TestSuperspecialExponents:
             )
 
     def test_pair_beyond_distance_cap_not_adjacent(self):
-        # Farther apart than distance()'s default radius cap (40): still
-        # NotAdjacentError, never SearchRadiusExceededError.
+        # A pair 41 steps apart, far beyond any search radius: adjacency
+        # is decided by the exact distance alone.
         ctx = LocalContext(p=3, delta_sq=-10, precision=100)
         lam0, _ = standard_lattices(ctx)
         far = lam0
@@ -379,7 +383,7 @@ class TestHorizontalComparison:
         # quadratic must match the product of the two linear factors of
         # the split pair up to a unit.
         from cyclelift.cli import horizontal_polynomials_match
-        from cyclelift.localcycles import _solve_coordinates
+        from cyclelift.localcycles import solve_coordinates
 
         rng = random.Random(55)
         for ctx in (CTX3, CTX):
@@ -389,7 +393,7 @@ class TestHorizontalComparison:
                     j = OrthEndo.from_eigenvector(alpha, vec)
                     center = j.central()
                     basis = center.hyperbolic_basis()
-                    a0, a1 = _solve_coordinates(center, basis, j.eigvec)
+                    a0, a1 = solve_coordinates(center, basis, j.eigvec)
                     z = a0.mul(a1.conj())
                     d_elem = z.sub(z.conj())
                     s_elem = z.add(z.conj())
@@ -418,3 +422,59 @@ class TestSerialization:
         assert all(v["mult"] == 1 for v in data["vertical"])
         assert data["vertices"][""] == {"denom_exp": 0, "pivots": [0, 0], "off": [0, 0]}
         assert set(data["vertices"]) == {"", "0", "1", "2", "3", "4", "5"}
+
+    def test_path_words_need_a_connected_set_with_the_target(self):
+        far = LAM0.neighbors()[1].neighbors()[1]
+        assert distance(LAM0, far) == 2
+        with pytest.raises(ValueError):
+            path_words(LAM0, {far.key})
+        with pytest.raises(ValueError):
+            path_words(LAM0, {LAM0.key, far.key})
+
+
+# Two inert Delta per prime, and the largest label depth (distance from
+# Lambda0) that keeps the breadth-first reference cheap.
+LABEL_CASES = {3: ((-10, -22), 7), 5: ((-2, -22), 5), 7: ((-2, -22), 4), 11: ((-14, -26), 4)}
+
+
+def vector_with_ord(ctx, rng, k):
+    """A primitive vector (x0, x1 + y1 d) with x0 a unit and ord q = k, so
+    its central lattice lies at distance k from Lambda0."""
+    p, mod = ctx.p, ctx.p ** (k + 2)
+    x0 = rng.randrange(1, mod)
+    while x0 % p == 0:
+        x0 = rng.randrange(1, mod)
+    unit = rng.randrange(1, mod)
+    while unit % p == 0:
+        unit = rng.randrange(1, mod)
+    # q = 2 Delta (x1 y0 - x0 y1) with y0 = 0.
+    return ctx.vector_from_ints((x0, 0), (rng.randrange(mod), -(p**k) * unit % mod))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(LABEL_CASES)), st.sampled_from((MINUS, PLUS, "ortho")),
+       st.integers(0, 2**32))
+def test_path_words_match_bfs_reference(p, kind, seed):
+    """Geodesic-walk labels against a breadth-first search from Lambda0,
+    on unitary cycles of both signs and orthogonal cycles: a centre at
+    depth k and vertical lines out to radius at most R from it, with
+    k + R within LABEL_CASES' depth."""
+    rng = random.Random(seed)
+    deltas, depth = LABEL_CASES[p]
+    ctx = LocalContext(p=p, delta_sq=rng.choice(deltas), precision=40)
+    k, radius = rng.choice([(k, r) for k in range(depth + 1) for r in range(depth + 1 - k)])
+    vec = vector_with_ord(ctx, rng, k)
+    if kind == "ortho":
+        cycle = orthogonal_cycle(OrthEndo.from_eigenvector(radius + 1, vec))
+    else:
+        # Vertical lines reach out to ord q^+- - 1, where ord q^+- is
+        # k + 2 s for p^s * vec, plus one for the plus sign.
+        plus = kind == PLUS
+        n = radius + 1 - (radius + 1 - k - plus) % 2
+        cycle = unitary_cycle(SpecialHom.from_vector(kind, vec.scale_p_power((n - k - plus) // 2)))
+    lattices = [c.central for c in cycle.horizontal] + list(cycle.vertical)
+    lam0 = standard_lattices(ctx)[0]
+    assert distance(lam0, lattices[0]) == k
+    keys = {lat.key for lat in lattices}
+    words = path_words(lattices[0], keys)
+    assert words == oracles.path_words_bfs(lam0, keys, radius_cap=depth)
