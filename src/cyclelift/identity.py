@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from cyclelift.errors import HypothesisError
 from cyclelift.numth import divisors, factorize
@@ -43,45 +43,78 @@ class SymbolicDivisor:
     Symbols are tuples: ("K",) for the fixed canonical-class divisor,
     ("Zo", n) for orthogonal cycles, ("Zp", m, i) for the unitary cycle
     of index m attached to embedding class i.  Zero-weight entries are
-    pruned; equality is map equality.
+    pruned; equality is map equality.  Weights become Fractions once, in
+    the constructor; `+` (with the integer 0 as identity), `*` by an int
+    or Fraction scalar and `-` build pruned maps without re-wrapping.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict):
-        self.terms = {
-            sym: Fraction(w) for sym, w in terms.items() if Fraction(w) != 0
-        }
+        weights = {sym: Fraction(w) for sym, w in terms.items()}
+        self.terms = {sym: w for sym, w in weights.items() if w}
+
+    @classmethod
+    def _of(cls, terms: dict) -> "SymbolicDivisor":
+        """Wrap a map that already holds nonzero Fraction weights."""
+        out = object.__new__(cls)
+        out.terms = terms
+        return out
 
     @classmethod
     def zero(cls) -> "SymbolicDivisor":
-        return cls({})
+        return cls._of({})
 
     @classmethod
     def K(cls, weight=1) -> "SymbolicDivisor":
-        return cls({("K",): Fraction(weight)})
+        return cls({("K",): weight})
 
     @classmethod
     def Zo(cls, n: int, weight=1) -> "SymbolicDivisor":
         if n <= 0:
             raise ValueError(f"Zo index must be positive, got {n}")
-        return cls({("Zo", n): Fraction(weight)})
+        return cls({("Zo", n): weight})
 
     @classmethod
     def Zplus(cls, m: int, i: int, weight=1) -> "SymbolicDivisor":
         if m <= 0 or i <= 0:
             raise ValueError(f"Zplus indices must be positive, got ({m}, {i})")
-        return cls({("Zp", m, i): Fraction(weight)})
+        return cls({("Zp", m, i): weight})
 
-    def add(self, other: "SymbolicDivisor") -> "SymbolicDivisor":
+    def __add__(self, other):
+        if not isinstance(other, SymbolicDivisor):
+            if type(other) is int and other == 0:
+                return self
+            return NotImplemented
         out = dict(self.terms)
         for sym, w in other.terms.items():
-            out[sym] = out.get(sym, Fraction(0)) + w
-        return SymbolicDivisor(out)
+            total = out.pop(sym, 0) + w
+            if total:
+                out[sym] = total
+        return SymbolicDivisor._of(out)
+
+    __radd__ = __add__
+
+    def __mul__(self, scalar):
+        if not isinstance(scalar, (int, Fraction)):
+            return NotImplemented
+        if not scalar:
+            return SymbolicDivisor._of({})
+        return SymbolicDivisor._of({sym: w * scalar for sym, w in self.terms.items()})
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self * -1
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def add(self, other: "SymbolicDivisor") -> "SymbolicDivisor":
+        return self + other
 
     def scale(self, scalar) -> "SymbolicDivisor":
-        s = Fraction(scalar)
-        return SymbolicDivisor({sym: w * s for sym, w in self.terms.items()})
+        return self * scalar
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -137,11 +170,22 @@ def parse_symbolic_entries(entries) -> SymbolicDivisor:
 # -- generating series ----------------------------------------------------------
 
 
-def build_phi_o(field: QuadField, d_b: int, m_max: int) -> FormalSeries:
-    """The orthogonal generating series: -K + sum_{n>0} Zo(n) q^n."""
+def build_phi_o(
+    field: QuadField, d_b: int, m_max: int, square_class: int | None = None
+) -> FormalSeries:
+    """The orthogonal generating series: -K + sum_{n>0} Zo(n) q^n.
+
+    With square_class=t only the exponents 0 and t*k^2 are built: the
+    part of the series that the Shimura lift with parameter t reads.
+    """
     check_discriminant_hypotheses(field, d_b)
     coeffs: dict[int, SymbolicDivisor] = {0: SymbolicDivisor.K(-1)}
-    for n in range(1, m_max + 1):
+    if square_class is None:
+        exponents = range(1, m_max + 1)
+    else:
+        roots = range(1, isqrt(m_max // square_class) + 1)
+        exponents = (square_class * k * k for k in roots)
+    for n in exponents:
         coeffs[n] = SymbolicDivisor.Zo(n)
     return FormalSeries(coeffs, m_max)
 
@@ -174,8 +218,8 @@ def build_phi_u(field: QuadField, d_b: int, m_max: int) -> FormalSeries:
             ch = chi_k(field, alpha)
             if ch == 0:
                 continue
-            acc = acc.add(SymbolicDivisor.Zo(adelta * (mp // alpha) ** 2, ch))
-        if not acc.is_zero():
+            acc += SymbolicDivisor.Zo(adelta * (mp // alpha) ** 2, ch)
+        if acc:
             coeffs[m] = acc
     return FormalSeries(coeffs, m_max)
 
@@ -191,6 +235,11 @@ class Mismatch:
 
     def to_json_dict(self) -> dict:
         return {"m": self.m, "lhs": _coeff_json(self.lhs), "rhs": _coeff_json(self.rhs)}
+
+
+def _as_divisor(c) -> SymbolicDivisor:
+    """A series coefficient as a divisor: absent coefficients read as 0."""
+    return c if isinstance(c, SymbolicDivisor) else SymbolicDivisor.zero()
 
 
 def _coeff_json(c):
@@ -230,17 +279,16 @@ def verify_main_theorem(field: QuadField, d_b: int, m_max: int) -> VerificationR
     check_discriminant_hypotheses(field, d_b)
     t = -field.delta
     m_top = m_max // t
-    phi_o = build_phi_o(field, d_b, t * m_top * m_top if m_top else m_max)
+    bound = t * m_top * m_top if m_top else m_max
+    phi_o = build_phi_o(field, d_b, bound, square_class=t)
     params = ShimuraParams(kappa=3, level_N=d_b, t=t)
     lifted = shimura_lift(phi_o, params, mmax=m_top)
     phi_u = build_phi_u(field, d_b, m_max)
 
     mismatches = []
     for m in range(0, m_max + 1):
-        lhs = lifted.coefficient(m) if m <= lifted.max_exponent else 0
-        rhs = phi_u.coefficient(m)
-        lhs = lhs if isinstance(lhs, SymbolicDivisor) else SymbolicDivisor.zero()
-        rhs = rhs if isinstance(rhs, SymbolicDivisor) else SymbolicDivisor.zero()
+        lhs = _as_divisor(lifted.coefficient(m) if m <= lifted.max_exponent else 0)
+        rhs = _as_divisor(phi_u.coefficient(m))
         if lhs != rhs:
             mismatches.append(Mismatch(m=m, lhs=lhs, rhs=rhs))
     return VerificationReport(
@@ -288,7 +336,7 @@ def verify_remark_identity(
     lrat = lvalue_closed_form(field, d_b)
     # The Remark's constant: C = (1/2) * lrat / #classes, as a K-multiple.
     c_naive = SymbolicDivisor.K(lrat / (2 * expected_classes))
-    c_prime = SymbolicDivisor.K(lrat).add(c_naive.scale(-2 * expected_classes))
+    c_prime = SymbolicDivisor.K(lrat) + c_naive * (-2 * expected_classes)
 
     # Left side: the definition of Phi^u in the free symbols.
     lhs_coeffs: dict[int, SymbolicDivisor] = {0: SymbolicDivisor.K(lrat)}
@@ -296,9 +344,8 @@ def verify_remark_identity(
         acc = SymbolicDivisor.zero()
         mstar = m // gcd(m, d_b)
         for i in range(1, num_embedding_classes + 1):
-            acc = acc.add(SymbolicDivisor.Zplus(m, i))
-            acc = acc.add(SymbolicDivisor.Zplus(mstar, i))
-        lhs_coeffs[m] = acc.scale(half_h_inv)
+            acc += SymbolicDivisor.Zplus(m, i) + SymbolicDivisor.Zplus(mstar, i)
+        lhs_coeffs[m] = acc * half_h_inv
     lhs = FormalSeries(lhs_coeffs, m_max)
 
     # Right side: operator expansion of the naive series.
@@ -316,10 +363,10 @@ def verify_remark_identity(
             rhs = rhs.add(op_phi_set(subset, naive))
 
     mismatches = [
-        Mismatch(m=m, lhs=lhs.coefficient(m), rhs=rhs.coefficient(m))
+        Mismatch(m, _as_divisor(lhs.coefficient(m)), _as_divisor(rhs.coefficient(m)))
         for m in series_difference_support(lhs, rhs)
     ]
-    if not c_prime.is_zero():
+    if c_prime:
         mismatches.insert(0, Mismatch(m=-1, lhs=c_prime, rhs=SymbolicDivisor.zero()))
     return VerificationReport(
         params={

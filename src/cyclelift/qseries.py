@@ -3,10 +3,11 @@ Shimura lift, the reindexing operators U_d / B_d / phi_d, and the
 numeric Gauss-sum machinery for the constant-term cross-check.
 
 Coefficients may be exact rationals (fractions.Fraction / int) or any
-value with add/scalar-multiply semantics exposed through `add`,
-`scale`, and `is_zero` duck typing (the symbolic divisors of the
-identity module).  Series are sparse with an explicit truncation
-bound; reading past the bound is a checked error, never a silent zero.
+value that supports `+` (with the integer 0 as identity), `*` by an
+int or Fraction scalar, and truth testing for zero (the symbolic
+divisors of the identity module).  Series are sparse with an explicit
+truncation bound; reading past the bound is a checked error, never a
+silent zero.
 """
 
 from __future__ import annotations
@@ -14,33 +15,11 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from cyclelift.errors import HypothesisError, TruncationInsufficientError
-from cyclelift.numth import divisors, is_squarefree, kronecker
+from cyclelift.numth import divisors, is_prime, is_squarefree, kronecker
 from cyclelift.quadfield import lvalue_closed_form, make_field
-
-# -- coefficient-module helpers ----------------------------------------------
-
-
-def _is_zero(c) -> bool:
-    if hasattr(c, "is_zero"):
-        return c.is_zero()
-    return c == 0
-
-
-def _add(a, b):
-    if hasattr(a, "add"):
-        return a.add(b)
-    return a + b
-
-
-def _scale(c, n):
-    """n * c for an integer or rational scalar n."""
-    if hasattr(c, "scale"):
-        return c.scale(n)
-    return c * n
-
 
 # -- series ------------------------------------------------------------------
 
@@ -64,7 +43,7 @@ class FormalSeries:
                 raise ValueError(f"negative exponent {n}")
             if n > max_exponent:
                 raise ValueError(f"exponent {n} above truncation {max_exponent}")
-            if not _is_zero(c):
+            if c:
                 clean[n] = c
         self.coeffs = clean
         self.max_exponent = max_exponent
@@ -89,12 +68,12 @@ class FormalSeries:
         for n, c in other.coeffs.items():
             if n > bound:
                 continue
-            out[n] = _add(out[n], c) if n in out else c
+            out[n] = out[n] + c if n in out else c
         return FormalSeries(out, bound)
 
     def scale(self, scalar) -> "FormalSeries":
         return FormalSeries(
-            {n: _scale(c, scalar) for n, c in self.coeffs.items()}, self.max_exponent
+            {n: c * scalar for n, c in self.coeffs.items()}, self.max_exponent
         )
 
     def __eq__(self, other):
@@ -111,12 +90,7 @@ def series_difference_support(a: FormalSeries, b: FormalSeries) -> list[int]:
     """Exponents (up to the common bound) where the two series differ."""
     bound = min(a.max_exponent, b.max_exponent)
     exps = {n for n in a.coeffs if n <= bound} | {n for n in b.coeffs if n <= bound}
-    out = []
-    for n in sorted(exps):
-        ca, cb = a.coefficient(n), b.coefficient(n)
-        if not _is_zero(_add(ca, _scale(cb, -1))):
-            out.append(n)
-    return out
+    return [n for n in sorted(exps) if a.coefficient(n) != b.coefficient(n)]
 
 
 # -- Shimura parameters and characters ----------------------------------------
@@ -162,8 +136,6 @@ class ShimuraParams:
 
     def chi(self, n: int) -> int:
         if self.chi_kind == PRINCIPAL:
-            from math import gcd
-
             return 1 if gcd(n, 4 * self.level_N) == 1 else 0
         return kronecker(self.chi_disc, n)
 
@@ -237,23 +209,22 @@ def shimura_lift(
     power = (params.kappa - 3) // 2
     out: dict[int, object] = {}
     for m in range(1, m_top + 1):
-        acc = None
+        acc = 0
         for n in divisors(m):
             ch = chi_t(params, n)
             if ch == 0:
                 continue
             a = series.coefficient(t * (m // n) ** 2)
-            if _is_zero(a):
+            if not a:
                 continue
-            term = _scale(a, ch * n**power)
-            acc = term if acc is None else _add(acc, term)
-        if acc is not None and not _is_zero(acc):
+            acc += a * (ch * n**power)
+        if acc:
             out[t * m] = acc
     a0 = series.coefficient(0)
-    if not _is_zero(a0):
+    if a0:
         lrat = _closed_form_lvalue(params)
         if lrat is not None:
-            out[0] = _scale(a0, -lrat)
+            out[0] = a0 * -lrat
         else:
             out[0] = ConstantTermMarker(a0=a0, params=params)
     return FormalSeries(out, t * m_top)
@@ -294,8 +265,6 @@ def op_phi(d: int, series: FormalSeries) -> FormalSeries:
 def op_phi_set(primes, series: FormalSeries) -> FormalSeries:
     """phi_I for a set of distinct primes (composition; the factors
     commute for coprime indices)."""
-    from cyclelift.numth import is_prime
-
     ps = sorted(primes)
     if len(set(ps)) != len(ps):
         raise ValueError("op_phi_set requires distinct primes")

@@ -1,0 +1,93 @@
+"""The identity verifiers beyond the three grid pairs: both verifiers on
+fields with class number up to 10, and both taken down their mismatch
+path by a deliberately wrong side, so a passing run is known to be able
+to fail."""
+
+import pytest
+
+import cyclelift.identity as identity
+from cyclelift.qseries import FormalSeries
+from cyclelift.quadfield import make_field, optimal_embedding_count
+
+F2 = make_field(-2)
+
+# (Delta, D_B, class number h): every h that occurs for |Delta| <= 100,
+# D_B <= 500.
+GRID = (
+    (-2, 35, 1),
+    (-6, 221, 2),
+    (-14, 187, 4),
+    (-26, 209, 6),
+    (-62, 85, 8),
+    (-74, 119, 10),
+)
+
+
+@pytest.mark.parametrize("delta, d_b, h", GRID)
+def test_identities_hold_up_to_class_number_10(delta, d_b, h):
+    field = make_field(delta)
+    assert field.class_number == h
+    main = identity.verify_main_theorem(field, d_b, 150)
+    assert main.ok, main.to_json_dict()["mismatches"][:2]
+    classes = optimal_embedding_count(field, d_b)
+    remark = identity.verify_remark_identity(field, d_b, 150, classes)
+    assert remark.ok, remark.to_json_dict()["mismatches"][:2]
+    assert main.checked == remark.checked == 151
+
+
+def _mismatch_json(report):
+    data = report.to_json_dict()["mismatches"]
+    for entry in data:
+        assert set(entry) == {"m", "lhs", "rhs"}
+    return data
+
+
+def test_main_theorem_reports_a_wrong_unitary_side(monkeypatch):
+    # Flip chi_k(3) on the unitary side only; 3 splits in Q(sqrt(-2)),
+    # so every coefficient m = 2 m' with 3 | m' now disagrees.
+    real_chi_k = identity.chi_k
+
+    def flipped(field, a):
+        value = real_chi_k(field, a)
+        return -value if a == 3 else value
+
+    assert real_chi_k(F2, 3) == 1
+    monkeypatch.setattr(identity, "chi_k", flipped)
+    report = identity.verify_main_theorem(F2, 35, 30)
+    assert not report.ok
+    assert [mm.m for mm in report.mismatches] == [6, 12, 18, 24, 30]
+    first = _mismatch_json(report)[0]
+    assert first["lhs"] == [
+        {"sym": "Zo(2)", "w": "1/1"},
+        {"sym": "Zo(18)", "w": "1/1"},
+    ]
+    assert first["rhs"] == [
+        {"sym": "Zo(2)", "w": "-1/1"},
+        {"sym": "Zo(18)", "w": "1/1"},
+    ]
+
+
+def test_remark_identity_reports_a_missing_coefficient(monkeypatch):
+    # Make phi_{5} cancel the 2 * naive term at q^3, where no phi_I
+    # reaches (3 is prime to D_B = 35): the right side has no q^3
+    # coefficient at all, and the left side has 2/(2h) sum_i Zplus(3, i).
+    real_phi_set = identity.op_phi_set
+
+    def cancel_q3(primes, series):
+        out = real_phi_set(primes, series)
+        if list(primes) == [5]:
+            cancel = FormalSeries({3: series.coefficient(3) * -2}, series.max_exponent)
+            out = out.add(cancel)
+        return out
+
+    classes = optimal_embedding_count(F2, 35)
+    monkeypatch.setattr(identity, "op_phi_set", cancel_q3)
+    report = identity.verify_remark_identity(F2, 35, 30, classes)
+    assert not report.ok
+    assert [mm.m for mm in report.mismatches] == [3]
+    (entry,) = _mismatch_json(report)
+    assert entry["m"] == 3
+    assert entry["lhs"] == [
+        {"sym": f"Zplus(3,{i})", "w": "1/1"} for i in range(1, classes + 1)
+    ]
+    assert entry["rhs"] == []

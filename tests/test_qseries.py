@@ -227,3 +227,19 @@ class TestSeriesJson:
             series_from_json_dict({"coeffs": []})
         with pytest.raises(ValueError):
             series_from_json_dict({"max_exponent": 5, "coeffs": [{"n": 1, "c": "x"}]})
+
+
+class TestDifferenceSupport:
+    def test_symbolic_coefficient_missing_on_one_side(self):
+        from cyclelift.identity import SymbolicDivisor
+
+        a = FormalSeries({1: SymbolicDivisor.Zo(1)}, 3)
+        b = FormalSeries({1: SymbolicDivisor.Zo(1), 2: SymbolicDivisor.Zo(2)}, 3)
+        assert series_difference_support(b, a) == [2]
+        assert series_difference_support(a, b) == [2]
+        assert series_difference_support(a, a) == []
+
+    def test_rational_coefficients(self):
+        a = FormalSeries({1: Fraction(1, 2), 4: 3}, 5)
+        b = FormalSeries({1: Fraction(1, 2), 2: 1}, 4)
+        assert series_difference_support(a, b) == [2, 4]
