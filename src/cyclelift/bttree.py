@@ -340,10 +340,17 @@ class VertexLattice:
         a0, a1 = b.a0, b.a1
         if not (a0.x or a0.y or a1.x or a1.y):
             raise DegenerateVectorError("r-invariant of the zero vector")
-        v1, v2, _ = self._solve(a0.x, a0.y, a0.prec, a1.x, a1.y, a1.prec)
+        v1, v2, q2 = self._solve(a0.x, a0.y, a0.prec, a1.x, a1.y, a1.prec)
         if v2 is None:
             if v1 is None:
                 raise PrecisionExhaustedError("membership undecidable at precision")
+            # The second numerator is only known to have valuation >= q2,
+            # which decides the min only from q2 - piv0 - piv1 >= v1 - piv0.
+            # (A first numerator that vanishes never needs this: q0 >= q2 > v2.)
+            if q2 < v1 + self.piv1:
+                raise PrecisionExhaustedError(
+                    "membership undecidable at precision", needed=v1 + self.piv1
+                )
             r = v1 - self.piv0
         else:
             r = v2 - self.piv0 - self.piv1

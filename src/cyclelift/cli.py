@@ -419,10 +419,14 @@ _SWEEP_MINIMA = (("max", "--max", 1), ("count", "--count", 1),
                  ("mmax", "--mmax", 0))
 
 
+def _require_at_least(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise ValueError(f"{flag} must be at least {least}, got {value}")
+
+
 def cmd_verify(args) -> int:
     for name, flag, least in _SWEEP_MINIMA:
-        if getattr(args, name) < least:
-            raise ValueError(f"{flag} must be at least {least}, got {getattr(args, name)}")
+        _require_at_least(flag, getattr(args, name), least)
     rng = random.Random(args.seed)
     kind = args.kind
     if kind == "rho":
@@ -474,6 +478,8 @@ def cmd_cycle(args) -> int:
 
 
 def cmd_lift(args) -> int:
+    if args.mmax is not None:
+        _require_at_least("--mmax", args.mmax, 0)
     if args.infile == "-":
         data = json.load(sys.stdin)
     else:
@@ -484,7 +490,13 @@ def cmd_lift(args) -> int:
             raise ValueError(
                 f"cannot read {args.infile}: {exc.strerror or exc}"
             ) from exc
-    series = qseries.series_from_json_dict(data, symbolic_parser=parse_symbolic_entries)
+    # Build only what the lift reads.  A t below 1 reads the whole series:
+    # ShimuraParams rejects it next, after the file's own errors.
+    series = qseries.series_from_json_dict(
+        data,
+        symbolic_parser=parse_symbolic_entries,
+        square_class=args.t if args.t >= 1 else None,
+    )
     if args.chi_kronecker is not None:
         params = qseries.ShimuraParams(
             kappa=args.kappa,

@@ -13,6 +13,7 @@ silent zero.
 from __future__ import annotations
 
 import cmath
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
@@ -337,19 +338,81 @@ def series_to_json_dict(series: FormalSeries) -> dict:
     return {"max_exponent": series.max_exponent, "coeffs": entries}
 
 
-def series_from_json_dict(data: dict, symbolic_parser=None) -> FormalSeries:
+# A "num/den" text that Fraction reads as int(num) / int(den): ASCII
+# digits and a nonzero denominator.  Each digit run is capped at 640,
+# the least int_max_str_digits Python allows, so that longer runs still
+# reach Fraction and its digit-limit error.
+_NUM, _DEN = r"-?[0-9]{1,640}", r"(?=0*[1-9])[0-9]{1,640}"
+_PLAIN_RATIONAL = re.compile(f"({_NUM})/({_DEN})")
+_PLAIN_RATIONALS = re.compile(f"{_NUM}/{_DEN}(?:\n{_NUM}/{_DEN})*")
+
+
+def _rational(text: str) -> Fraction:
+    plain = _PLAIN_RATIONAL.fullmatch(text)
+    if plain is None:
+        return Fraction(text)
+    return Fraction(int(plain[1]), int(plain[2]))
+
+
+def _check_rationals(texts: list) -> None:
+    """Raise as Fraction does for the first text it rejects.  One regex
+    match checks a batch of plain texts without building anything."""
+    joined = "\n".join(texts)
+    if texts and (
+        joined.count("\n") != len(texts) - 1 or not _PLAIN_RATIONALS.fullmatch(joined)
+    ):
+        for text in texts:
+            _rational(text)
+
+
+def series_from_json_dict(
+    data: dict, symbolic_parser=None, square_class: int | None = None
+) -> FormalSeries:
+    """Inverse of series_to_json_dict.  Exponents and max_exponent must
+    be JSON integers.
+
+    Every entry is checked whatever square_class is: its coefficient
+    must parse and its exponent must lie in [0, max_exponent].  With
+    square_class=t (a positive int) only the coefficients at 0 and
+    t*k^2, the ones shimura_lift with parameter t reads, are built;
+    the others read as zero.
+    """
+    t = square_class
     try:
-        bound = int(data["max_exponent"])
+        # type() is int, not isinstance: json reads true as True, a bool.
+        bound = data["max_exponent"]
+        if type(bound) is not int:
+            raise ValueError(f"max_exponent {bound!r} is not an integer")
         coeffs = {}
-        for entry in data["coeffs"]:
-            n = int(entry["n"])
-            c = entry["c"]
-            if isinstance(c, str):
-                coeffs[n] = Fraction(c)
-            elif symbolic_parser is not None:
-                coeffs[n] = symbolic_parser(c)
-            else:
-                raise ValueError(f"symbolic coefficient at {n} not supported here")
+        dropped = []  # texts of the coefficients not built
+        try:
+            for entry in data["coeffs"]:
+                n = entry["n"]
+                if type(n) is not int:
+                    raise ValueError(f"exponent {n!r} is not an integer")
+                c = entry["c"]
+                if t is None:
+                    keep = True
+                else:
+                    k2, rest = divmod(n, t)
+                    keep = rest == 0 and k2 >= 0 and isqrt(k2) ** 2 == k2
+                if not isinstance(c, str):
+                    if symbolic_parser is None:
+                        raise ValueError(f"symbolic coefficient at {n} not supported here")
+                    value = symbolic_parser(c)
+                elif keep:
+                    value = _rational(c)
+                else:
+                    dropped.append(c)
+                # Dropped entries stay as zeros so that FormalSeries
+                # range-checks them with the rest, then prunes them.
+                coeffs[n] = value if keep else 0
+        except Exception:
+            # The dropped texts all precede the entry that raised, so a
+            # bad one among them is the first error in the file.
+            _check_rationals(dropped)
+            raise
+        _check_rationals(dropped)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed series data: {exc}") from exc
     return FormalSeries(coeffs, bound)

@@ -1,7 +1,8 @@
 """Independent oracles used by the test suite: brute-force conic
 solvability for Hilbert symbols, ideal-class enumeration for class
 numbers, residue-square tables, the object-path Bruhat-Tits tree
-core, and breadth-first searches for tree distance and path-word labels.
+core, breadth-first searches for tree distance and path-word labels,
+and the whole-file series reader.
 
 These deliberately avoid the code paths they check.
 """
@@ -16,6 +17,7 @@ from cyclelift.errors import (
     PrecisionExhaustedError,
 )
 from cyclelift.padic import LocalContext, QuadLocalElem, VectorC, epsilon, herm, qform
+from cyclelift.qseries import FormalSeries
 
 
 def squares_mod(n: int) -> set:
@@ -361,10 +363,18 @@ class ObjectLattice:
         v2 = n2.valuation_or_none()
         y1 = None if v1 is None else v1 - self.piv0
         y2 = None if v2 is None else v2 - self.piv0 - self.piv1
-        finite = [v for v in (y1, y2) if v is not None]
-        if not finite:
+        if y1 is None and y2 is None:
             raise PrecisionExhaustedError("membership undecidable at precision")
-        r = min(finite)
+        if y2 is None:
+            # n2 vanishes at its precision: y2 is only bounded below.
+            low = n2.prec - self.piv0 - self.piv1
+            if low < y1:
+                raise PrecisionExhaustedError(
+                    "membership undecidable at precision", needed=n2.prec + y1 - low
+                )
+            r = y1
+        else:
+            r = y2 if y1 is None else min(y1, y2)
         return r + self.denom_exp - b.denom_exp
 
     def contains(self, b: VectorC) -> bool:
@@ -663,3 +673,33 @@ def tree_ball(center: ObjectLattice, radius: int) -> list[tuple[ObjectLattice, i
                 nxt.append((nb, node.key))
         frontier = nxt
     return out
+
+
+# -- the reference series reader --------------------------------------------
+
+
+def series_from_json_dict(data: dict, symbolic_parser=None) -> FormalSeries:
+    """The whole series, every coefficient through Fraction(str): the
+    reader that cyclelift.qseries.series_from_json_dict must agree with
+    on every input, with or without its square_class."""
+
+    def exponent(value, what):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{what} {value!r} is not an integer")
+        return value
+
+    try:
+        bound = exponent(data["max_exponent"], "max_exponent")
+        coeffs = {}
+        for entry in data["coeffs"]:
+            n = exponent(entry["n"], "exponent")
+            c = entry["c"]
+            if isinstance(c, str):
+                coeffs[n] = Fraction(c)
+            elif symbolic_parser is not None:
+                coeffs[n] = symbolic_parser(c)
+            else:
+                raise ValueError(f"symbolic coefficient at {n} not supported here")
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed series data: {exc}") from exc
+    return FormalSeries(coeffs, bound)

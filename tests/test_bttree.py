@@ -122,6 +122,21 @@ class TestRInvariant:
         with pytest.raises(DegenerateVectorError):
             LAM0.r_invariant(vec(CTX, (0, 0), (0, 0)))
 
+    def test_vanished_numerator_does_not_guess(self):
+        # L = span{p^-2 v0, p^2 v1}, so r(x0, x1) = min(v(x0), v(x1) - 4) + 2.
+        # Known to 3 digits, x1 = 0 fits both 3^3 (r = 1) and 3^4 (r = 2).
+        ctx = LocalContext(p=3, delta_sq=-10, precision=20)
+        ball = tree_ball(standard_lattices(ctx)[0], 4)
+        lat = next(lat for lat, _ in ball if lat.key == (2, 0, 4, (0, 0)))
+        one = ctx.elem(1, 0, 20)
+        assert lat.r_invariant(ctx.vector(one, ctx.elem(27, 0, 20))) == 1
+        assert lat.r_invariant(ctx.vector(one, ctx.elem(81, 0, 20))) == 2
+        with pytest.raises(PrecisionExhaustedError) as info:
+            lat.r_invariant(ctx.vector(one, ctx.elem(0, 0, 3)))
+        assert info.value.needed == 4
+        # With 4 digits, v(x1) >= 4 already decides r = 2.
+        assert lat.r_invariant(ctx.vector(one, ctx.elem(0, 0, 4))) == 2
+
 
 class TestCentralLattice:
     def test_spec_examples(self):

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclelift.errors import HypothesisError, TruncationInsufficientError
 from cyclelift.numth import kronecker
@@ -227,6 +230,49 @@ class TestSeriesJson:
             series_from_json_dict({"coeffs": []})
         with pytest.raises(ValueError):
             series_from_json_dict({"max_exponent": 5, "coeffs": [{"n": 1, "c": "x"}]})
+
+
+# Coefficient texts: plain "num/den" and other forms Fraction accepts.
+COEFF_TEXT = st.one_of(
+    st.builds("{}/{}".format, st.integers(-60, 60), st.integers(1, 40)),
+    st.sampled_from(["0/7", "-0/5", "007/021", "+3/4", " 3/4 ", "1.5", "1e2", "5", "-7"]),
+)
+LIFT_PARAMS = st.sampled_from([
+    ShimuraParams(3, 35, 2),
+    ShimuraParams(3, 51, 10),
+    ShimuraParams(5, 7, 1),
+    ShimuraParams(5, 11, 3),
+    ShimuraParams(7, 13, 5),
+    ShimuraParams(3, 5, 6, "kronecker", -8),
+])
+
+
+@st.composite
+def lift_inputs(draw):
+    params = draw(LIFT_PARAMS)
+    t = params.t
+    bound = draw(st.integers(0, 600))
+    # Half the exponents from the square class that the lift reads.
+    exponent = st.one_of(
+        st.integers(0, bound), st.integers(0, isqrt(bound // t)).map(lambda k: t * k * k)
+    )
+    entries = draw(st.lists(st.tuples(exponent, COEFF_TEXT), max_size=80))
+    return params, {"max_exponent": bound, "coeffs": [{"n": n, "c": c} for n, c in entries]}
+
+
+class TestSquareClassRead:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(lift_inputs())
+    def test_lift_equals_lift_of_full_read(self, case):
+        params, data = case
+        full = series_from_json_dict(data)
+        part = series_from_json_dict(data, square_class=params.t)
+        assert shimura_lift(part, params) == shimura_lift(full, params)
+        t = params.t
+        assert part.max_exponent == full.max_exponent
+        assert part.coeffs == {
+            n: c for n, c in full.coeffs.items() if n % t == 0 and isqrt(n // t) ** 2 == n // t
+        }
 
 
 class TestDifferenceSupport:
