@@ -110,15 +110,6 @@ class SymbolicDivisor:
     def __bool__(self):
         return bool(self.terms)
 
-    def add(self, other: "SymbolicDivisor") -> "SymbolicDivisor":
-        return self + other
-
-    def scale(self, scalar) -> "SymbolicDivisor":
-        return self * scalar
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other):
         if not isinstance(other, SymbolicDivisor):
             return NotImplemented
@@ -150,21 +141,22 @@ def _sym_name(sym: tuple) -> str:
 
 def parse_symbolic_entries(entries) -> SymbolicDivisor:
     """Inverse of SymbolicDivisor.to_json_entries."""
-    terms = {}
+    total = SymbolicDivisor.zero()
     for entry in entries:
         name = entry["sym"]
         w = Fraction(entry["w"])
         if name == "K":
-            sym = ("K",)
+            total += SymbolicDivisor.K(w)
+        elif not isinstance(name, str):
+            raise ValueError(f"unknown symbol {name!r}")
         elif name.startswith("Zo(") and name.endswith(")"):
-            sym = ("Zo", int(name[3:-1]))
+            total += SymbolicDivisor.Zo(int(name[3:-1]), w)
         elif name.startswith("Zplus(") and name.endswith(")"):
             m, i = name[6:-1].split(",")
-            sym = ("Zp", int(m), int(i))
+            total += SymbolicDivisor.Zplus(int(m), int(i), w)
         else:
             raise ValueError(f"unknown symbol {name!r}")
-        terms[sym] = terms.get(sym, Fraction(0)) + w
-    return SymbolicDivisor(terms)
+    return total
 
 
 # -- generating series ----------------------------------------------------------

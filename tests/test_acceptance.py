@@ -8,8 +8,8 @@ lvalue_closed_form against the Cesaro-averaged Gauss-sum series.
 import random
 import time
 
-from cyclelift.cli import (
-    DEFAULT_SEED,
+from cyclelift.cli import DEFAULT_SEED
+from cyclelift.sweeps import (
     sweep_chart_consistency,
     sweep_local_compare,
     sweep_r_formula,

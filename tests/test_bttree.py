@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cyclelift import bttree
 from cyclelift.bttree import (
     VertexLattice,
     central_lattice,
@@ -10,7 +11,7 @@ from cyclelift.bttree import (
     tree_ball,
 )
 from cyclelift.errors import DegenerateVectorError, PrecisionExhaustedError
-from cyclelift.padic import LocalContext, herm, qform
+from cyclelift.padic import LocalContext, VectorC, herm, qform
 from oracles import distance_bfs
 
 CTX = LocalContext(p=5, delta_sq=-2, precision=26)
@@ -136,6 +137,17 @@ class TestRInvariant:
         assert info.value.needed == 4
         # With 4 digits, v(x1) >= 4 already decides r = 2.
         assert lat.r_invariant(ctx.vector(one, ctx.elem(0, 0, 4))) == 2
+
+    def test_normalizing_a_vanished_coordinate_raises_like_vectorc(self):
+        # (0 mod 3^2, 27 mod 3^20): moving 3^3 into the denominator would
+        # leave the zero coordinate known to -1 digits; 4 are needed.
+        ctx = LocalContext(p=3, delta_sq=-10, precision=20)
+        with pytest.raises(PrecisionExhaustedError) as tuple_path:
+            bttree._vector(ctx, 0, 0, 0, 2, 27, 0, 20)
+        with pytest.raises(PrecisionExhaustedError) as object_path:
+            VectorC(ctx, ctx.elem(0, 0, 2), ctx.elem(27, 0, 20))
+        assert str(tuple_path.value) == str(object_path.value) == "no residual precision left"
+        assert tuple_path.value.needed == object_path.value.needed == 4
 
 
 class TestCentralLattice:

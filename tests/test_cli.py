@@ -6,6 +6,7 @@ import pytest
 from cyclelift.cli import (
     EXIT_HYPOTHESIS,
     EXIT_OK,
+    EXIT_PRECISION,
     EXIT_TRUNCATION,
     main,
     parse_coordinate,
@@ -147,6 +148,25 @@ class TestVerifyCommand:
         )
         assert code == EXIT_OK and json.loads(out)["mismatches"] == []
 
+    # Inert pairs (p, Delta) beyond the p in {3, 5} of the other tests.
+    @pytest.mark.parametrize("p, delta", [(7, -2), (11, -14), (13, -2)])
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            ("r-formula", "--count", "2", "--radius", "3"),
+            ("chart", "--count", "2", "--radius", "3"),
+            ("local-compare", "--alpha-max", "2"),
+        ],
+        ids=lambda sweep: sweep[0],
+    )
+    def test_tree_sweeps_at_larger_primes(self, capsys, p, delta, sweep):
+        code, out, err = run(
+            capsys, "verify", sweep[0], "--p", str(p), "--delta", str(delta), *sweep[1:]
+        )
+        assert code == EXIT_OK, err
+        data = json.loads(out)
+        assert data["checked"] > 0 and data["mismatches"] == []
+
 
 class TestCycleCommand:
     def test_unit_norm_minus(self, capsys):
@@ -215,16 +235,13 @@ class TestCycleCommand:
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
 
-    def test_precision_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("CYCLELIFT_PRECISION", "9")
+    def test_too_small_precision_exits_3(self, capsys):
         # Precision 9 is too small for the radius-1 ball computation:
         # the canonical-form guard must trip and exit 3.
         code, _, err = run(
             capsys, "cycle", "--p", "5", "--delta", "-2", "--sign", "minus",
-            "--b", "0+25d,25+0d",
+            "--b", "0+25d,25+0d", "--precision", "9",
         )
-        from cyclelift.cli import EXIT_PRECISION
-
         assert code == EXIT_PRECISION
         assert "precision" in err
 

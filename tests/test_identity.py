@@ -25,22 +25,22 @@ F10 = make_field(-10)
 
 class TestSymbolicDivisor:
     def test_algebra(self):
-        x = SymbolicDivisor.Zo(3).add(SymbolicDivisor.K(Fraction(1, 2)))
+        x = SymbolicDivisor.Zo(3) + SymbolicDivisor.K(Fraction(1, 2))
         y = SymbolicDivisor.Zo(3, -1)
-        assert x.add(y) == SymbolicDivisor.K(Fraction(1, 2))
-        assert x.scale(0).is_zero()
-        assert x.scale(2).terms[("K",)] == 1
+        assert x + y == SymbolicDivisor.K(Fraction(1, 2))
+        assert not x * 0
+        assert (x * 2).terms[("K",)] == 1
 
     def test_zero_pruning_and_equality(self):
         a = SymbolicDivisor({("Zo", 5): Fraction(0), ("K",): Fraction(1)})
         assert a == SymbolicDivisor.K()
-        assert SymbolicDivisor.zero().is_zero()
+        assert not SymbolicDivisor.zero()
 
     def test_json_roundtrip(self):
         x = (
             SymbolicDivisor.Zo(12, Fraction(-3, 7))
-            .add(SymbolicDivisor.K(2))
-            .add(SymbolicDivisor.Zplus(4, 2, Fraction(1, 3)))
+            + SymbolicDivisor.K(2)
+            + SymbolicDivisor.Zplus(4, 2, Fraction(1, 3))
         )
         assert parse_symbolic_entries(x.to_json_entries()) == x
 
@@ -68,7 +68,7 @@ class TestBuildSeries:
     def test_phi_u_examples(self):
         s = build_phi_u(F2, 35, 20)
         assert s.coefficient(2) == SymbolicDivisor.Zo(2)
-        expected = SymbolicDivisor.Zo(72).add(SymbolicDivisor.Zo(8))
+        expected = SymbolicDivisor.Zo(72) + SymbolicDivisor.Zo(8)
         assert s.coefficient(12) == expected
         assert s.coefficient(0) == SymbolicDivisor.K(lvalue_closed_form(F2, 35))
 

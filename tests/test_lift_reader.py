@@ -57,6 +57,9 @@ CASES = [
     ("bad dropped text before float exponent", series((3, "x"), (2.5, "1/1")), [], 2),
     ("symbolic kept", series((0, SYM), (2, SYM), (3, SYM)), [], 0),
     ("bad symbol dropped", series((3, [{"sym": "Q(1)", "w": "1/1"}])), [], 2),
+    ("non-string symbol", series((2, [{"sym": 5, "w": "1/1"}])), [], 2),
+    ("Zo index not positive", series((2, [{"sym": "Zo(-3)", "w": "1/1"}])), [], 2),
+    ("Zplus index not positive", series((2, [{"sym": "Zplus(0,1)", "w": "1/1"}])), [], 2),
     ("bad symbol weight kept", series((2, [{"sym": "K", "w": "1/0"}])), [], 2),
     ("symbolic not a list", series((3, 5)), [], 2),
     ("missing c", {"max_exponent": 50, "coeffs": [{"n": 2, "c": "1/1"}, {"n": 3}]}, [], 2),

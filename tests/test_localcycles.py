@@ -382,7 +382,7 @@ class TestHorizontalComparison:
         # eigenvalue delta, have rational entries, and its horizontal
         # quadratic must match the product of the two linear factors of
         # the split pair up to a unit.
-        from cyclelift.cli import horizontal_polynomials_match
+        from cyclelift.sweeps import horizontal_polynomials_match
         from cyclelift.localcycles import solve_coordinates
 
         rng = random.Random(55)

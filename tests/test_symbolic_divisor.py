@@ -39,7 +39,6 @@ def test_additive_laws(x, y, z):
     keys = set(x.terms) | set(y.terms)
     summed = {s: x.terms.get(s, 0) + y.terms.get(s, 0) for s in keys}
     assert x + y == SymbolicDivisor(summed)
-    assert x.add(y) == x + y
     assert 0 + x == x + 0 == x
     assert sum([x, y, z]) == x + y + z
     for result in (-x, x + y, (x + y) + z):
@@ -51,7 +50,7 @@ def test_additive_laws(x, y, z):
 def test_scaling_distributes(x, y, s, r):
     assert (x + y) * s == x * s + y * s
     assert x * (s + r) == x * s + x * r
-    assert s * x == x * s == x.scale(s)
+    assert s * x == x * s
     assert_normal(x * s)
     if s == 0:
         assert not x * s
