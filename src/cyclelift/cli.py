@@ -133,8 +133,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_cycle(args) -> int:
-    radius = args.radius if args.radius is not None else max(args.alpha or 0, 8)
-    precision = args.precision or required_precision(radius, radius)
+    depth = max(args.alpha or 0, 8)
+    precision = required_precision(depth, depth) if args.precision is None else args.precision
     ctx = LocalContext(p=args.p, delta_sq=args.delta, precision=precision)
     vec = parse_vector(ctx, args.b)
     if args.ortho:
@@ -234,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--b", required=True, help="vector 'x0+y0*d,x1+y1*d[/p^e]'")
     pc.add_argument("--ortho", action="store_true", help="orthogonal cycle")
     pc.add_argument("--alpha", type=int, default=None, help="orthogonal valuation")
-    pc.add_argument("--radius", type=int, default=None)
     pc.add_argument("--precision", type=int, default=None)
     pc.add_argument("--out", default=None)
     pc.set_defaults(func=cmd_cycle)

@@ -2,6 +2,11 @@
 tree: multiplicities, full decompositions, local equations, F-point
 classification, and the orthogonal/unitary comparison.
 
+A cycle is its central lattice and a depth profile (the vertical
+multiplicity at each tree distance from the centre), so building one
+enumerates nothing; its support is labelled for output in one walk
+from Lambda0.
+
 Special homomorphisms are identified with their image vectors in C;
 units in Z_p^x are dropped throughout, since all the outputs below
 depend only on valuations and on the line spanned by the vector.
@@ -88,24 +93,31 @@ class OrthEndo:
 
 
 @dataclass(frozen=True)
-class HorizontalComponent:
-    central: VertexLattice
-    count: int
-
-
-@dataclass(frozen=True)
 class LocalCycle:
-    """Divisor data: vertical projective lines with multiplicities plus
-    horizontal-component descriptors."""
+    """Divisor data around a central lattice: profile[d] is the vertical
+    multiplicity of the projective line of every vertex at tree distance
+    d from the centre (zero past the end), and `horizontal` counts the
+    horizontal components, all through the centre."""
 
-    vertical: dict[VertexLattice, int]
-    horizontal: tuple[HorizontalComponent, ...]
+    center: VertexLattice
+    profile: tuple[int, ...]
+    horizontal: int
+
+    @property
+    def vertical(self) -> dict[VertexLattice, int]:
+        """The vertical multiplicities on the support, enumerated on
+        demand."""
+        if not self.profile:
+            return {}
+        ball = tree_ball(self.center, len(self.profile) - 1)
+        return {lat: self.profile[d] for lat, d in ball}
 
     def vertical_multiplicity(self, lat: VertexLattice) -> int:
-        return self.vertical.get(lat, 0)
+        d = distance(lat, self.center)
+        return self.profile[d] if d < len(self.profile) else 0
 
     def horizontal_count(self, lat: VertexLattice) -> int:
-        return sum(c.count for c in self.horizontal if c.central == lat)
+        return self.horizontal if lat == self.center else 0
 
 
 def _mult_from_depth(ord_qpm: int, d: int) -> int:
@@ -136,33 +148,16 @@ def multiplicity(hom: SpecialHom, lat: VertexLattice, depth: int | None = None) 
 def unitary_cycle(hom: SpecialHom) -> LocalCycle:
     """Full decomposition of the unitary cycle: one horizontal
     component through the central lattice plus the vertical lines given
-    by the multiplicity formula, enumerated over the radius-ord_qpm
-    ball."""
-    center = hom.central()
-    vertical: dict[VertexLattice, int] = {}
-    for lat, d in tree_ball(center, hom.ord_qpm):
-        m = _mult_from_depth(hom.ord_qpm, d)
-        if m > 0:
-            vertical[lat] = m
-    return LocalCycle(
-        vertical=vertical,
-        horizontal=(HorizontalComponent(central=center, count=1),),
-    )
+    by the multiplicity formula, positive out to distance ord_qpm - 1."""
+    profile = tuple(_mult_from_depth(hom.ord_qpm, d) for d in range(hom.ord_qpm))
+    return LocalCycle(center=hom.central(), profile=profile, horizontal=1)
 
 
 def orthogonal_cycle(j: OrthEndo) -> LocalCycle:
     """Decomposition of the orthogonal cycle: vertical multiplicity
     max(alpha - d, 0) around the central lattice, and two horizontal
     components there."""
-    center = j.central()
-    vertical: dict[VertexLattice, int] = {}
-    if j.alpha > 0:
-        for lat, d in tree_ball(center, j.alpha - 1):
-            vertical[lat] = j.alpha - d
-    return LocalCycle(
-        vertical=vertical,
-        horizontal=(HorizontalComponent(central=center, count=2),),
-    )
+    return LocalCycle(center=j.central(), profile=tuple(range(j.alpha, 0, -1)), horizontal=2)
 
 
 def orthogonal_multiplicity(j: OrthEndo, lat: VertexLattice) -> int:
@@ -334,62 +329,59 @@ def superspecial_exponents(
 # -- serialization -----------------------------------------------------------
 
 
-def path_words(target: VertexLattice, keys: set) -> dict:
-    """Label a connected vertex set by neighbour-index paths from Lambda0.
+def path_words(center: VertexLattice, profile) -> dict:
+    """Label a cycle's support, the ball of radius len(profile) - 1
+    around `center` (the centre alone for an empty profile), by
+    neighbour-index paths from Lambda0: map each vertex to its word and
+    its distance from the centre.
 
     Lambda0 gets the empty word; a child reached as neighbour i of a
-    word w gets w + '.' + str(i).  `keys` holds the canonical keys of the
-    set (a cycle's support: its central lattice and a ball around it)
-    and must contain `target`.  A connected set of a tree is convex, so
-    the geodesic from Lambda0 to any of its vertices enters it at one
-    vertex, the first on the geodesic to `target`: walk there by the
-    neighbour one step closer at each step, then search breadth-first
-    over children inside the set.  Each vertex is reached along its
-    geodesic from Lambda0, so it has the neighbour order a search from
-    Lambda0 would give it."""
-    if target.key not in keys:
-        raise ValueError("target vertex is not in the labelled set")
-    node, _ = standard_lattices(target.ctx)
-    parent_key, word = None, ""
-    d = distance(node, target)
-    while node.key not in keys:
-        i, nb = next(
-            (i, nb) for i, nb in enumerate(node.neighbors()) if distance(nb, target) < d
-        )
-        node, parent_key, d = nb, node.key, d - 1
-        word = f"{word}.{i}" if word else str(i)
-    words = {node.key: word}
-    frontier = [(node, parent_key, word)]
-    while frontier and len(words) < len(keys):
+    word w gets w + '.' + str(i).  One breadth-first walk from Lambda0
+    follows only the geodesic to the centre until it enters the ball
+    (a ball is convex, so every geodesic from Lambda0 into it enters at
+    that vertex), then takes every child inside the ball.  Each vertex
+    is reached along its geodesic from Lambda0, so it has the neighbour
+    order a search from Lambda0 would give it.  A child is one step
+    farther from the centre than its parent except on that geodesic, so
+    `distance` is called only there."""
+    radius = max(len(profile) - 1, 0)
+    lam0, _ = standard_lattices(center.ctx)
+    d = distance(lam0, center)
+    labels = {}
+    # ahead: the vertex is on the geodesic to the centre, short of it.
+    frontier = [(lam0, None, "", d, d > 0)]
+    while frontier:
         nxt = []
-        for node, parent_key, word in frontier:
+        for node, parent_key, word, d, ahead in frontier:
+            if d <= radius:
+                labels[node] = (word, d)
+            if d == radius and not ahead:
+                continue
             for i, nb in enumerate(node.neighbors()):
-                k = nb.key
-                if k != parent_key and k in keys:
-                    child_word = f"{word}.{i}" if word else str(i)
-                    words[k] = child_word
-                    nxt.append((nb, node.key, child_word))
+                if nb.key == parent_key:
+                    continue
+                if ahead and distance(nb, center) < d:
+                    ahead, child = False, (d - 1, d > 1)
+                elif d < radius:
+                    child = (d + 1, False)
+                else:
+                    continue
+                nxt.append((nb, node.key, f"{word}.{i}" if word else str(i), *child))
         frontier = nxt
-    if len(words) < len(keys):
-        raise ValueError(f"{len(keys) - len(words)} vertices not connected to the rest")
-    return words
+    return labels
 
 
 def cycle_to_json_dict(cycle: LocalCycle) -> dict:
     """JSON form with path-word vertex labels and a table of the
     vertices' canonical-form pivot data; deterministic ordering."""
-    lattices = [c.central for c in cycle.horizontal] + list(cycle.vertical)
-    if not lattices:
-        return {"horizontal": [], "vertical": [], "vertices": {}}
-    keys = {lat.key for lat in lattices}
-    words = path_words(lattices[0], keys)
-    horizontal = sorted(
-        ({"vertex": words[c.central.key], "count": c.count} for c in cycle.horizontal),
-        key=lambda d: d["vertex"],
-    )
+    labels = path_words(cycle.center, cycle.profile)
+    profile = cycle.profile
     vertical = sorted(
-        ({"vertex": words[lat.key], "mult": m} for lat, m in cycle.vertical.items()),
-        key=lambda d: d["vertex"],
+        ({"vertex": w, "mult": profile[d]} for w, d in labels.values() if d < len(profile)),
+        key=lambda v: v["vertex"],
     )
-    vertices = {words[lat.key]: lat.describe() for lat in lattices}
-    return {"horizontal": horizontal, "vertical": vertical, "vertices": vertices}
+    return {
+        "horizontal": [{"vertex": labels[cycle.center][0], "count": cycle.horizontal}],
+        "vertical": vertical,
+        "vertices": {w: lat.describe() for lat, (w, _) in labels.items()},
+    }

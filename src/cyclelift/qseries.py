@@ -208,6 +208,10 @@ def shimura_lift(
             )
         m_top = mmax
     power = (params.kappa - 3) // 2
+    # a(t k^2) for k = 1..m_top: the coefficients the sums below read.
+    read = [series.coefficient(t * k * k) for k in range(1, m_top + 1)]
+    if len({isinstance(a, (int, Fraction)) for a in read if a}) > 1:
+        raise ValueError("the lift would add rational and symbolic coefficients")
     out: dict[int, object] = {}
     for m in range(1, m_top + 1):
         acc = 0
@@ -215,7 +219,7 @@ def shimura_lift(
             ch = chi_t(params, n)
             if ch == 0:
                 continue
-            a = series.coefficient(t * (m // n) ** 2)
+            a = read[m // n - 1]
             if not a:
                 continue
             acc += a * (ch * n**power)

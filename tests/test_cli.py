@@ -245,6 +245,17 @@ class TestCycleCommand:
         assert code == EXIT_PRECISION
         assert "precision" in err
 
+    @pytest.mark.parametrize("precision", ["0", "5"])
+    def test_precision_below_minimum_exits_2(self, capsys, precision):
+        # 0 is a precision, not "unset": it must not fall back to the default.
+        code, out, err = run(
+            capsys, "cycle", "--p", "5", "--delta", "-2", "--sign", "minus",
+            "--b", "0+5d,5+0d", "--precision", precision,
+        )
+        assert code == EXIT_HYPOTHESIS
+        assert out == ""
+        assert "precision must be >= 8" in err
+
 
 class TestLiftCommand:
     def test_lift_delta_series(self, tmp_path, capsys):

@@ -56,6 +56,8 @@ CASES = [
     ("bad dropped text before bad kept text", series((3, "x"), (8, "y")), [], 2),
     ("bad dropped text before float exponent", series((3, "x"), (2.5, "1/1")), [], 2),
     ("symbolic kept", series((0, SYM), (2, SYM), (3, SYM)), [], 0),
+    ("rational and symbolic summed", series((2, "1/1"), (18, [{"sym": "K", "w": "1/1"}]),
+                                            bound=300), [], 2),
     ("bad symbol dropped", series((3, [{"sym": "Q(1)", "w": "1/1"}])), [], 2),
     ("non-string symbol", series((2, [{"sym": 5, "w": "1/1"}])), [], 2),
     ("Zo index not positive", series((2, [{"sym": "Zo(-3)", "w": "1/1"}])), [], 2),

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from cyclelift.bttree import distance, standard_lattices, tree_ball
+from cyclelift.bttree import VertexLattice, distance, standard_lattices, tree_ball
 from cyclelift.errors import (
     DegenerateVectorError,
     EmptyIntersectionError,
@@ -115,9 +115,8 @@ class TestUnitaryCycle:
         hom = SpecialHom.from_vector(MINUS, UNIT_VEC)
         cyc = unitary_cycle(hom)
         assert cyc.vertical == {}
-        assert len(cyc.horizontal) == 1
-        assert cyc.horizontal[0].count == 1
-        assert cyc.horizontal[0].central == LAM0
+        assert cyc.horizontal == 1
+        assert cyc.center == LAM0
 
     def test_radius_one_ball(self):
         hom = SpecialHom.from_vector(MINUS, P_VEC)
@@ -141,12 +140,42 @@ class TestUnitaryCycle:
         assert cyc.horizontal_count(center) == 1
 
 
+class TestCycleProfile:
+    # ord q = 8: the unitary cycle's support is the radius-7 ball, 117,187
+    # vertices at p = 5.
+    CTX40 = LocalContext(p=5, delta_sq=-2, precision=40)
+    VEC = CTX40.vector_from_ints((0, 625), (625, 0))
+
+    def test_building_enumerates_nothing(self, monkeypatch):
+        calls = []
+        original = VertexLattice.neighbors
+
+        def counted(lat):
+            calls.append(lat)
+            return original(lat)
+
+        monkeypatch.setattr(VertexLattice, "neighbors", counted)
+        hom = SpecialHom.from_vector(MINUS, self.VEC)
+        cyc = unitary_cycle(hom)
+        ortho = orthogonal_cycle(OrthEndo.from_eigenvector(8, self.VEC))
+        assert calls == []
+        assert len(cyc.profile) == len(ortho.profile) == 8
+
+    def test_point_queries_match_multiplicity(self):
+        hom = SpecialHom.from_vector(MINUS, self.VEC)
+        cyc = unitary_cycle(hom)
+        center = hom.central()
+        assert cyc.vertical_multiplicity(center) == multiplicity(hom, center) == 4
+        nb = center.neighbors()[1]
+        assert cyc.vertical_multiplicity(nb) == multiplicity(hom, nb) == 4
+
+
 class TestOrthogonalCycle:
     def test_alpha_zero(self):
         j = OrthEndo.from_eigenvector(0, UNIT_VEC)
         cyc = orthogonal_cycle(j)
         assert cyc.vertical == {}
-        assert cyc.horizontal[0].count == 2
+        assert cyc.horizontal == 2
 
     def test_profile(self):
         j = OrthEndo.from_eigenvector(2, UNIT_VEC)
@@ -423,14 +452,6 @@ class TestSerialization:
         assert data["vertices"][""] == {"denom_exp": 0, "pivots": [0, 0], "off": [0, 0]}
         assert set(data["vertices"]) == {"", "0", "1", "2", "3", "4", "5"}
 
-    def test_path_words_need_a_connected_set_with_the_target(self):
-        far = LAM0.neighbors()[1].neighbors()[1]
-        assert distance(LAM0, far) == 2
-        with pytest.raises(ValueError):
-            path_words(LAM0, {far.key})
-        with pytest.raises(ValueError):
-            path_words(LAM0, {LAM0.key, far.key})
-
 
 # Two inert Delta per prime, and the largest label depth (distance from
 # Lambda0) that keeps the breadth-first reference cheap.
@@ -458,7 +479,9 @@ def test_path_words_match_bfs_reference(p, kind, seed):
     """Geodesic-walk labels against a breadth-first search from Lambda0,
     on unitary cycles of both signs and orthogonal cycles: a centre at
     depth k and vertical lines out to radius at most R from it, with
-    k + R within LABEL_CASES' depth."""
+    k + R within LABEL_CASES' depth.  The support to label comes from
+    the cycle's own ball enumeration, and each label's depth must be
+    its tree distance to the centre."""
     rng = random.Random(seed)
     deltas, depth = LABEL_CASES[p]
     ctx = LocalContext(p=p, delta_sq=rng.choice(deltas), precision=40)
@@ -472,9 +495,10 @@ def test_path_words_match_bfs_reference(p, kind, seed):
         plus = kind == PLUS
         n = radius + 1 - (radius + 1 - k - plus) % 2
         cycle = unitary_cycle(SpecialHom.from_vector(kind, vec.scale_p_power((n - k - plus) // 2)))
-    lattices = [c.central for c in cycle.horizontal] + list(cycle.vertical)
     lam0 = standard_lattices(ctx)[0]
-    assert distance(lam0, lattices[0]) == k
-    keys = {lat.key for lat in lattices}
-    words = path_words(lattices[0], keys)
+    assert distance(lam0, cycle.center) == k
+    keys = {cycle.center.key} | {lat.key for lat in cycle.vertical}
+    labels = path_words(cycle.center, cycle.profile)
+    words = {lat.key: word for lat, (word, _) in labels.items()}
     assert words == oracles.path_words_bfs(lam0, keys, radius_cap=depth)
+    assert all(d == distance(lat, cycle.center) for lat, (_, d) in labels.items())

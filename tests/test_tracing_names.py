@@ -1,8 +1,9 @@
 """perfbench/tracing.py wraps cyclelift functions by module path (its
 `cli.sweep_*` spans name the sweeps as `cyclelift.cli` binds them), so
 `perfbench/run.py --trace 1` breaks when one of those names moves.
-This installs its Tracer, runs one small `verify` job per traced sweep,
-and checks that each span counted its sweep."""
+This installs its Tracer, runs one small `verify` job per traced sweep
+and one README `cycle` command, and checks that each span counted its
+call."""
 
 import importlib.util
 from pathlib import Path
@@ -45,3 +46,19 @@ def test_cli_sweep_spans_count_each_verify_job(capsys):
     assert spans["cli.emit"][0] == len(JOBS)
     assert spans["cli.random_vector"][0] > 0
     assert cli.sweep_rho is original
+
+
+def test_localcycles_spans_count_one_cycle_command(capsys):
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        code = cli.main(["cycle", "--p", "5", "--delta", "-2", "--sign", "minus",
+                         "--b", "0+5d,5+0d"])
+        spans = tracer.snapshot()["spans"]
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    for name in ("localcycles.unitary_cycle", "localcycles.path_words",
+                 "localcycles.cycle_to_json_dict"):
+        assert spans[name][0] == 1, name
