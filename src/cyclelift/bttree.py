@@ -28,9 +28,13 @@ vertex with basis (u0, u1) are span{p^-1 u0, u1} and
 span{u0, p^-1 (alpha u0 + u1)}, one for each isotropic line of the
 residue plane, and they inherit those generators as their own hyperbolic
 bases, which keeps ball enumeration linear in the ball size.  A vertex
-not reached as a neighbour (a central lattice, a dual) builds its basis
-once: a primitive isotropic vector on the residue projective line,
-Hensel-lifted.
+not reached as a neighbour (a central lattice, a dual) uses its
+canonical generators g1 = p^-e (p^a v0 + w v1), g2 = p^(b-e) v1, which
+are already hyperbolic: g2 is isotropic, h(g1, g2) = p^(a+b-2e) delta and
+h(g1, g1) = -2 p^(a-2e) Delta wy for w = wx + wy delta.  Type 0 forces
+a + b = 2e and type 2 forces a + b = 2e - 1; integrality of h (resp.
+p h) then gives p^b | wy, and wy is reduced mod p^b, so wy = 0 and
+(g1, g2) pairs to delta, resp. delta/p.
 """
 
 from __future__ import annotations
@@ -365,12 +369,16 @@ class VertexLattice:
 
     def _hyperbolic_tuples(self) -> tuple[tuple, tuple]:
         if self._hyperbolic is None:
-            self._hyperbolic = _build_hyperbolic_basis(self)
+            self.require_vertex()
+            if self.off[1]:
+                raise HyperbolicBasisError(f"{self!r}: canonical offset has a delta part")
+            self._hyperbolic = self._basis()
         return self._hyperbolic
 
     def hyperbolic_basis(self) -> tuple[VectorC, VectorC]:
         """An o-basis (u0, u1) of isotropic vectors with h(u0, u1) equal
-        to delta (type 0) or delta/p (type 2); built once per lattice."""
+        to delta (type 0) or delta/p (type 2): the basis a neighbour
+        inherits, else the canonical generators."""
         u0, u1 = self._hyperbolic_tuples()
         return _to_vector(self.ctx, u0), _to_vector(self.ctx, u1)
 
@@ -416,163 +424,6 @@ class VertexLattice:
             )
             out.append(VertexLattice(ctx, *_hnf(ctx, g, h), opposite, (g, h)))
         return out
-
-
-# -- hyperbolic basis from scratch --------------------------------------------
-#
-# Elements here are triples (x, y, q); every operation reduces its result
-# mod p^q with q the smallest precision involved, as QuadLocalElem does.
-
-
-def _build_hyperbolic_basis(lat: VertexLattice) -> tuple[tuple, tuple]:
-    """A hyperbolic basis of a vertex lattice in coordinates over its
-    canonical basis (g1, g2): a residue-isotropic direction Hensel-lifted
-    to an isotropic u0, then u1 isotropic with the normalized pairing."""
-    vt = lat.require_vertex()
-    ctx = lat.ctx
-    p, d, pw, n = ctx.p, ctx.delta_sq, ctx.pows, ctx.precision
-
-    def mul(s, t):
-        q = s[2] if s[2] < t[2] else t[2]
-        m = pw[q]
-        return ((s[0] * t[0] + d * s[1] * t[1]) % m, (s[0] * t[1] + s[1] * t[0]) % m, q)
-
-    def add(s, t):
-        q = s[2] if s[2] < t[2] else t[2]
-        m = pw[q]
-        return ((s[0] + t[0]) % m, (s[1] + t[1]) % m, q)
-
-    def conj(s):
-        return (s[0], -s[1] % pw[s[2]], s[2])
-
-    def neg(s):
-        m = pw[s[2]]
-        return (-s[0] % m, -s[1] % m, s[2])
-
-    def unit_inverse(s):
-        x, y, q = s
-        m = pw[q]
-        ninv = pow((x * x - d * y * y) % m, -1, m)
-        return (x * ninv % m, -y * ninv % m, q)
-
-    def is_unit(s):
-        return s[0] % p != 0 or s[1] % p != 0
-
-    scale_exp = 1 if vt == 2 else 0  # work with p*h on type 2 lattices
-    g1, g2 = lat._basis()
-    gram = [[_herm_scaled(ctx, scale_exp, u, w) for w in (g1, g2)] for u in (g1, g2)]
-
-    def qtilde(a, b):
-        # q~(a g1 + b g2) = n(a) G00 + Tr(a conj(b) G01) + n(b) G11
-        cross = mul(mul(a, conj(b)), gram[0][1])
-        return add(
-            add(add(mul(mul(a, conj(a)), gram[0][0]), cross), conj(cross)),
-            mul(mul(b, conj(b)), gram[1][1]),
-        )
-
-    def htilde(a, b, c, e):
-        # h~(a g1 + b g2, c g1 + e g2)
-        return add(
-            add(mul(mul(a, conj(c)), gram[0][0]), mul(mul(a, conj(e)), gram[0][1])),
-            add(mul(mul(b, conj(c)), gram[1][0]), mul(mul(b, conj(e)), gram[1][1])),
-        )
-
-    one = (1, 0, n)
-    zero = (0, 0, n)
-    # Residue projective line: [1 : x] for x in F_{p^2}, then [0 : 1].
-    candidate = next(
-        (
-            (one, (xx, xy, n))
-            for xx in range(p)
-            for xy in range(p)
-            if not is_unit(qtilde(one, (xx, xy, n)))
-        ),
-        None,
-    )
-    if candidate is None and not is_unit(qtilde(zero, one)):
-        candidate = (zero, one)
-    if candidate is None:
-        raise HyperbolicBasisError(
-            "no isotropic direction on the residue line; not a vertex lattice?"
-        )
-
-    a, b = candidate
-    # Complementary generator keeping (u0, w) a basis: need the other
-    # coordinate to be a unit.
-    wc = (one, zero) if is_unit(b) else (zero, one)
-    z = htilde(a, b, *wc)
-    if not is_unit(z):
-        raise HyperbolicBasisError("pairing with complement is not a unit")
-
-    # Hensel: replace u0 <- u0 + c*w with Tr(conj(c) z) = -q~(u0);
-    # the defect then picks up n(c) q~(w), so the valuation doubles.
-    half = ((pw[n] + 1) // 2, 0, n)
-    while True:
-        q = qtilde(a, b)
-        if not (q[0] or q[1]):
-            break
-        c = conj(neg(mul(mul(q, half), unit_inverse(z))))
-        a = add(a, mul(c, wc[0]))
-        b = add(b, mul(c, wc[1]))
-        z = htilde(a, b, *wc)
-
-    # Second isotropic generator: u1' = w + c u0 with c = -q~(w)/(2 z),
-    # then scale by conj(delta * z^-1) to normalize the pairing.
-    zinv = unit_inverse(z)
-    c = neg(mul(mul(qtilde(*wc), half), zinv))
-    lam = conj(mul((0, 1, n), zinv))
-    d0 = mul(add(wc[0], mul(c, a)), lam)
-    d1 = mul(add(wc[1], mul(c, b)), lam)
-    return _coords_to_ambient(ctx, a, b, g1, g2), _coords_to_ambient(ctx, d0, d1, g1, g2)
-
-
-def _herm_scaled(ctx: LocalContext, scale_exp: int, u: tuple, w: tuple) -> tuple:
-    """p^scale_exp * h(u, w) as an element triple, where
-    h(u, w) = p^-(eu + ew) * delta * (u0 conj(w1) - u1 conj(w0)); raises
-    if the scaled value is not integral."""
-    d, pw = ctx.delta_sq, ctx.pows
-    eu, ux0, uy0, uq0, ux1, uy1, uq1 = u
-    ew, wx0, wy0, wq0, wx1, wy1, wq1 = w
-    q = min(uq0, wq1, uq1, wq0, ctx.precision)
-    m = pw[q]
-    # inner = u0 conj(w1) - u1 conj(w0); value = delta * inner.
-    ix = ux0 * wx1 - d * uy0 * wy1 - (ux1 * wx0 - d * uy1 * wy0)
-    iy = uy0 * wx1 - ux0 * wy1 - (uy1 * wx0 - ux1 * wy0)
-    x, y = d * iy % m, ix % m
-    shift = scale_exp - eu - ew
-    if shift >= 0:
-        return (x * pw[shift] % m, y * pw[shift] % m, q)
-    k = -shift
-    if q <= k:
-        raise PrecisionExhaustedError(
-            f"cannot divide by p^{k} at precision {q}", needed=k + 1
-        )
-    if x % pw[k] or y % pw[k]:
-        raise ValueError(f"element has valuation below {k}")
-    return (x // pw[k], y // pw[k], q - k)
-
-
-def _coords_to_ambient(ctx: LocalContext, a: tuple, b: tuple, g1: tuple, g2: tuple) -> tuple:
-    """The vector a * g1 + b * g2 for element triples a, b."""
-    pw, d = ctx.pows, ctx.delta_sq
-    e1, x10, y10, q10, x11, y11, q11 = g1
-    e2, x20, y20, q20, x21, y21, q21 = g2
-    e = e1 if e1 >= e2 else e2
-    s1 = pw[e - e1]
-    s2 = pw[e - e2]
-    ax, ay, aq = a
-    bx, by, bq = b
-    q0 = min(aq, q10, bq, q20)
-    q1 = min(aq, q11, bq, q21)
-    m0 = pw[q0]
-    m1 = pw[q1]
-    return _vector(
-        ctx, e,
-        (ax * x10 * s1 + d * ay * y10 * s1 + bx * x20 * s2 + d * by * y20 * s2) % m0,
-        (ax * y10 * s1 + ay * x10 * s1 + bx * y20 * s2 + by * x20 * s2) % m0, q0,
-        (ax * x11 * s1 + d * ay * y11 * s1 + bx * x21 * s2 + d * by * y21 * s2) % m1,
-        (ax * y11 * s1 + ay * x11 * s1 + bx * y21 * s2 + by * x21 * s2) % m1, q1,
-    )
 
 
 # -- standard lattices and tree operations ----------------------------------

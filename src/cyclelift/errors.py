@@ -22,10 +22,11 @@ class PrecisionExhaustedError(CycleLiftError):
 
 
 class HyperbolicBasisError(CycleLiftError):
-    """No primitive isotropic vector was found in a vertex lattice.
+    """A vertex lattice's canonical generators are not a hyperbolic basis.
 
-    Impossible for genuine vertex lattices of the split plane; raising
-    signals a bug in the caller rather than a recoverable condition.
+    Impossible for genuine vertex lattices of the split plane, whose
+    canonical offset has no delta part; raising signals a canonical-form
+    bug rather than a recoverable condition.
     """
 
 

@@ -384,9 +384,14 @@ class ObjectLattice:
 
     def hyperbolic_basis(self) -> tuple[VectorC, VectorC]:
         """An o-basis (u0, u1) of isotropic vectors with h(u0, u1) equal
-        to delta (type 0) or delta/p (type 2); cached."""
+        to delta (type 0) or delta/p (type 2): the inherited basis, else
+        the canonical one (hensel_hyperbolic_basis builds one from
+        scratch instead)."""
         if self._hyperbolic is None:
-            self._hyperbolic = _build_hyperbolic_basis(self)
+            self.require_vertex()
+            if self.off[1]:
+                raise HyperbolicBasisError(f"{self!r}: canonical offset has a delta part")
+            self._hyperbolic = self.basis()
         return self._hyperbolic
 
     def neighbors(self) -> list["ObjectLattice"]:
@@ -464,7 +469,12 @@ def _gram(scale_exp: int, g1: VectorC, g2: VectorC):
     return entries
 
 
-def _build_hyperbolic_basis(lat: ObjectLattice) -> tuple[VectorC, VectorC]:
+def hensel_hyperbolic_basis(lat: ObjectLattice) -> tuple[VectorC, VectorC]:
+    """A hyperbolic basis found by search rather than read off the
+    canonical form: a residue-isotropic direction over the canonical
+    basis, Hensel-lifted to an isotropic u0, then u1 isotropic with the
+    normalized pairing.  The reference the canonical basis is tested
+    against."""
     vt = lat.require_vertex()
     ctx = lat.ctx
     p = ctx.p

@@ -10,9 +10,13 @@ from cyclelift.bttree import (
     standard_lattices,
     tree_ball,
 )
-from cyclelift.errors import DegenerateVectorError, PrecisionExhaustedError
+from cyclelift.errors import (
+    DegenerateVectorError,
+    HyperbolicBasisError,
+    PrecisionExhaustedError,
+)
 from cyclelift.padic import LocalContext, VectorC, herm, qform
-from oracles import distance_bfs
+import oracles
 
 CTX = LocalContext(p=5, delta_sq=-2, precision=26)
 CTX3 = LocalContext(p=3, delta_sq=-10, precision=26)
@@ -21,6 +25,53 @@ LAM0, LAM0P = standard_lattices(CTX)
 
 def vec(ctx, a0, a1, denom=0):
     return ctx.vector_from_ints(a0, a1, denom)
+
+
+# One inert Delta per prime, at the smallest working precision and a
+# roomy one.
+PRIME_GRID = [
+    (pd, precision) for pd in ((3, -1), (5, -2), (7, -1), (11, -1)) for precision in (8, 40)
+]
+
+
+def central_lattices(ctx):
+    """Central lattices of v0 + (r + p^k delta) v1 and its mirror, at tree
+    distance k from Lambda0: k < 2 at precision 8 (where deeper duals
+    run out of digits), k < 9 above."""
+    p = ctx.p
+    rng = random.Random(p)
+    for k in range(2 if ctx.precision == 8 else 9):
+        r = rng.randrange(p**ctx.precision)
+        yield central_lattice(vec(ctx, (1, 0), (r, p**k)))
+        yield central_lattice(vec(ctx, (r, p**k), (1, 0)))
+
+
+def rebuilt_through_dual(lat):
+    """The same vertex lattice built again from its dual, so that it
+    carries no inherited hyperbolic basis."""
+    dual = lat.dual()
+    return dual if lat.vtype == 0 else dual.scale_p_power(-1)
+
+
+def coordinates(u):
+    """Each coordinate of a vector as (denominator exponent, x, y, digits)."""
+    return [(u.denom_exp, a.x, a.y, a.prec) for a in (u.a0, u.a1)]
+
+
+def assert_hyperbolic(lat):
+    """(u0, u1) is isotropic, pairs to delta (type 0) or delta / p
+    (type 2), and spans the lattice."""
+    ctx = lat.ctx
+    u0, u1 = lat.hyperbolic_basis()
+    assert qform(u0).is_isotropic
+    assert qform(u1).is_isotropic
+    val, exp = herm(u0, u1)
+    shift = (0 if lat.vtype == 0 else -1) - exp
+    assert shift >= 0
+    assert val == ctx.delta().mul_int(ctx.p**shift)
+    assert lat.r_invariant(u0) == 0
+    assert lat.r_invariant(u1) == 0
+    assert VertexLattice.from_vectors(u0, u1) == lat
 
 
 class TestStandardLattices:
@@ -86,24 +137,52 @@ class TestNeighbors:
             assert any(back == LAM0 for back in nb.neighbors())
 
     def test_hyperbolic_basis_properties(self):
+        # Lambda0 balls inherit their bases; central lattices and the
+        # lattices rebuilt through their duals use their canonical ones.
         for ctx in (CTX, CTX3):
             lam0, _ = standard_lattices(ctx)
-            ball = tree_ball(lam0, 2)
-            for lat, _ in ball:
-                u0, u1 = lat.hyperbolic_basis()
-                assert qform(u0).is_isotropic
-                assert qform(u1).is_isotropic
-                # pairing p^exp * val must equal delta (type 0) or
-                # delta / p (type 2)
-                val, exp = herm(u0, u1)
-                target_exp = 0 if lat.vtype == 0 else -1
-                shift = target_exp - exp
-                assert shift >= 0
-                assert val == ctx.delta().mul_int(ctx.p**shift)
-                # both vectors lie in the lattice and span it
-                assert lat.r_invariant(u0) == 0
-                assert lat.r_invariant(u1) == 0
-                assert VertexLattice.from_vectors(u0, u1) == lat
+            for lat, _ in tree_ball(lam0, 2):
+                assert_hyperbolic(lat)
+        for (p, delta), precision in PRIME_GRID:
+            ctx = LocalContext(p=p, delta_sq=delta, precision=precision)
+            for lat in central_lattices(ctx):
+                assert_hyperbolic(lat)
+                assert_hyperbolic(rebuilt_through_dual(lat))
+
+    def test_canonical_basis_refines_the_hensel_reference(self):
+        # The Hensel build finds the same basis in value, but with fewer
+        # digits; at p = 3, precision 8 it even returns a u1 that is zero
+        # at its precision.  Lattices are rebuilt from (key, type) so
+        # that neither side inherits a basis.
+        deep_ctx = LocalContext(p=3, delta_sq=-10, precision=8)
+        deep_key = (2, 0, 4, (0, 0))
+        cases = [(deep_ctx, (deep_key, 0))]
+        for (p, delta), precision in PRIME_GRID:
+            ctx = LocalContext(p=p, delta_sq=delta, precision=precision)
+            lam0, _ = standard_lattices(ctx)
+            lats = [lat for lat, _ in tree_ball(lam0, 2)] + list(central_lattices(ctx))
+            cases += [(ctx, (lat.key, lat.vtype)) for lat in lats]
+        for ctx, (key, vtype) in cases:
+            core = VertexLattice(ctx, *key, vtype).hyperbolic_basis()
+            ref = oracles.hensel_hyperbolic_basis(oracles.ObjectLattice(ctx, *key, vtype))
+            for u, r in zip(core, ref):
+                for (e, x, y, q), (re, rx, ry, rq) in zip(coordinates(u), coordinates(r)):
+                    assert q - e >= rq - re, (ctx.p, key)
+                    top = max(e, re)
+                    m = ctx.p ** (rq - re + top)
+                    scale, rscale = ctx.p ** (top - e), ctx.p ** (top - re)
+                    assert (x * scale - rx * rscale) % m == 0, (ctx.p, key)
+                    assert (y * scale - ry * rscale) % m == 0, (ctx.p, key)
+        _, ref_u1 = oracles.hensel_hyperbolic_basis(oracles.ObjectLattice(deep_ctx, *deep_key, 0))
+        assert ref_u1.a0.is_zero() and ref_u1.a1.is_zero()
+        _, core_u1 = VertexLattice(deep_ctx, *deep_key, 0).hyperbolic_basis()
+        assert not core_u1.a1.is_zero()
+
+    def test_canonical_offset_with_delta_part_is_not_hyperbolic(self):
+        # span{v0 + delta v1, p v1} forced to type 0: its g1 is anisotropic.
+        fake = VertexLattice(CTX, 0, 0, 1, (0, 1), 0)
+        with pytest.raises(HyperbolicBasisError):
+            fake.hyperbolic_basis()
 
 
 class TestRInvariant:
@@ -244,4 +323,4 @@ class TestDistanceAndBall:
             for _ in range(npairs):
                 a = rng.choice(ball)[0]
                 b = rng.choice(ball)[0]
-                assert distance(a, b) == distance_bfs(a, b, radius_cap=8)
+                assert distance(a, b) == oracles.distance_bfs(a, b, radius_cap=8)
