@@ -2,39 +2,42 @@
 SU(C): duals, types, neighbours, tree distance, r-invariants, and
 central lattices.
 
-The tree core runs on plain ints.  An element x + y*delta of o_{k,p}
-known modulo p^q is the triple (x, y, q) with x, y reduced mod p^q; a
-vector p^(-e) * (a0 * v0 + a1 * v1) is the tuple
+A lattice is held in a canonical column normal form: generators
+p^(-e) * (p^a * v0 + w * v1) and p^(-e) * (p^b * v1) with w reduced mod
+p^b and min(a, b, val(w)) = 0.  The tuple (e, a, b, w) identifies the
+lattice, so equality is tuple equality.
+
+The tree is exact.  Every vertex carries a hyperbolic basis (two
+isotropic generators pairing to delta, resp. delta/p, by type) as an
+integer matrix over a p-power denominator.  A vertex not reached as a
+neighbour (a central lattice, a dual) uses its canonical generators
+g1 = p^-e (p^a v0 + w v1), g2 = p^(b-e) v1, which are already
+hyperbolic: g2 is isotropic, h(g1, g2) = p^(a+b-2e) delta and
+h(g1, g1) = -2 p^(a-2e) Delta wy for w = wx + wy delta.  Type 0 forces
+a + b = 2e and type 2 forces a + b = 2e - 1; integrality of h (resp.
+p h) then gives p^b | wy, and wy is reduced mod p^b, so wy = 0 and
+(g1, g2) pairs to delta, resp. delta/p.  The neighbours of a vertex
+with basis (u0, u1) are one integer matrix move each (Serre, Trees,
+II.1) and inherit the moved basis, so every basis entry is a rational
+integer, and a neighbour's key is an integer column HNF of its basis:
+`neighbors` and `tree_ball` use no working precision and never run out
+of digits.
+
+Working precision applies only to vectors entering the tree:
+`from_vectors` (and through it `dual` and `central_lattice`),
+`r_invariant`, `distance`, and `hyperbolic_basis`, which hands the exact
+basis out as padic.VectorC.  There an element x + y*delta of o_{k,p}
+known modulo p^q is the triple (x, y, q) with x, y reduced mod p^q, and
+a vector p^(-e) * (a0 * v0 + a1 * v1) is the tuple
 (e, x0, y0, q0, x1, y1, q1), normalized like padic.VectorC so that
 min(val(a0), val(a1)) = 0 unless both coordinates vanish at precision.
 Precision follows the rules of padic.QuadLocalElem, with the same
 results, raises and `needed` values as the element-wise computation:
 sums and products carry the smaller precision, exact division by p^k
 costs k digits, and a valuation that precision cannot decide raises
-PrecisionExhaustedError.
-Vectors cross the public interface as padic.VectorC and are converted at
-the boundary.
-
-A lattice is held in a canonical column normal form: generators
-p^(-e) * (p^a * v0 + w * v1) and p^(-e) * (p^b * v1) with w reduced mod
-p^b and min(a, b, val(w)) = 0.  The tuple (e, a, b, w) identifies the
-lattice, so equality is tuple equality.  `_hnf` is the one routine that
-computes it, and `VertexLattice._solve` the one membership solve against
-it.
-
-Every vertex carries a hyperbolic basis (two isotropic generators
-pairing to delta, resp. delta/p, by type).  The neighbours of a type-0
-vertex with basis (u0, u1) are span{p^-1 u0, u1} and
-span{u0, p^-1 (alpha u0 + u1)}, one for each isotropic line of the
-residue plane, and they inherit those generators as their own hyperbolic
-bases, which keeps ball enumeration linear in the ball size.  A vertex
-not reached as a neighbour (a central lattice, a dual) uses its
-canonical generators g1 = p^-e (p^a v0 + w v1), g2 = p^(b-e) v1, which
-are already hyperbolic: g2 is isotropic, h(g1, g2) = p^(a+b-2e) delta and
-h(g1, g1) = -2 p^(a-2e) Delta wy for w = wx + wy delta.  Type 0 forces
-a + b = 2e and type 2 forces a + b = 2e - 1; integrality of h (resp.
-p h) then gives p^b | wy, and wy is reduced mod p^b, so wy = 0 and
-(g1, g2) pairs to delta, resp. delta/p.
+PrecisionExhaustedError.  `_hnf` is the one routine that canonicalizes
+such vectors, and `VertexLattice._solve` the one membership solve
+against a canonical form.
 """
 
 from __future__ import annotations
@@ -44,9 +47,10 @@ from cyclelift.errors import (
     HyperbolicBasisError,
     PrecisionExhaustedError,
 )
-from cyclelift.padic import LocalContext, QuadLocalElem, VectorC, epsilon, qform
+from cyclelift.padic import LocalContext, VectorC, epsilon, qform
 
 _HNF_GUARD = 4
+_NO_VAL = float("inf")  # valuation of an exact zero
 
 
 # -- integer elements and vectors ---------------------------------------------
@@ -99,11 +103,6 @@ def _zero_shift(q: int, shift: int) -> int:
 def _tuple(b: VectorC) -> tuple:
     a0, a1 = b.a0, b.a1
     return (b.denom_exp, a0.x, a0.y, a0.prec, a1.x, a1.y, a1.prec)
-
-
-def _to_vector(ctx: LocalContext, t: tuple) -> VectorC:
-    e, x0, y0, q0, x1, y1, q1 = t
-    return VectorC(ctx, QuadLocalElem(ctx, x0, y0, q0), QuadLocalElem(ctx, x1, y1, q1), e)
 
 
 def _hnf(ctx: LocalContext, u: tuple, v: tuple) -> tuple:
@@ -213,7 +212,7 @@ class VertexLattice:
         self.piv1 = piv1
         self.off = off  # pair of ints, reduced mod p^piv1
         self._vtype = _vtype  # -1 = not yet certified
-        self._hyperbolic = _hyperbolic  # pair of vector tuples, or None
+        self._hyperbolic = _hyperbolic  # exact basis (see _exact_basis), or None
 
     # -- construction ----------------------------------------------------------
 
@@ -367,63 +366,84 @@ class VertexLattice:
 
     # -- hyperbolic basis and neighbours ------------------------------------
 
-    def _hyperbolic_tuples(self) -> tuple[tuple, tuple]:
+    def _exact_basis(self) -> tuple:
+        """The exact hyperbolic basis (k, a, c, b, d, va, vb, vdet):
+        u0 = p^-k (a v0 + c v1) and u1 = p^-k (b v0 + d v1) with integer
+        entries, v(a), v(b) (_NO_VAL for b = 0) and v(ad - bc).  Inherited
+        from the parent when reached as a neighbour, else the canonical
+        generators."""
         if self._hyperbolic is None:
             self.require_vertex()
             if self.off[1]:
                 raise HyperbolicBasisError(f"{self!r}: canonical offset has a delta part")
-            self._hyperbolic = self._basis()
+            a, b = self.piv0, self.piv1
+            pw = self.ctx.pows
+            self._hyperbolic = (self.denom_exp, pw[a], self.off[0], 0, pw[b], a, _NO_VAL, a + b)
         return self._hyperbolic
 
     def hyperbolic_basis(self) -> tuple[VectorC, VectorC]:
         """An o-basis (u0, u1) of isotropic vectors with h(u0, u1) equal
-        to delta (type 0) or delta/p (type 2): the basis a neighbour
-        inherits, else the canonical generators."""
-        u0, u1 = self._hyperbolic_tuples()
-        return _to_vector(self.ctx, u0), _to_vector(self.ctx, u1)
+        to delta (type 0) or delta/p (type 2), at working precision: the
+        basis a neighbour inherits, else the canonical generators."""
+        k, a, c, b, d = self._exact_basis()[:5]
+        ctx = self.ctx
+        return ctx.vector_from_ints((a, 0), (c, 0), k), ctx.vector_from_ints((b, 0), (d, 0), k)
 
     def neighbors(self) -> list["VertexLattice"]:
         """The p+1 adjacent vertex lattices, of the opposite type.
 
         Ordering is deterministic: the 'infinity' neighbour first, then
-        the residue representatives alpha = 0, ..., p-1.
+        the residue representatives alpha = 0, ..., p-1.  From type 0
+        they are span{p^-1 u0, u1} and span{u0, p^-1 (alpha u0 + u1)},
+        from type 2 span{u0, p u1} and span{p u0, alpha u0 + u1}: on the
+        integer columns, the infinity child multiplies column 1 by p and
+        child alpha is (p col0, alpha col0 + col1), and k rises by one
+        from type 0.  Every child's determinant gains one factor of p.
         """
         vt = self.require_vertex()
-        u0, u1 = self._hyperbolic_tuples()
+        k, a, c, b, d, va, vb, vdet = self._exact_basis()
         ctx = self.ctx
-        pw = ctx.pows
+        p = ctx.p
         opposite = 2 - vt
         if vt == 0:
-            # span{p^-1 u0, u1} and span{u0, p^-1 (alpha u0 + u1)}.
-            g, h = (u0[0] + 1,) + u0[1:], u1
-            lift = 1
-        else:
-            # span{u0, p u1} and span{p u0, alpha u0 + u1}.
-            g, h = u0, (u1[0] - 1,) + u1[1:]
-            lift = 0
-        out = [VertexLattice(ctx, *_hnf(ctx, g, h), opposite, (g, h))]
-        g = u0 if vt == 0 else (u0[0] - 1,) + u0[1:]
-        # alpha u0 + u1 at the common denominator e, each coordinate at
-        # the smaller precision of its two terms; `lift` divides by p.
-        e0, x00, y00, q00, x01, y01, q01 = u0
-        e1, x10, y10, q10, x11, y11, q11 = u1
-        e = e0 if e0 >= e1 else e1
-        s0 = pw[e - e0]
-        s1 = pw[e - e1]
-        x10, y10, x11, y11 = x10 * s1, y10 * s1, x11 * s1, y11 * s1
-        q0 = q00 if q00 < q10 else q10
-        q1 = q01 if q01 < q11 else q11
-        m0 = pw[q0]
-        m1 = pw[q1]
-        for alpha in range(ctx.p):
-            k = alpha * s0
-            h = _vector(
-                ctx, e + lift,
-                (k * x00 + x10) % m0, (k * y00 + y10) % m0, q0,
-                (k * x01 + x11) % m1, (k * y01 + y11) % m1, q1,
-            )
-            out.append(VertexLattice(ctx, *_hnf(ctx, g, h), opposite, (g, h)))
+            k += 1
+        vdet += 1
+        out = [_child(ctx, opposite, (k, a, c, p * b, p * d, va, vb + 1, vdet))]
+        pa, pc, va1 = p * a, p * c, va + 1
+        for alpha in range(p):
+            b1 = alpha * a + b
+            if alpha == 0 or vb < va:
+                vb1 = vb
+            elif va < vb:
+                vb1 = va
+            else:
+                vb1 = _val(p, b1, 0)  # b1 >= a > 0: entries are non-negative
+            out.append(_child(ctx, opposite, (k, pa, pc, b1, alpha * c + d, va1, vb1, vdet)))
         return out
+
+
+def _child(ctx: LocalContext, vtype: int, basis: tuple) -> VertexLattice:
+    """The vertex spanned by an exact basis, keyed by an integer column
+    HNF: the pivot column has the smaller first-row valuation A, the
+    second pivot is p^B with B = v(det) - A, the offset is
+    w = c / (a / p^A) mod p^B for the pivot column (a, c), and the
+    content t = min(A, B, v(w)) moves into the denominator."""
+    k, a, c, b, d, va, vb, vdet = basis
+    if vb < va:
+        A, a, c = vb, b, d
+    else:
+        A = va
+    B = vdet - A
+    pw = ctx.pows
+    t = A if A < B else B
+    if B:
+        m = pw[B]
+        w = c * pow(a // pw[A], -1, m) % m
+        while t and w % pw[t]:
+            t -= 1
+    else:
+        w = 0
+    return VertexLattice(ctx, k - t, A - t, B - t, (w // pw[t], 0), vtype, basis)
 
 
 # -- standard lattices and tree operations ----------------------------------
@@ -431,14 +451,9 @@ class VertexLattice:
 
 def standard_lattices(ctx: LocalContext) -> tuple[VertexLattice, VertexLattice]:
     """The base vertex: Lambda0 = span{v0, v1} (type 0) and its
-    neighbour Lambda0' = span{p^-1 v0, v1} (type 2)."""
-    n = ctx.precision
-    v0 = (0, 1, 0, n, 0, 0, n)
-    v1 = (0, 0, 0, n, 1, 0, n)
-    w0 = (1, 1, 0, n, 0, 0, n)
-    lam0 = VertexLattice(ctx, *_hnf(ctx, v0, v1), 0, (v0, v1))
-    lam0p = VertexLattice(ctx, *_hnf(ctx, w0, v1), 2, (w0, v1))
-    return lam0, lam0p
+    neighbour Lambda0' = span{p^-1 v0, v1} (type 2), whose exact bases
+    (0; 1, 0, 0, 1) and (1; 1, 0, 0, p) are seeded from their keys."""
+    return VertexLattice(ctx, 0, 0, 0, (0, 0), 0), VertexLattice(ctx, 1, 0, 1, (0, 0), 2)
 
 
 def central_lattice(b: VectorC) -> VertexLattice:

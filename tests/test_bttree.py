@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -71,7 +72,7 @@ def assert_hyperbolic(lat):
     assert val == ctx.delta().mul_int(ctx.p**shift)
     assert lat.r_invariant(u0) == 0
     assert lat.r_invariant(u1) == 0
-    assert VertexLattice.from_vectors(u0, u1) == lat
+    assert VertexLattice.from_vectors(u0, u1).key == lat.key
 
 
 class TestStandardLattices:
@@ -137,12 +138,18 @@ class TestNeighbors:
             assert any(back == LAM0 for back in nb.neighbors())
 
     def test_hyperbolic_basis_properties(self):
-        # Lambda0 balls inherit their bases; central lattices and the
+        # Lambda0 balls and the balls around central lattices at depth 0,
+        # 3 and 6 inherit their exact bases; central lattices and the
         # lattices rebuilt through their duals use their canonical ones.
         for ctx in (CTX, CTX3):
             lam0, _ = standard_lattices(ctx)
             for lat, _ in tree_ball(lam0, 2):
                 assert_hyperbolic(lat)
+        for p, delta in ((3, -1), (5, -2), (7, -1), (11, -1), (13, -2)):
+            ctx = LocalContext(p=p, delta_sq=delta, precision=40)
+            for center in itertools.islice(central_lattices(ctx), 0, None, 6):
+                for lat, _ in tree_ball(center, 3):
+                    assert_hyperbolic(lat)
         for (p, delta), precision in PRIME_GRID:
             ctx = LocalContext(p=p, delta_sq=delta, precision=precision)
             for lat in central_lattices(ctx):

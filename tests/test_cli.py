@@ -15,6 +15,12 @@ from cyclelift.cli import (
 from cyclelift.padic import LocalContext
 
 
+# An orthogonal cycle whose centre lies at tree distance 20 from Lambda0.
+DEEP_CENTRE = (
+    "--p", "3", "--delta", "-10", "--ortho", "--alpha", "2", "--b", "1+0d,0+3486784401d",
+)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -211,6 +217,9 @@ class TestCycleCommand:
             # Centre at depth 5 and labels out to depth 9 from Lambda0.
             (("--p", "3", "--delta", "-10", "--sign", "minus", "--b", "1+0d,0+243d"), 161,
              "6969bfa660d2ae439c5a3dd50ac43d7054d6e4a81bb8337e0aac47f333371b96"),
+            # Centre at depth 20, at the default precision.
+            (DEEP_CENTRE, 5,
+             "81816ec47e355c55d41de0f87c4faf05cca2d2a40b233c3e3922cefdf3d7fddc"),
         ],
     )
     def test_pinned_stdout(self, capsys, argv, vertical, digest):
@@ -236,14 +245,14 @@ class TestCycleCommand:
         assert out1 == out2
 
     def test_too_small_precision_exits_3(self, capsys):
-        # Precision 9 is too small for the radius-1 ball computation:
-        # the canonical-form guard must trip and exit 3.
-        code, _, err = run(
-            capsys, "cycle", "--p", "5", "--delta", "-2", "--sign", "minus",
-            "--b", "0+25d,25+0d", "--precision", "9",
-        )
+        # The deep centre's canonical form needs 24 digits: below that
+        # the guard trips, and its message names a passing precision.
+        code, out, err = run(capsys, "cycle", *DEEP_CENTRE, "--precision", "22")
         assert code == EXIT_PRECISION
-        assert "precision" in err
+        assert out == ""
+        assert "needed >= 24" in err
+        code, _, _ = run(capsys, "cycle", *DEEP_CENTRE, "--precision", "24")
+        assert code == EXIT_OK
 
     @pytest.mark.parametrize("precision", ["0", "5"])
     def test_precision_below_minimum_exits_2(self, capsys, precision):
