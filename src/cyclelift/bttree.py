@@ -25,19 +25,26 @@ of digits.
 
 Working precision applies only to vectors entering the tree:
 `from_vectors` (and through it `dual` and `central_lattice`),
-`r_invariant`, `distance`, and `hyperbolic_basis`, which hands the exact
-basis out as padic.VectorC.  There an element x + y*delta of o_{k,p}
-known modulo p^q is the triple (x, y, q) with x, y reduced mod p^q, and
-a vector p^(-e) * (a0 * v0 + a1 * v1) is the tuple
-(e, x0, y0, q0, x1, y1, q1), normalized like padic.VectorC so that
-min(val(a0), val(a1)) = 0 unless both coordinates vanish at precision.
-Precision follows the rules of padic.QuadLocalElem, with the same
-results, raises and `needed` values as the element-wise computation:
-sums and products carry the smaller precision, exact division by p^k
-costs k digits, and a valuation that precision cannot decide raises
-PrecisionExhaustedError.  `_hnf` is the one routine that canonicalizes
-such vectors, and `VertexLattice._solve` the one membership solve
-against a canonical form.
+`r_invariant`, `distance`, `hyperbolic_basis`, which hands the exact
+basis out as padic.VectorC, and `ball_r_invariants`.  There an element
+x + y*delta of o_{k,p} known modulo p^q is the triple (x, y, q) with
+x, y reduced mod p^q, and a vector p^(-e) * (a0 * v0 + a1 * v1) is the
+tuple (e, x0, y0, q0, x1, y1, q1), normalized like padic.VectorC so
+that min(val(a0), val(a1)) = 0 unless both coordinates vanish at
+precision.  Precision follows the rules of padic.QuadLocalElem, with
+the same results, raises and `needed` values as the element-wise
+computation: sums and products carry the smaller precision, exact
+division by p^k costs k digits, and a valuation that precision cannot
+decide raises PrecisionExhaustedError.  `_hnf` is the one routine that
+canonicalizes such vectors, and `VertexLattice._solve` the one
+membership solve against a canonical form.
+
+`ball_r_invariants` gives b's r-invariant at every vertex of a ball
+without building the ball: b's two numerators in the centre's exact
+basis move to a child's by one integer step each (coordinate descent).
+Each numerator carries its own precision: p N gains a digit,
+N0 - alpha N1 keeps the smaller precision, and a minimum of valuations
+that precision cannot decide raises PrecisionExhaustedError.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ from cyclelift.errors import (
     HyperbolicBasisError,
     PrecisionExhaustedError,
 )
-from cyclelift.padic import LocalContext, VectorC, epsilon, qform
+from cyclelift.padic import LocalContext, QuadLocalElem, VectorC, epsilon, qform
 
 _HNF_GUARD = 4
 _NO_VAL = float("inf")  # valuation of an exact zero
@@ -384,10 +391,12 @@ class VertexLattice:
     def hyperbolic_basis(self) -> tuple[VectorC, VectorC]:
         """An o-basis (u0, u1) of isotropic vectors with h(u0, u1) equal
         to delta (type 0) or delta/p (type 2), at working precision: the
-        basis a neighbour inherits, else the canonical generators."""
+        basis a neighbour inherits, else the canonical generators.  Each
+        column's p-content moves into the denominator before the column
+        is reduced, so both coordinates keep every digit."""
         k, a, c, b, d = self._exact_basis()[:5]
         ctx = self.ctx
-        return ctx.vector_from_ints((a, 0), (c, 0), k), ctx.vector_from_ints((b, 0), (d, 0), k)
+        return _column(ctx, k, a, c), _column(ctx, k, b, d)
 
     def neighbors(self) -> list["VertexLattice"]:
         """The p+1 adjacent vertex lattices, of the opposite type.
@@ -400,6 +409,13 @@ class VertexLattice:
         child alpha is (p col0, alpha col0 + col1), and k rises by one
         from type 0.  Every child's determinant gains one factor of p.
         """
+        return self._children(None)
+
+    def _children(self, parent: int | None) -> list["VertexLattice"]:
+        """The neighbours in `neighbors` order, without the one at index
+        `parent` (0 for infinity, 1 for alpha = 0; None keeps all).  A
+        neighbour's own neighbour at index 1 is this vertex when it is
+        the infinity neighbour, and at index 0 otherwise."""
         vt = self.require_vertex()
         k, a, c, b, d, va, vb, vdet = self._exact_basis()
         ctx = self.ctx
@@ -408,9 +424,11 @@ class VertexLattice:
         if vt == 0:
             k += 1
         vdet += 1
-        out = [_child(ctx, opposite, (k, a, c, p * b, p * d, va, vb + 1, vdet))]
+        out = []
+        if parent != 0:
+            out.append(_child(ctx, opposite, (k, a, c, p * b, p * d, va, vb + 1, vdet)))
         pa, pc, va1 = p * a, p * c, va + 1
-        for alpha in range(p):
+        for alpha in range(1 if parent == 1 else 0, p):
             b1 = alpha * a + b
             if alpha == 0 or vb < va:
                 vb1 = vb
@@ -444,6 +462,14 @@ def _child(ctx: LocalContext, vtype: int, basis: tuple) -> VertexLattice:
     else:
         w = 0
     return VertexLattice(ctx, k - t, A - t, B - t, (w // pw[t], 0), vtype, basis)
+
+
+def _column(ctx: LocalContext, k: int, x: int, y: int) -> VectorC:
+    """The vector p^-k (x v0 + y v1) of an exact integer column, at
+    working precision in both coordinates."""
+    g = _val(ctx.p, x, y)
+    pg = ctx.pows[g]
+    return ctx.vector_from_ints((x // pg, 0), (y // pg, 0), k - g)
 
 
 # -- standard lattices and tree operations ----------------------------------
@@ -514,20 +540,113 @@ def distance(lat: VertexLattice, other: VertexLattice) -> int:
 
 def tree_ball(center: VertexLattice, radius: int) -> list[tuple[VertexLattice, int]]:
     """All vertex lattices within tree distance `radius` of `center`,
-    with their distances.  Uses the tree structure: children of a
-    vertex are its neighbours minus its BFS parent, so deduplication
-    is only against the parent key."""
+    with their distances, breadth first in `neighbors` order.  The
+    children of a vertex are its neighbours minus its parent, which is
+    left out by index and never built (see `_children`)."""
     center.require_vertex()
     out = [(center, 0)]
     frontier = [(center, None)]
     for depth in range(1, radius + 1):
         nxt = []
-        for node, parent_key in frontier:
-            key = node.key
-            for nb in node.neighbors():
-                if nb.key == parent_key:
-                    continue
+        for node, parent in frontier:
+            # The infinity child, first unless it is the parent, finds its
+            # parent at index 1; every other child at index 0.
+            for i, nb in enumerate(node._children(parent)):
                 out.append((nb, depth))
-                nxt.append((nb, key))
+                nxt.append((nb, 1 if i == 0 and parent != 0 else 0))
         frontier = nxt
     return out
+
+
+def ball_r_invariants(
+    center: VertexLattice, b: VectorC, radius: int
+) -> list[tuple[int, int]]:
+    """[(lat.r_invariant(b), d) for lat, d in tree_ball(center, radius)]
+    by coordinate descent from the centre's exact basis, with no
+    lattice built past the centre.
+
+    With the basis (k; a, c, bb, dd) and b = p^-e (b0 v0 + b1 v1), the
+    numerators N0 = dd b0 - bb b1 and N1 = a b1 - c b0 give
+    r = k - e - v(det) + min(v(N0), v(N1)).  The infinity child maps
+    (N0, N1) to (p N0, N1) and child alpha to (N0 - alpha N1, p N1);
+    each child has v(det) + 1, and k + 1 under a type-0 parent.
+    """
+    vt = center.require_vertex()
+    ctx = center.ctx
+    p = ctx.p
+    k, a, c, bb, dd, _, _, vdet = center._exact_basis()
+    b0, b1 = b.a0, b.a1
+    if not (b0.x or b0.y or b1.x or b1.y):
+        raise DegenerateVectorError("r-invariant of the zero vector")
+    n0 = _numerator(ctx, dd, b0, -bb, b1)
+    n1 = _numerator(ctx, a, b1, -c, b0)
+    shift = k - vdet - b.denom_exp
+    out = [(shift + _decided_min(n0, n1), 0)]
+    frontier = [(n0, n1, None)]
+    ptype = vt
+    for depth in range(1, radius + 1):
+        if ptype == 2:
+            shift -= 1
+        ptype = 2 - ptype
+        nxt = []
+        for n0, n1, parent in frontier:
+            x0, y0, q0, v0 = n0
+            x1, y1, q1, v1 = n1
+            pn1 = (p * x1, p * y1, q1 + 1, v1 + 1)
+            if parent != 0:
+                pn0 = (p * x0, p * y0, q0 + 1, v0 + 1)
+                out.append((shift + _decided_min(pn0, n1), depth))
+                nxt.append((pn0, n1, 1))
+            if parent != 1:  # alpha = 0 keeps N0 and its precision
+                out.append((shift + _decided_min(n0, pn1), depth))
+                nxt.append((n0, pn1, 0))
+            # N0 - alpha N1 for a unit alpha, at the smaller precision: its
+            # valuation is the smaller one unless v(N0) = v(N1).
+            q = q0 if q0 < q1 else q1
+            m = ctx.pows[q]
+            for alpha in range(1, p):
+                x, y = (x0 - alpha * x1) % m, (y0 - alpha * y1) % m
+                if v0 != v1:
+                    v = v0 if v0 < v1 else v1
+                else:
+                    v = _val(p, x, y)
+                    if v is None:
+                        v = q
+                n = (x, y, q, v)
+                out.append((shift + _decided_min(n, pn1), depth))
+                nxt.append((n, pn1, 0))
+        frontier = nxt
+    return out
+
+
+def _numerator(
+    ctx: LocalContext, s: int, u: QuadLocalElem, t: int, w: QuadLocalElem
+) -> tuple:
+    """s u + t w for exact integers s, t as (x, y, q, v): known mod p^q,
+    where s u is known to v(s) more digits than u, and of valuation v,
+    or v = q when it vanishes at that precision."""
+    p = ctx.p
+    q = min(
+        u.prec + _val(p, s, 0) if s else _NO_VAL,
+        w.prec + _val(p, t, 0) if t else _NO_VAL,
+    )
+    m = ctx.pows[q]
+    x, y = (s * u.x + t * w.x) % m, (s * u.y + t * w.y) % m
+    v = _val(p, x, y)
+    return x, y, q, q if v is None else v
+
+
+def _decided_min(n0: tuple, n1: tuple) -> int:
+    """min(v(N0), v(N1)) of two numerators (x, y, q, v), where v = q
+    stands for any valuation >= q; raises when precision cannot decide."""
+    q0, v0 = n0[2], n0[3]
+    q1, v1 = n1[2], n1[3]
+    if v0 < v1:
+        if v0 < q0:
+            return v0
+    elif v1 < v0:
+        if v1 < q1:
+            return v1
+    elif v0 < q0 or v1 < q1:
+        return v0
+    raise PrecisionExhaustedError("membership undecidable at precision")

@@ -125,8 +125,10 @@ def sweep_hilbert(count: int, rng: random.Random) -> VerificationReport:
 def sweep_r_formula(
     p: int, delta: int, count: int, radius: int, rng: random.Random
 ) -> VerificationReport:
-    """Direct-membership r-invariants against the distance formula on
-    full balls around the central lattice."""
+    """Coordinate-descent r-invariants against the distance formula on
+    full balls around the central lattice.  Direct membership
+    (`r_invariant`) cross-checks the descent at the last vertex of each
+    sphere, a geodesic from the centre; those checks are not counted."""
     ctx = LocalContext(
         p=p, delta_sq=delta, precision=required_precision(_COORD_BUDGET + 4, radius)
     )
@@ -137,9 +139,10 @@ def sweep_r_formula(
         ordq = qform(vec).valuation
         t = -((-ordq) // 2)
         center = bttree.central_lattice(vec)
-        for lat, d in bttree.tree_ball(center, radius):
+        rs = bttree.ball_r_invariants(center, vec, radius)
+        first = checked + 1
+        for r, d in rs:
             checked += 1
-            r = lat.r_invariant(vec)
             if ordq % 2 == 0:
                 expected = t - d // 2
             else:
@@ -148,6 +151,14 @@ def sweep_r_formula(
                 mismatches.append(
                     Mismatch(m=checked, lhs=r, rhs=expected)
                 )
+        lat, last = center, 0
+        for d in range(radius + 1):
+            if d:
+                lat = lat.neighbors()[-1]
+                last += (p + 1) * p ** (d - 1)
+            direct = lat.r_invariant(vec)
+            if direct != rs[last][0]:
+                mismatches.append(Mismatch(m=first + last, lhs=direct, rhs=rs[last][0]))
     return VerificationReport(
         params={"p": p, "delta": delta, "count": count, "radius": radius},
         checked=checked,

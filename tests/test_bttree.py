@@ -6,6 +6,7 @@ import pytest
 from cyclelift import bttree
 from cyclelift.bttree import (
     VertexLattice,
+    ball_r_invariants,
     central_lattice,
     distance,
     standard_lattices,
@@ -185,6 +186,16 @@ class TestNeighbors:
         _, core_u1 = VertexLattice(deep_ctx, *deep_key, 0).hyperbolic_basis()
         assert not core_u1.a1.is_zero()
 
+    def test_hyperbolic_basis_keeps_every_digit(self):
+        # The moves put p^4 into u0's column at this vertex; reducing the
+        # column before dividing it out used to leave 16 of 20 digits.
+        ctx = LocalContext(p=3, delta_sq=-10, precision=20)
+        ball = tree_ball(standard_lattices(ctx)[0], 4)
+        lat = next(lat for lat, _ in ball if lat.key == (2, 0, 4, (80, 0)))
+        for u in lat.hyperbolic_basis():
+            assert (u.a0.prec, u.a1.prec) == (20, 20)
+        assert_hyperbolic(lat)
+
     def test_canonical_offset_with_delta_part_is_not_hyperbolic(self):
         # span{v0 + delta v1, p v1} forced to type 0: its g1 is anisotropic.
         fake = VertexLattice(CTX, 0, 0, 1, (0, 1), 0)
@@ -208,6 +219,8 @@ class TestRInvariant:
     def test_zero_vector_rejected(self):
         with pytest.raises(DegenerateVectorError):
             LAM0.r_invariant(vec(CTX, (0, 0), (0, 0)))
+        with pytest.raises(DegenerateVectorError):
+            ball_r_invariants(LAM0, vec(CTX, (0, 0), (0, 0)), 1)
 
     def test_vanished_numerator_does_not_guess(self):
         # L = span{p^-2 v0, p^2 v1}, so r(x0, x1) = min(v(x0), v(x1) - 4) + 2.
@@ -331,3 +344,116 @@ class TestDistanceAndBall:
                 a = rng.choice(ball)[0]
                 b = rng.choice(ball)[0]
                 assert distance(a, b) == oracles.distance_bfs(a, b, radius_cap=8)
+
+    def test_ball_skips_the_parent_by_index(self):
+        # The same keys, in order, as a walk that builds every neighbour
+        # and drops the parent by key.
+        for p, delta in ((3, -1), (5, -2), (7, -1), (11, -1), (13, -2)):
+            ctx = LocalContext(p=p, delta_sq=delta, precision=40)
+            radius = {3: 5, 5: 3}.get(p, 2)
+            centers = list(standard_lattices(ctx)) + list(
+                itertools.islice(central_lattices(ctx), 0, None, 5)
+            )
+            for center in centers:
+                keys = [(lat.key, d) for lat, d in tree_ball(center, radius)]
+                ref = [(lat.key, d) for lat, d in oracles.tree_ball(center, radius)]
+                assert keys == ref, (p, center.key)
+
+
+def random_vector(ctx, rng, digits=6):
+    """An anisotropic vector with coordinates mod p^digits, the second
+    skewed by a random p-power, and a denominator exponent in [-3, 2]."""
+    p = ctx.p
+    while True:
+        a0 = (rng.randrange(p**digits), rng.randrange(p**digits))
+        skew = p ** rng.randrange(4)
+        a1 = (rng.randrange(p**digits) * skew, rng.randrange(p**digits) * skew)
+        if all(x % p == 0 for x in a0 + a1):
+            continue
+        b = ctx.vector_from_ints(a0, a1, rng.randrange(-3, 3))
+        if not qform(b).is_isotropic:
+            return b
+
+
+def lift(ctx, b, rng):
+    """A random vector of ctx that agrees with b to b's precision."""
+    def elem(a):
+        m = ctx.p**a.prec
+        return ctx.elem(a.x + m * rng.randrange(m), a.y + m * rng.randrange(m))
+    return ctx.vector(elem(b.a0), elem(b.a1), b.denom_exp)
+
+
+class TestBallRInvariants:
+    def test_matches_membership_in_ball_order(self):
+        # Central lattices of both types (canonical bases), a ball vertex
+        # (an inherited basis), and Lambda0, Lambda0'; vectors with skewed
+        # coordinates, negative denominators and the centre's own vector
+        # rescaled.
+        for p, delta in ((3, -1), (5, -2), (7, -1), (11, -1), (13, -2)):
+            ctx = LocalContext(p=p, delta_sq=delta, precision=40)
+            rng = random.Random(p)
+            radius = {3: 5, 5: 3}.get(p, 2)
+            wanted = [0, 0, 2, 2]
+            while wanted:
+                w = random_vector(ctx, rng)
+                center = central_lattice(w)
+                if center.vtype not in wanted:
+                    continue
+                wanted.remove(center.vtype)
+                inherited = tree_ball(center, 1)[-1][0]
+                for lat in (center, inherited) + standard_lattices(ctx):
+                    for b in (random_vector(ctx, rng), w.scale_p_power(rng.randrange(-3, 3))):
+                        want = [(v.r_invariant(b), d) for v, d in tree_ball(lat, radius)]
+                        assert ball_r_invariants(lat, b, radius) == want, (p, lat.key)
+
+    def test_never_guesses(self):
+        # Coordinates known to 1..precision digits: every r the descent
+        # returns is the r of every lift of the vector.
+        for p, delta in ((3, -1), (5, -2), (7, -1)):
+            exact = LocalContext(p=p, delta_sq=delta, precision=80)
+            rng = random.Random(100 + p)
+            radius = 5 if p == 3 else 3
+            returned = raised = 0
+            for precision in range(8, 13):
+                ctx = LocalContext(p=p, delta_sq=delta, precision=precision)
+                for _ in range(6):
+                    center = central_lattice(random_vector(exact, rng, 4))
+                    ball = tree_ball(center, radius)
+                    digits = [rng.randint(1, precision) for _ in range(2)]
+                    xs = [rng.randrange(p**precision) * p ** rng.randrange(3) for _ in range(4)]
+                    try:
+                        b = ctx.vector(
+                            ctx.elem(xs[0], xs[1], digits[0]),
+                            ctx.elem(xs[2], xs[3], digits[1]),
+                            rng.randrange(-2, 3),
+                        )
+                    except PrecisionExhaustedError:
+                        continue  # the vector itself cannot be normalized
+                    try:
+                        rs = ball_r_invariants(
+                            VertexLattice(ctx, *center.key, center.vtype), b, radius
+                        )
+                    except PrecisionExhaustedError:
+                        raised += 1
+                        continue
+                    returned += 1
+                    for _ in range(3):
+                        b_exact = lift(exact, b, rng)
+                        assert rs == [(lat.r_invariant(b_exact), d) for lat, d in ball]
+            assert returned >= 20, (p, returned, raised)
+
+    def test_undecidable_membership_raises(self):
+        # r(b) at this vertex is 1 or 2 for a second coordinate known to
+        # 3 digits (see TestRInvariant): both sides refuse to choose.
+        ctx = LocalContext(p=3, delta_sq=-10, precision=20)
+        lat = next(
+            lat for lat, _ in tree_ball(standard_lattices(ctx)[0], 4)
+            if lat.key == (2, 0, 4, (0, 0))
+        )
+        b = ctx.vector(ctx.elem(1, 0, 20), ctx.elem(0, 0, 3))
+        with pytest.raises(PrecisionExhaustedError):
+            lat.r_invariant(b)
+        with pytest.raises(PrecisionExhaustedError):
+            ball_r_invariants(lat, b, 2)
+        b = ctx.vector(ctx.elem(1, 0, 20), ctx.elem(0, 0, 4))
+        assert ball_r_invariants(lat, b, 0) == [(2, 0)]

@@ -20,6 +20,24 @@ DEEP_CENTRE = (
     "--p", "3", "--delta", "-10", "--ortho", "--alpha", "2", "--b", "1+0d,0+3486784401d",
 )
 
+# The README `verify` commands and the SHA-256 of their stdout.
+README_VERIFY = [
+    ("rho --delta -2 --max 5000",
+     "611efb499678bda70768a03eb2799f5658c9cf1d9007d801b942ef1c6dd071f6"),
+    ("hilbert --count 200 --seed 7",
+     "314dab5afdff641a3e4cdb0fb9c2f096751f09681e08baf1f6573faf97b924b4"),
+    ("r-formula --p 5 --delta -2 --count 12 --radius 6",
+     "b262b5797c9b23c375ab694f3be3e465f8419f707649e3c94c06f913bdda95da"),
+    ("local-compare --p 3 --delta -10 --alpha-max 4",
+     "b050a5120dc209e0614fa8dc6592d6c39d69d88f81b2178f1d5e2070edab2124"),
+    ("chart --p 3 --delta -10 --count 10 --radius 6",
+     "dfd2ad81f2ae38de2813e7f33ef440aa8f23de648dbd8991ac100485f4adb753"),
+    ("main-identity --delta -2 --db 35 --mmax 300",
+     "90312e0257067393095b8f70a6e207caaa6cfc6fef02fb8554d667aa07565b7e"),
+    ("remark-identity --delta -10 --db 51 --mmax 200",
+     "ace7b0479aec21cb2a8e526a0b4fdfd561906cf187ca7f497642c4776382886c"),
+]
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -136,6 +154,14 @@ class TestVerifyCommand:
         with pytest.raises(ValueError):
             _report_exit(empty, Namespace(out=None, format="json"))
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv, digest", README_VERIFY, ids=[argv.split()[0] for argv, _ in README_VERIFY]
+    )
+    def test_pinned_stdout(self, capsys, argv, digest):
+        code, out, _ = run(capsys, "verify", *argv.split())
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_tree_sweeps_smoke(self, capsys):
         code, out, _ = run(

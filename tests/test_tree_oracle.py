@@ -3,11 +3,13 @@ object-path reference in oracles.py, at p in {3, 5, 7, 11, 13} with two
 inert Delta each, at working precisions low enough to run out.
 
 Outcomes are compared whole: either the same values (keys in order,
-r-invariants, hyperbolic bases) or the same exception type, message
-and `needed`.  Neighbours and balls are the exception: the core walks
-the tree on exact integer bases and never runs out of digits there, so
-where the oracle raises at the working precision, the core must give
-the oracle's keys at precision EXACT_PRECISION.
+r-invariants) or the same exception type, message and `needed`.  There
+are two exceptions.  The core walks the tree on exact integer bases
+and never runs out of digits there, so where the oracle raises at the
+working precision, the core must give the oracle's keys at precision
+EXACT_PRECISION.  And the core's hyperbolic basis keeps every digit of
+its exact columns, so it must agree with the oracle's at the smaller
+of the two precisions.
 """
 
 import random
@@ -53,8 +55,19 @@ def oracle_outcome(ctx, fn):
     return outcome(lambda: fn(exact))
 
 
-def vector_tuple(v):
-    return (v.denom_exp, v.a0.x, v.a0.y, v.a0.prec, v.a1.x, v.a1.y, v.a1.prec)
+def agree_at_smaller_precision(u, r):
+    """u keeps at least r's digits, and the two vectors agree in every
+    coordinate at the smaller of their precisions."""
+    top = max(u.denom_exp, r.denom_exp)
+    for a, b in ((u.a0, r.a0), (u.a1, r.a1)):
+        known, ref_known = a.prec - u.denom_exp, b.prec - r.denom_exp
+        if known < ref_known:
+            return False
+        m = u.ctx.p ** (ref_known + top)
+        scale, ref_scale = u.ctx.p ** (top - u.denom_exp), u.ctx.p ** (top - r.denom_exp)
+        if (a.x * scale - b.x * ref_scale) % m or (a.y * scale - b.y * ref_scale) % m:
+            return False
+    return True
 
 
 def random_vector(ctx, rng):
@@ -112,9 +125,13 @@ def test_central_balls_match(pd, precision, seed):
         return
     core, ref = core[1], ref[1]
     assert core.key == ref.key
-    assert outcome(lambda: [vector_tuple(u) for u in core.hyperbolic_basis()]) == outcome(
-        lambda: [vector_tuple(u) for u in ref.hyperbolic_basis()]
-    )
+    found = outcome(core.hyperbolic_basis)
+    ref_found = outcome(ref.hyperbolic_basis)
+    if found[0] != "ok" or ref_found[0] != "ok":
+        assert found == ref_found
+    else:
+        for u, r in zip(found[1], ref_found[1]):
+            assert agree_at_smaller_precision(u, r)
     # The oracle's centre carries no inherited basis, so rebuilding it
     # from its key at another precision gives the same tree.
     radius = RADIUS[p] - 1
