@@ -5,7 +5,8 @@ central lattices.
 A lattice is held in a canonical column normal form: generators
 p^(-e) * (p^a * v0 + w * v1) and p^(-e) * (p^b * v1) with w reduced mod
 p^b and min(a, b, val(w)) = 0.  The tuple (e, a, b, w) identifies the
-lattice, so equality is tuple equality.
+lattice, so equality is tuple equality.  Its dual, its type and its
+tree distance to another vertex are integer functions of the tuple.
 
 The tree is exact.  Every vertex carries a hyperbolic basis (two
 isotropic generators pairing to delta, resp. delta/p, by type) as an
@@ -24,9 +25,9 @@ integer, and a neighbour's key is an integer column HNF of its basis:
 of digits.
 
 Working precision applies only to vectors entering the tree:
-`from_vectors` (and through it `dual` and `central_lattice`),
-`r_invariant`, `distance`, `hyperbolic_basis`, which hands the exact
-basis out as padic.VectorC, and `ball_r_invariants`.  There an element
+`from_vectors` (and through it `central_lattice`), `r_invariant`,
+`hyperbolic_basis`, which hands the exact basis out as padic.VectorC,
+and `ball_r_invariants`.  There an element
 x + y*delta of o_{k,p} known modulo p^q is the triple (x, y, q) with
 x, y reduced mod p^q, and a vector p^(-e) * (a0 * v0 + a1 * v1) is the
 tuple (e, x0, y0, q0, x1, y1, q1), normalized like padic.VectorC so
@@ -36,7 +37,7 @@ the same results, raises and `needed` values as the element-wise
 computation: sums and products carry the smaller precision, exact
 division by p^k costs k digits, and a valuation that precision cannot
 decide raises PrecisionExhaustedError.  `_hnf` is the one routine that
-canonicalizes such vectors, and `VertexLattice._solve` the one
+canonicalizes such vectors, and `VertexLattice.r_invariant` the one
 membership solve against a canonical form.
 
 `ball_r_invariants` gives b's r-invariant at every vertex of a ball
@@ -49,11 +50,7 @@ that precision cannot decide raises PrecisionExhaustedError.
 
 from __future__ import annotations
 
-from cyclelift.errors import (
-    DegenerateVectorError,
-    HyperbolicBasisError,
-    PrecisionExhaustedError,
-)
+from cyclelift.errors import DegenerateVectorError, PrecisionExhaustedError
 from cyclelift.padic import LocalContext, QuadLocalElem, VectorC, epsilon, qform
 
 _HNF_GUARD = 4
@@ -74,37 +71,6 @@ def _val(p: int, x: int, y: int) -> int | None:
         y //= p
         v += 1
     return v
-
-
-def _vector(ctx: LocalContext, e, x0, y0, q0, x1, y1, q1) -> tuple:
-    """The normalized vector tuple: the common p-power of the coordinates
-    moves into the denominator (padic.VectorC's rule)."""
-    p = ctx.p
-    if x0 % p or y0 % p or x1 % p or y1 % p:
-        return (e, x0, y0, q0, x1, y1, q1)
-    v0 = _val(p, x0, y0)
-    v1 = _val(p, x1, y1)
-    shift = v1 if v0 is None else (v0 if v1 is None or v0 <= v1 else v1)
-    if shift:
-        # A coordinate that vanishes at its carried precision must still
-        # be certifiably divisible by p^shift.
-        pk = ctx.pows[shift]
-        if v0 is None:
-            q0 = _zero_shift(q0, shift)
-        else:
-            x0, y0, q0 = x0 // pk, y0 // pk, q0 - shift
-        if v1 is None:
-            q1 = _zero_shift(q1, shift)
-        else:
-            x1, y1, q1 = x1 // pk, y1 // pk, q1 - shift
-        e -= shift
-    return (e, x0, y0, q0, x1, y1, q1)
-
-
-def _zero_shift(q: int, shift: int) -> int:
-    if q - shift < 1:
-        raise PrecisionExhaustedError("no residual precision left", needed=shift + 1)
-    return q - shift
 
 
 def _tuple(b: VectorC) -> tuple:
@@ -207,27 +173,26 @@ class VertexLattice:
 
     Instances are immutable after construction; equality and hashing
     use the canonical tuple.  `vtype` is 0 or 2 for vertex lattices and
-    None for other lattices (certified against the dual on first use).
+    None for other lattices.
     """
 
-    __slots__ = ("ctx", "denom_exp", "piv0", "piv1", "off", "_vtype", "_hyperbolic")
+    __slots__ = ("ctx", "denom_exp", "piv0", "piv1", "off", "_hyperbolic")
 
-    def __init__(self, ctx, denom_exp, piv0, piv1, off, _vtype=-1, _hyperbolic=None):
+    def __init__(self, ctx, denom_exp, piv0, piv1, off, _hyperbolic=None):
         self.ctx = ctx
         self.denom_exp = denom_exp
         self.piv0 = piv0
         self.piv1 = piv1
         self.off = off  # pair of ints, reduced mod p^piv1
-        self._vtype = _vtype  # -1 = not yet certified
         self._hyperbolic = _hyperbolic  # exact basis (see _exact_basis), or None
 
     # -- construction ----------------------------------------------------------
 
     @classmethod
-    def from_vectors(cls, u: VectorC, v: VectorC, _vtype=-1) -> "VertexLattice":
+    def from_vectors(cls, u: VectorC, v: VectorC) -> "VertexLattice":
         """Canonicalize the lattice spanned by two vectors (HNF with
         p-power pivots plus denominator normalization)."""
-        return cls(u.ctx, *_hnf(u.ctx, _tuple(u), _tuple(v)), _vtype)
+        return cls(u.ctx, *_hnf(u.ctx, _tuple(u), _tuple(v)))
 
     @property
     def key(self) -> tuple:
@@ -255,17 +220,6 @@ class VertexLattice:
 
     # -- basic data --------------------------------------------------------
 
-    def _basis(self) -> tuple[tuple, tuple]:
-        """The canonical-form generators as vector tuples at working
-        precision."""
-        ctx = self.ctx
-        n = ctx.precision
-        m = ctx.pows[n]
-        wx, wy = self.off
-        g1 = _vector(ctx, self.denom_exp, ctx.pows[self.piv0] % m, 0, n, wx % m, wy % m, n)
-        g2 = _vector(ctx, self.denom_exp, 0, 0, n, ctx.pows[self.piv1] % m, 0, n)
-        return g1, g2
-
     def det_valuation(self) -> int:
         """Valuation of the basis determinant (a lattice invariant)."""
         return self.piv0 + self.piv1 - 2 * self.denom_exp
@@ -281,42 +235,26 @@ class VertexLattice:
     def dual(self) -> "VertexLattice":
         """The dual lattice under h, in canonical form; an involution.
 
-        With M the integral part of the canonical basis, the dual is
-        spanned by the columns of p^e * (G conj(M))^-t, G the Gram matrix
-        of (v0, v1); det = Delta p^(a+b) is inverted at precision
-        N - a - b.
+        h(x, y) = delta (x0 conj(y1) - x1 conj(y0)) pairs y into o with
+        both generators iff v(y0) >= e - b and v(y0 conj(w) - p^a y1) >= e,
+        so the dual is p^-(a+b-e) span{(p^a, conj(w)), (0, p^b)}, which
+        is already canonical.
         """
-        ctx = self.ctx
-        n = ctx.precision
-        dv = self.piv0 + self.piv1
-        if dv >= n:
-            raise PrecisionExhaustedError(
-                f"valuation undecidable at precision {n}", needed=n + 1
-            )
-        q = n - dv
-        m = ctx.pows[q]
-        dinv = pow(ctx.delta_sq, -1, m)
         wx, wy = self.off
-        e = dv - self.denom_exp
-        c0 = _vector(ctx, e, 0, 0, q, 0, -ctx.pows[self.piv1] * dinv % m, q)
-        c1 = _vector(
-            ctx, e, 0, ctx.pows[self.piv0] * dinv % m, q,
-            -ctx.delta_sq * wy * dinv % m, wx * dinv % m, q,
+        b = self.piv1
+        return VertexLattice(
+            self.ctx, self.piv0 + b - self.denom_exp, self.piv0, b,
+            (wx, -wy % self.ctx.pows[b]),
         )
-        return VertexLattice(ctx, *_hnf(ctx, c0, c1))
 
     @property
     def vtype(self) -> int | None:
-        """0 if self-dual, 2 if the dual is p^-1 * self, else None."""
-        if self._vtype == -1:
-            dual_key = self.dual().key
-            if dual_key == self.key:
-                self._vtype = 0
-            elif dual_key == self.scale_p_power(1).key:
-                self._vtype = 2
-            else:
-                self._vtype = None
-        return self._vtype
+        """0 if self-dual, 2 if the dual is p * self, else None: the dual
+        has the same offset iff wy = 0, and a + b - e is e, resp. e - 1."""
+        if self.off[1]:
+            return None
+        dv = self.det_valuation()
+        return 0 if dv == 0 else 2 if dv == -1 else None
 
     def require_vertex(self) -> int:
         vt = self.vtype
@@ -326,31 +264,28 @@ class VertexLattice:
 
     # -- membership --------------------------------------------------------
 
-    def _solve(self, x0, y0, q0, x1, y1, q1) -> tuple:
-        """Coordinates of the vector (c0, c1) in the canonical basis are
-        y1 = c0 / p^a and y2 = (c1 p^a - w c0) / p^(a+b), up to the
-        denominators.  Returns the valuations of the two numerators (None
-        when zero at precision) and the second numerator's precision."""
-        ctx = self.ctx
-        d = ctx.delta_sq
-        wx, wy = self.off
-        pa = ctx.pows[self.piv0]
-        q2 = min(q0, q1, ctx.precision)
-        m = ctx.pows[q2]
-        n2x = (x1 * pa - wx * x0 - d * wy * y0) % m
-        n2y = (y1 * pa - wx * y0 - wy * x0) % m
-        return _val(ctx.p, x0, y0), _val(ctx.p, n2x, n2y), q2
-
     def r_invariant(self, b: VectorC) -> int:
         """max r such that p^(-r) b lies in the lattice (may be negative).
 
-        Solved against the canonical triangular basis; exact integer
-        valuation comparisons throughout.
+        The coordinates of b = (c0, c1) in the canonical basis are
+        y1 = c0 / p^a and y2 = (c1 p^a - w c0) / p^(a+b), up to the
+        denominators; exact integer valuation comparisons throughout.
         """
         a0, a1 = b.a0, b.a1
         if not (a0.x or a0.y or a1.x or a1.y):
             raise DegenerateVectorError("r-invariant of the zero vector")
-        v1, v2, q2 = self._solve(a0.x, a0.y, a0.prec, a1.x, a1.y, a1.prec)
+        ctx = self.ctx
+        p, d = ctx.p, ctx.delta_sq
+        wx, wy = self.off
+        pa = ctx.pows[self.piv0]
+        q2 = min(a0.prec, a1.prec, ctx.precision)
+        m = ctx.pows[q2]
+        v1 = _val(p, a0.x, a0.y)
+        v2 = _val(
+            p,
+            (a1.x * pa - wx * a0.x - d * wy * a0.y) % m,
+            (a1.y * pa - wx * a0.y - wy * a0.x) % m,
+        )
         if v2 is None:
             if v1 is None:
                 raise PrecisionExhaustedError("membership undecidable at precision")
@@ -381,8 +316,6 @@ class VertexLattice:
         generators."""
         if self._hyperbolic is None:
             self.require_vertex()
-            if self.off[1]:
-                raise HyperbolicBasisError(f"{self!r}: canonical offset has a delta part")
             a, b = self.piv0, self.piv1
             pw = self.ctx.pows
             self._hyperbolic = (self.denom_exp, pw[a], self.off[0], 0, pw[b], a, _NO_VAL, a + b)
@@ -416,17 +349,15 @@ class VertexLattice:
         `parent` (0 for infinity, 1 for alpha = 0; None keeps all).  A
         neighbour's own neighbour at index 1 is this vertex when it is
         the infinity neighbour, and at index 0 otherwise."""
-        vt = self.require_vertex()
         k, a, c, b, d, va, vb, vdet = self._exact_basis()
         ctx = self.ctx
         p = ctx.p
-        opposite = 2 - vt
-        if vt == 0:
+        if self.vtype == 0:
             k += 1
         vdet += 1
         out = []
         if parent != 0:
-            out.append(_child(ctx, opposite, (k, a, c, p * b, p * d, va, vb + 1, vdet)))
+            out.append(_child(ctx, (k, a, c, p * b, p * d, va, vb + 1, vdet)))
         pa, pc, va1 = p * a, p * c, va + 1
         for alpha in range(1 if parent == 1 else 0, p):
             b1 = alpha * a + b
@@ -436,11 +367,11 @@ class VertexLattice:
                 vb1 = va
             else:
                 vb1 = _val(p, b1, 0)  # b1 >= a > 0: entries are non-negative
-            out.append(_child(ctx, opposite, (k, pa, pc, b1, alpha * c + d, va1, vb1, vdet)))
+            out.append(_child(ctx, (k, pa, pc, b1, alpha * c + d, va1, vb1, vdet)))
         return out
 
 
-def _child(ctx: LocalContext, vtype: int, basis: tuple) -> VertexLattice:
+def _child(ctx: LocalContext, basis: tuple) -> VertexLattice:
     """The vertex spanned by an exact basis, keyed by an integer column
     HNF: the pivot column has the smaller first-row valuation A, the
     second pivot is p^B with B = v(det) - A, the offset is
@@ -461,7 +392,7 @@ def _child(ctx: LocalContext, vtype: int, basis: tuple) -> VertexLattice:
             t -= 1
     else:
         w = 0
-    return VertexLattice(ctx, k - t, A - t, B - t, (w // pw[t], 0), vtype, basis)
+    return VertexLattice(ctx, k - t, A - t, B - t, (w // pw[t], 0), basis)
 
 
 def _column(ctx: LocalContext, k: int, x: int, y: int) -> VectorC:
@@ -479,7 +410,7 @@ def standard_lattices(ctx: LocalContext) -> tuple[VertexLattice, VertexLattice]:
     """The base vertex: Lambda0 = span{v0, v1} (type 0) and its
     neighbour Lambda0' = span{p^-1 v0, v1} (type 2), whose exact bases
     (0; 1, 0, 0, 1) and (1; 1, 0, 0, p) are seeded from their keys."""
-    return VertexLattice(ctx, 0, 0, 0, (0, 0), 0), VertexLattice(ctx, 1, 0, 1, (0, 0), 2)
+    return VertexLattice(ctx, 0, 0, 0, (0, 0)), VertexLattice(ctx, 1, 0, 1, (0, 0))
 
 
 def central_lattice(b: VectorC) -> VertexLattice:
@@ -494,48 +425,32 @@ def central_lattice(b: VectorC) -> VertexLattice:
         raise DegenerateVectorError("central lattice of an isotropic vector")
     t = -((-q.valuation) // 2)  # ceil(ord/2)
     b0 = b.scale_p_power(-t)
-    vt = 0 if q.valuation % 2 == 0 else 2
-    return VertexLattice.from_vectors(b0, epsilon(b0), _vtype=vt)
+    return VertexLattice.from_vectors(b0, epsilon(b0))
 
 
 def distance(lat: VertexLattice, other: VertexLattice) -> int:
     """Graph distance on the tree via the elementary divisors of the
-    transition matrix: if the coordinates of one lattice in a basis of
-    the other have divisor exponents b <= a, the geodesic length is
-    a - b = val(det) - 2 b.
+    transition matrix X between the canonical bases: the geodesic length
+    is val(det X) - 2 min val(X_ij).
 
-    Exact and O(1); the test suite checks it against a breadth-first
-    search over neighbours.
+    For the keys (e, a, b, w) and (f, c, d, x), with w and x integers
+    at a vertex, X is p^(e-f-a-b) times
+    [[p^(b+c), 0], [p^a x - p^c w, p^(a+d)]].  Exact and O(1); the test
+    suite checks it against a breadth-first search over neighbours.
     """
     lat.require_vertex()
     other.require_vertex()
-    if lat.key == other.key:
-        return 0
-    # Transition matrix X = B_lat^-1 * B_other, up to a known p-power:
-    # with triangular canonical bases, solve column by column.
-    entries = []  # (valuation or None, lower bound when None)
-    for e, *coords in other._basis():
-        v1, v2, q2 = lat._solve(*coords)
-        shift = lat.denom_exp - e
-        for v, q, drop in ((v1, coords[2], lat.piv0), (v2, q2, lat.piv0 + lat.piv1)):
-            if v is None:
-                entries.append((None, q - drop + shift))
-            else:
-                entries.append((v - drop + shift, None))
-    finite = [v for v, _ in entries if v is not None]
-    if not finite:
-        raise PrecisionExhaustedError("transition matrix vanishes at precision")
-    bmin = min(finite)
-    for v, bound in entries:
-        if v is None and bound <= bmin:
-            raise PrecisionExhaustedError(
-                "transition-matrix entry undecidable at precision"
-            )
-    det_val = other.det_valuation() - lat.det_valuation()
-    d = det_val - 2 * bmin
-    if d < 0:
+    e, a, b, (w, _) = lat.key
+    f, c, d, (x, _) = other.key
+    pw = lat.ctx.pows
+    low = b + c if b + c < a + d else a + d
+    vx = _val(lat.ctx.p, pw[a] * x - pw[c] * w, 0)
+    if vx is not None and vx < low:
+        low = vx
+    dist = other.det_valuation() - lat.det_valuation() - 2 * (low + e - f - a - b)
+    if dist < 0:
         raise AssertionError("negative tree distance; canonical-form bug")
-    return d
+    return dist
 
 
 def tree_ball(center: VertexLattice, radius: int) -> list[tuple[VertexLattice, int]]:

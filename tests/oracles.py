@@ -326,7 +326,7 @@ class ObjectLattice:
 
     @property
     def vtype(self) -> int | None:
-        """0 if self-dual, 2 if the dual is p^-1 * self, else None."""
+        """0 if self-dual, 2 if the dual is p * self, else None."""
         if self._vtype == -1:
             dual_key = self.dual().key
             if dual_key == self.key:

@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from cyclelift import bttree
 from cyclelift.bttree import (
     VertexLattice,
     ball_r_invariants,
@@ -12,12 +11,8 @@ from cyclelift.bttree import (
     standard_lattices,
     tree_ball,
 )
-from cyclelift.errors import (
-    DegenerateVectorError,
-    HyperbolicBasisError,
-    PrecisionExhaustedError,
-)
-from cyclelift.padic import LocalContext, VectorC, herm, qform
+from cyclelift.errors import DegenerateVectorError, PrecisionExhaustedError
+from cyclelift.padic import LocalContext, herm, qform
 import oracles
 
 CTX = LocalContext(p=5, delta_sq=-2, precision=26)
@@ -38,8 +33,8 @@ PRIME_GRID = [
 
 def central_lattices(ctx):
     """Central lattices of v0 + (r + p^k delta) v1 and its mirror, at tree
-    distance k from Lambda0: k < 2 at precision 8 (where deeper duals
-    run out of digits), k < 9 above."""
+    distance k from Lambda0: k < 2 at precision 8 (where deeper canonical
+    forms from vectors run out of digits), k < 9 above."""
     p = ctx.p
     rng = random.Random(p)
     for k in range(2 if ctx.precision == 8 else 9):
@@ -171,7 +166,7 @@ class TestNeighbors:
             lats = [lat for lat, _ in tree_ball(lam0, 2)] + list(central_lattices(ctx))
             cases += [(ctx, (lat.key, lat.vtype)) for lat in lats]
         for ctx, (key, vtype) in cases:
-            core = VertexLattice(ctx, *key, vtype).hyperbolic_basis()
+            core = VertexLattice(ctx, *key).hyperbolic_basis()
             ref = oracles.hensel_hyperbolic_basis(oracles.ObjectLattice(ctx, *key, vtype))
             for u, r in zip(core, ref):
                 for (e, x, y, q), (re, rx, ry, rq) in zip(coordinates(u), coordinates(r)):
@@ -183,7 +178,7 @@ class TestNeighbors:
                     assert (y * scale - ry * rscale) % m == 0, (ctx.p, key)
         _, ref_u1 = oracles.hensel_hyperbolic_basis(oracles.ObjectLattice(deep_ctx, *deep_key, 0))
         assert ref_u1.a0.is_zero() and ref_u1.a1.is_zero()
-        _, core_u1 = VertexLattice(deep_ctx, *deep_key, 0).hyperbolic_basis()
+        _, core_u1 = VertexLattice(deep_ctx, *deep_key).hyperbolic_basis()
         assert not core_u1.a1.is_zero()
 
     def test_hyperbolic_basis_keeps_every_digit(self):
@@ -197,9 +192,12 @@ class TestNeighbors:
         assert_hyperbolic(lat)
 
     def test_canonical_offset_with_delta_part_is_not_hyperbolic(self):
-        # span{v0 + delta v1, p v1} forced to type 0: its g1 is anisotropic.
-        fake = VertexLattice(CTX, 0, 0, 1, (0, 1), 0)
-        with pytest.raises(HyperbolicBasisError):
+        # span{v0 + delta v1, p v1}: a + b = 2e + 1, and its dual
+        # conjugates the offset, so it is no vertex and has no basis.
+        fake = VertexLattice(CTX, 0, 0, 1, (0, 1))
+        assert fake.dual().off == (0, CTX.p - 1)
+        assert fake.vtype is None
+        with pytest.raises(ValueError):
             fake.hyperbolic_basis()
 
 
@@ -236,17 +234,6 @@ class TestRInvariant:
         assert info.value.needed == 4
         # With 4 digits, v(x1) >= 4 already decides r = 2.
         assert lat.r_invariant(ctx.vector(one, ctx.elem(0, 0, 4))) == 2
-
-    def test_normalizing_a_vanished_coordinate_raises_like_vectorc(self):
-        # (0 mod 3^2, 27 mod 3^20): moving 3^3 into the denominator would
-        # leave the zero coordinate known to -1 digits; 4 are needed.
-        ctx = LocalContext(p=3, delta_sq=-10, precision=20)
-        with pytest.raises(PrecisionExhaustedError) as tuple_path:
-            bttree._vector(ctx, 0, 0, 0, 2, 27, 0, 20)
-        with pytest.raises(PrecisionExhaustedError) as object_path:
-            VectorC(ctx, ctx.elem(0, 0, 2), ctx.elem(27, 0, 20))
-        assert str(tuple_path.value) == str(object_path.value) == "no residual precision left"
-        assert tuple_path.value.needed == object_path.value.needed == 4
 
 
 class TestCentralLattice:
@@ -345,6 +332,23 @@ class TestDistanceAndBall:
                 b = rng.choice(ball)[0]
                 assert distance(a, b) == oracles.distance_bfs(a, b, radius_cap=8)
 
+    def test_long_walk_at_low_precision(self):
+        # Twenty steps from Lambda0 put pivots far past 8 digits; dual,
+        # type and distance read the integer key and never run out.
+        for p, delta in ((3, -1), (5, -2)):
+            ctx = LocalContext(p=p, delta_sq=delta, precision=8)
+            rng = random.Random(p)
+            lam0, _ = standard_lattices(ctx)
+            prev, v = None, lam0
+            for step in range(21):
+                assert distance(lam0, v) == step
+                assert v.vtype == (0 if step % 2 == 0 else 2)
+                assert v.dual().dual() == v
+                nbs = v.neighbors()
+                assert all(distance(v, nb) == 1 for nb in nbs)
+                prev, v = v, rng.choice([nb for nb in nbs if nb != prev])
+            assert max(v.piv0, v.piv1) > ctx.precision
+
     def test_ball_skips_the_parent_by_index(self):
         # The same keys, in order, as a walk that builds every neighbour
         # and drops the parent by key.
@@ -431,7 +435,7 @@ class TestBallRInvariants:
                         continue  # the vector itself cannot be normalized
                     try:
                         rs = ball_r_invariants(
-                            VertexLattice(ctx, *center.key, center.vtype), b, radius
+                            VertexLattice(ctx, *center.key), b, radius
                         )
                     except PrecisionExhaustedError:
                         raised += 1

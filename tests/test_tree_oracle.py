@@ -4,9 +4,10 @@ inert Delta each, at working precisions low enough to run out.
 
 Outcomes are compared whole: either the same values (keys in order,
 r-invariants) or the same exception type, message and `needed`.  There
-are two exceptions.  The core walks the tree on exact integer bases
-and never runs out of digits there, so where the oracle raises at the
-working precision, the core must give the oracle's keys at precision
+are two exceptions.  The core walks the tree on exact integer bases,
+and reads duals and types off integer keys, so it never runs out of
+digits there: where the oracle raises at the working precision, the
+core must give the oracle's keys, duals and types at precision
 EXACT_PRECISION.  And the core's hyperbolic basis keeps every digit of
 its exact columns, so it must agree with the oracle's at the smaller
 of the two precisions.
@@ -180,12 +181,15 @@ def test_dual_involution(pd, precision, seed):
         if found[0] != "ok" or ref_found[0] != "ok":
             assert found == ref_found
             continue
-        lat, ref_lat = found[1], ref_found[1]
-        assert lat.key == ref_lat.key
-        assert outcome(lambda: lat.dual().key) == outcome(lambda: ref_lat.dual().key)
-        assert outcome(lambda: lat.vtype) == outcome(lambda: ref_lat.vtype)
-        if precision >= 20:
-            assert lat.dual().dual() == lat
+        lat = found[1]
+        assert lat.key == ref_found[1].key
+        assert ("ok", lat.dual().key) == oracle_outcome(
+            ctx, lambda c: oracles.ObjectLattice(c, *lat.key).dual().key
+        )
+        assert ("ok", lat.vtype) == oracle_outcome(
+            ctx, lambda c: oracles.ObjectLattice(c, *lat.key).vtype
+        )
+        assert lat.dual().dual() == lat
 
 
 @SUITE
