@@ -11,7 +11,6 @@ divisor classes.  No floats enter any contract-bearing computation.
 from cyclelift.errors import (
     DegenerateVectorError,
     EmptyIntersectionError,
-    HyperbolicBasisError,
     HypothesisError,
     NotAdjacentError,
     PrecisionExhaustedError,
@@ -22,7 +21,6 @@ from cyclelift.errors import (
 __all__ = [
     "DegenerateVectorError",
     "EmptyIntersectionError",
-    "HyperbolicBasisError",
     "HypothesisError",
     "NotAdjacentError",
     "PrecisionExhaustedError",

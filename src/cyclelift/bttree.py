@@ -24,26 +24,22 @@ integer, and a neighbour's key is an integer column HNF of its basis:
 `neighbors` and `tree_ball` use no working precision and never run out
 of digits.
 
-Working precision applies only to vectors entering the tree:
-`from_vectors` (and through it `central_lattice`), `r_invariant`,
-`hyperbolic_basis`, which hands the exact basis out as padic.VectorC,
-and `ball_r_invariants`.  There an element
-x + y*delta of o_{k,p} known modulo p^q is the triple (x, y, q) with
-x, y reduced mod p^q, and a vector p^(-e) * (a0 * v0 + a1 * v1) is the
-tuple (e, x0, y0, q0, x1, y1, q1), normalized like padic.VectorC so
-that min(val(a0), val(a1)) = 0 unless both coordinates vanish at
-precision.  Precision follows the rules of padic.QuadLocalElem, with
-the same results, raises and `needed` values as the element-wise
-computation: sums and products carry the smaller precision, exact
+Working precision applies only where a p-adic vector meets the tree,
+in two routines.  `from_vectors` (and through it `central_lattice`)
+canonicalizes the lattice two vectors span in padic.QuadLocalElem
+arithmetic: sums and products carry the smaller precision, exact
 division by p^k costs k digits, and a valuation that precision cannot
-decide raises PrecisionExhaustedError.  `_hnf` is the one routine that
-canonicalizes such vectors, and `VertexLattice.r_invariant` the one
-membership solve against a canonical form.
+decide raises PrecisionExhaustedError.  `VertexLattice.coordinates`
+writes a vector b = p^-e (b0 v0 + b1 v1) in a vertex's exact basis
+(k; a, c, bb, dd) through its numerators N0 = dd b0 - bb b1 and
+N1 = a b1 - c b0, each an integer combination that keeps its own
+precision.  `r_invariant`, a solve against the canonical form,
+cross-checks the r that `coordinates` and the descent below give, and
+`hyperbolic_basis` hands the exact basis out as padic.VectorC.
 
 `ball_r_invariants` gives b's r-invariant at every vertex of a ball
-without building the ball: b's two numerators in the centre's exact
-basis move to a child's by one integer step each (coordinate descent).
-Each numerator carries its own precision: p N gains a digit,
+without building the ball: the two numerators move to a child's by one
+integer step each (coordinate descent).  p N gains a digit,
 N0 - alpha N1 keeps the smaller precision, and a minimum of valuations
 that precision cannot decide raises PrecisionExhaustedError.
 """
@@ -57,7 +53,7 @@ _HNF_GUARD = 4
 _NO_VAL = float("inf")  # valuation of an exact zero
 
 
-# -- integer elements and vectors ---------------------------------------------
+# -- integer valuations -------------------------------------------------------
 
 
 def _val(p: int, x: int, y: int) -> int | None:
@@ -71,101 +67,6 @@ def _val(p: int, x: int, y: int) -> int | None:
         y //= p
         v += 1
     return v
-
-
-def _tuple(b: VectorC) -> tuple:
-    a0, a1 = b.a0, b.a1
-    return (b.denom_exp, a0.x, a0.y, a0.prec, a1.x, a1.y, a1.prec)
-
-
-def _hnf(ctx: LocalContext, u: tuple, v: tuple) -> tuple:
-    """Canonical key (e, a, b, (wx, wy)) of the lattice spanned by two
-    vector tuples: column HNF with p-power pivots, then the common
-    p-power moved into the denominator."""
-    p, d, pw = ctx.p, ctx.delta_sq, ctx.pows
-    ue, x00, y00, q00, x10, y10, q10 = u
-    ve, x01, y01, q01, x11, y11, q11 = v
-    # Matrix entries m_ij: coordinate i of generator j, at denominator e.
-    e = ue if ue >= ve else ve
-    if e > ue:
-        s = pw[e - ue]
-        m = pw[q00]
-        x00, y00 = x00 * s % m, y00 * s % m
-        m = pw[q10]
-        x10, y10 = x10 * s % m, y10 * s % m
-    if e > ve:
-        s = pw[e - ve]
-        m = pw[q01]
-        x01, y01 = x01 * s % m, y01 * s % m
-        m = pw[q11]
-        x11, y11 = x11 * s % m, y11 * s % m
-
-    t0 = 0 if x00 % p or y00 % p else _val(p, x00, y00)
-    t1 = 0 if x01 % p or y01 % p else _val(p, x01, y01)
-    if t0 is None and t1 is None:
-        # Both generators lie in span(v1): rank-1 within precision.
-        raise DegenerateVectorError("degenerate lattice (rank < 2 at precision)")
-    if t1 is not None and (t0 is None or t1 < t0):
-        x00, y00, q00, x01, y01, q01 = x01, y01, q01, x00, y00, q00
-        x10, y10, q10, x11, y11, q11 = x11, y11, q11, x10, y10, q10
-        a = t1
-    else:
-        a = t0
-
-    # Elimination with the unit u = m00 / p^a, known mod p^qi:
-    # lam = m01 / p^a / u, then z = m11 - lam * m10 carries the second
-    # pivot.  Since u z = (m00 m11 - m01 m10) / p^a and both m00 and m01
-    # are divisible by p^a, val(z) is read off that determinant without
-    # inverting u.
-    pa = pw[a]
-    qi = q00 - a
-    ql = q01 if q01 < qi else qi
-    if a and ql <= a:
-        raise PrecisionExhaustedError(
-            f"cannot divide by p^{a} at precision {ql}", needed=a + 1
-        )
-    qz = ql - a
-    if q11 < qz:
-        qz = q11
-    if q10 < qz:
-        qz = q10
-    m = pw[qz]
-    zx = (x00 * x11 + d * y00 * y11 - x01 * x10 - d * y01 * y10) // pa % m
-    zy = (x00 * y11 + y00 * x11 - x01 * y10 - y01 * x10) // pa % m
-    b = 0 if zx % p or zy % p else _val(p, zx, zy)
-    if b is None:
-        raise PrecisionExhaustedError(
-            f"valuation undecidable at precision {qz}", needed=qz + 1
-        )
-    # w = m10 / u scales column 0 so its first entry is p^a.  It is known
-    # mod p^min(q10, qi), a bound at least qz, and has the valuation of m10.
-    if qz < b + _HNF_GUARD:
-        raise PrecisionExhaustedError(
-            "pivot valuations too close to working precision",
-            needed=a + b + _HNF_GUARD,
-        )
-
-    # Extract content so that min(a, b, val(w)) = 0 (a valuation of w at
-    # or above qz > b cannot lower t).  The offset is w / p^t mod
-    # p^(b - t), so u is inverted only mod p^b.
-    t = a if a < b else b
-    if t and not (x10 % p or y10 % p):
-        wv = _val(p, x10, y10)
-        if wv is not None and wv < t:
-            t = wv
-    elif t:
-        t = 0
-    if b == t:
-        return e - t, a - t, 0, (0, 0)
-    m = pw[b]
-    ux, uy = x00 // pa, y00 // pa
-    ninv = pow((ux * ux - d * uy * uy) % m, -1, m)
-    ix, iy = ux * ninv, -uy * ninv
-    pt = pw[t]
-    return e - t, a - t, b - t, (
-        (x10 * ix + d * y10 * iy) % m // pt,
-        (x10 * iy + y10 * ix) % m // pt,
-    )
 
 
 class VertexLattice:
@@ -190,9 +91,47 @@ class VertexLattice:
 
     @classmethod
     def from_vectors(cls, u: VectorC, v: VectorC) -> "VertexLattice":
-        """Canonicalize the lattice spanned by two vectors (HNF with
-        p-power pivots plus denominator normalization)."""
-        return cls(u.ctx, *_hnf(u.ctx, _tuple(u), _tuple(v)))
+        """Canonicalize the lattice spanned by two vectors: column HNF
+        with p-power pivots, then the common p-power moved into the
+        denominator.  The element arithmetic carries the precision, so
+        a pivot valuation that precision cannot decide raises."""
+        ctx = u.ctx
+        pw = ctx.pows
+        # Matrix entries m_ij: coordinate i of generator j, at denominator e.
+        e = max(u.denom_exp, v.denom_exp)
+        m00 = u.a0.mul_int(pw[e - u.denom_exp])
+        m10 = u.a1.mul_int(pw[e - u.denom_exp])
+        m01 = v.a0.mul_int(pw[e - v.denom_exp])
+        m11 = v.a1.mul_int(pw[e - v.denom_exp])
+
+        t0 = m00.valuation_or_none()
+        t1 = m01.valuation_or_none()
+        if t0 is None and t1 is None:
+            # Both generators lie in span(v1): rank-1 within precision.
+            raise DegenerateVectorError("degenerate lattice (rank < 2 at precision)")
+        if t1 is not None and (t0 is None or t1 < t0):
+            m00, m01, m10, m11 = m01, m00, m11, m10
+            a = t1
+        else:
+            a = t0
+
+        inv0 = m00.divide_p_power(a).unit_inverse()
+        lam = m01.mul(inv0).divide_p_power(a)
+        z = m11.sub(lam.mul(m10))
+        b = z.valuation()  # the second pivot
+        w = m10.mul(inv0)  # column 0 scaled so its first entry is p^a
+        if min(w.prec, z.prec) < b + _HNF_GUARD:
+            raise PrecisionExhaustedError(
+                "pivot valuations too close to working precision",
+                needed=a + b + _HNF_GUARD,
+            )
+
+        # Extract content so that min(a, b, val(w)) = 0.
+        wv = w.valuation_or_none()
+        t = min(a, b) if wv is None else min(a, b, wv)
+        w = w.divide_p_power(t)
+        m = pw[b - t]
+        return cls(ctx, e - t, a - t, b - t, (w.x % m, w.y % m))
 
     @property
     def key(self) -> tuple:
@@ -305,6 +244,29 @@ class VertexLattice:
 
     def contains(self, b: VectorC) -> bool:
         return self.r_invariant(b) >= 0
+
+    def coordinates(self, b: VectorC) -> tuple[int, QuadLocalElem, QuadLocalElem]:
+        """(r, c0, c1) with b = p^r (c0 u0 + c1 u1) in the exact
+        hyperbolic basis (u0, u1) and min(v(c0), v(c1)) = 0, so r is
+        r_invariant(b).
+
+        With m = min(v(N0), v(N1)), ci = Ni / p^m is known mod
+        p^(qi - m), and r = k - e - v(det) + m.  Raises
+        PrecisionExhaustedError where precision cannot decide m or
+        leaves a coefficient no digit."""
+        shift, n0, n1 = _numerators(self, b)
+        m = _decided_min(n0, n1)
+        ctx = self.ctx
+        pm = ctx.pows[m]
+        coeffs = []
+        for x, y, q, _ in (n0, n1):
+            if q <= m:
+                raise PrecisionExhaustedError(
+                    f"coordinate has no digit at precision {q}",
+                    needed=ctx.precision + m + 1 - q,
+                )
+            coeffs.append(ctx.elem(x // pm, y // pm, q - m))
+        return shift + m, coeffs[0], coeffs[1]
 
     # -- hyperbolic basis and neighbours ------------------------------------
 
@@ -489,13 +451,7 @@ def ball_r_invariants(
     vt = center.require_vertex()
     ctx = center.ctx
     p = ctx.p
-    k, a, c, bb, dd, _, _, vdet = center._exact_basis()
-    b0, b1 = b.a0, b.a1
-    if not (b0.x or b0.y or b1.x or b1.y):
-        raise DegenerateVectorError("r-invariant of the zero vector")
-    n0 = _numerator(ctx, dd, b0, -bb, b1)
-    n1 = _numerator(ctx, a, b1, -c, b0)
-    shift = k - vdet - b.denom_exp
+    shift, n0, n1 = _numerators(center, b)
     out = [(shift + _decided_min(n0, n1), 0)]
     frontier = [(n0, n1, None)]
     ptype = vt
@@ -532,6 +488,24 @@ def ball_r_invariants(
                 nxt.append((n, pn1, 0))
         frontier = nxt
     return out
+
+
+def _numerators(lat: VertexLattice, b: VectorC) -> tuple:
+    """(k - e - v(det), N0, N1) for b = p^-e (b0 v0 + b1 v1) in the
+    vertex's exact basis (k; a, c, bb, dd): N0 = dd b0 - bb b1 and
+    N1 = a b1 - c b0, so that b = p^(k-e-v(det)) (N0 u0 + N1 u1).  The
+    determinant is exactly p^v(det): the canonical generators' is
+    p^(a+b), and each neighbour move multiplies it by p."""
+    k, a, c, bb, dd, _, _, vdet = lat._exact_basis()
+    b0, b1 = b.a0, b.a1
+    if not (b0.x or b0.y or b1.x or b1.y):
+        raise DegenerateVectorError("r-invariant of the zero vector")
+    ctx = lat.ctx
+    return (
+        k - vdet - b.denom_exp,
+        _numerator(ctx, dd, b0, -bb, b1),
+        _numerator(ctx, a, b1, -c, b0),
+    )
 
 
 def _numerator(

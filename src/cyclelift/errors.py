@@ -21,15 +21,6 @@ class PrecisionExhaustedError(CycleLiftError):
         self.needed = needed
 
 
-class HyperbolicBasisError(CycleLiftError):
-    """A vertex lattice's canonical generators are not a hyperbolic basis.
-
-    Impossible for genuine vertex lattices of the split plane, whose
-    canonical offset has no delta part; raising signals a canonical-form
-    bug rather than a recoverable condition.
-    """
-
-
 class DegenerateVectorError(CycleLiftError):
     """An operation requiring an anisotropic vector got an isotropic one."""
 

@@ -254,34 +254,6 @@ class OrdinaryEquation:
         return v is None or v >= 1
 
 
-def solve_coordinates(lat: VertexLattice, basis: tuple[VectorC, VectorC], vec: VectorC):
-    """Coordinates of vec in an o-basis of lat (exact; assumes vec in
-    the span over k)."""
-    ctx = lat.ctx
-    p = ctx.p
-    u, w = basis
-    e = max(u.denom_exp, w.denom_exp)
-    m00 = u.a0.mul_int(p ** (e - u.denom_exp))
-    m10 = u.a1.mul_int(p ** (e - u.denom_exp))
-    m01 = w.a0.mul_int(p ** (e - w.denom_exp))
-    m11 = w.a1.mul_int(p ** (e - w.denom_exp))
-    det = m00.mul(m11).sub(m01.mul(m10))
-    dv = det.valuation()
-    dunit_inv = det.divide_p_power(dv).unit_inverse()
-    c0, c1 = vec.a0, vec.a1
-    # adj(M) * c, then divide by p^dv and shift denominators.
-    x0 = m11.mul(c0).sub(m01.mul(c1)).mul(dunit_inv)
-    x1 = m00.mul(c1).sub(m10.mul(c0)).mul(dunit_inv)
-    shift = e - vec.denom_exp - dv
-    out = []
-    for x in (x0, x1):
-        if shift >= 0:
-            out.append(x.mul_int(p**shift))
-        else:
-            out.append(x.divide_p_power(-shift))
-    return out[0], out[1]
-
-
 def ordinary_equation(hom: SpecialHom, lat: VertexLattice) -> OrdinaryEquation:
     """The local equation of the cycle on the ordinary chart at a
     vertex lattice the vector lies in.
@@ -289,23 +261,17 @@ def ordinary_equation(hom: SpecialHom, lat: VertexLattice) -> OrdinaryEquation:
     Type 0: f = p^r (a0 T + a1) for the antilinear sign and
     p^(r+1) (a0' T + a1') for the linear sign; type 2: f = p^r (a0 + a1 T)
     for the linear sign, conjugated coefficients for the antilinear
-    sign.  Raises EmptyIntersectionError when the vector is outside.
+    sign, with r and (a0, a1) from `VertexLattice.coordinates`.  Raises
+    EmptyIntersectionError when the vector is outside.
     """
     vt = lat.require_vertex()
-    r = lat.r_invariant(hom.vec)
+    r, alpha0, alpha1 = lat.coordinates(hom.vec)
     if r < 0:
         raise EmptyIntersectionError("vector not in the lattice; cycle misses chart")
-    basis = lat.hyperbolic_basis()
-    a0, a1 = solve_coordinates(lat, basis, hom.vec)
-    alpha0 = a0.divide_p_power(r) if not a0.is_zero() else a0
-    alpha1 = a1.divide_p_power(r) if not a1.is_zero() else a1
-    if hom.sign == MINUS:
-        if vt == 0:
-            return OrdinaryEquation(p_exp=r, c0=alpha0, c1=alpha1, vtype=vt)
-        return OrdinaryEquation(p_exp=r, c0=alpha0.conj(), c1=alpha1.conj(), vtype=vt)
-    if vt == 0:
-        return OrdinaryEquation(p_exp=r + 1, c0=alpha0.conj(), c1=alpha1.conj(), vtype=vt)
-    return OrdinaryEquation(p_exp=r, c0=alpha0, c1=alpha1, vtype=vt)
+    if (hom.sign == MINUS) == (vt == 2):
+        alpha0, alpha1 = alpha0.conj(), alpha1.conj()
+    p_exp = r + 1 if hom.sign == PLUS and vt == 0 else r
+    return OrdinaryEquation(p_exp=p_exp, c0=alpha0, c1=alpha1, vtype=vt)
 
 
 def superspecial_exponents(

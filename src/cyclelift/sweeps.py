@@ -37,6 +37,12 @@ _DRAW_DIGITS = 6
 _SKEW_MAX = 3
 _COORD_BUDGET = _DRAW_DIGITS + _SKEW_MAX
 
+# `local-compare` re-checks this many ball vertices with their own tree
+# distance; `chart` draws special homomorphisms with ord q^+- at most
+# _CHART_ORD_MAX.
+_SPOT_CHECKS = 12
+_CHART_ORD_MAX = 4
+
 
 def random_anisotropic_vector(ctx: LocalContext, rng: random.Random, ord_max: int = 6):
     """A random anisotropic vector with ord q in [-1, ord_max], mixing
@@ -171,7 +177,6 @@ def sweep_local_compare(
     delta: int,
     alpha_max: int,
     rng: random.Random,
-    spot_checks: int = 12,
 ) -> VerificationReport:
     """The orthogonal/unitary comparison: for each alpha and each
     Frobenius type, the split pair's multiplicities must sum to
@@ -208,7 +213,7 @@ def sweep_local_compare(
                     mismatches.append(Mismatch(m=d, lhs=total, rhs=expected))
             # Exercise the multiplicity op with its own tree distance on
             # a spot sample.
-            for lat, d in rng.sample(ball, min(spot_checks, len(ball))):
+            for lat, d in rng.sample(ball, min(_SPOT_CHECKS, len(ball))):
                 checked += 1
                 total = localcycles.multiplicity(hp, lat) + localcycles.multiplicity(
                     hm, lat
@@ -242,33 +247,18 @@ def horizontal_polynomials_match(j, hp, hm) -> bool:
     center = j.central()
     eq_p = localcycles.ordinary_equation(hp, center)
     eq_m = localcycles.ordinary_equation(hm, center)
-
-    def poly_from_linear(eq0, eq1):
-        # (c0 T + c1)(e0 T + e1) coefficients mod p, as integers.
-        c0, c1 = eq0.c0, eq0.c1
-        e0, e1 = eq1.c0, eq1.c1
-        lead = c0.mul(e0)
-        mid = c0.mul(e1).add(c1.mul(e0))
-        low = c1.mul(e1)
-        return lead, mid, low
-
-    lead, mid, low = poly_from_linear(eq_p, eq_m)
-    basis = center.hyperbolic_basis()
-    a0, a1 = localcycles.solve_coordinates(center, basis, j.eigvec)
-    qlead = a0.mul(a0.conj())
-    qmid = a0.mul(a1.conj()).add(a0.conj().mul(a1))
-    qlow = a1.mul(a1.conj())
-    # Compare up to a unit scalar over the residue field F_{p^2}: find a
-    # nonzero coefficient pair and cross-multiply the rest.
-    us = (lead, mid, low)
-    vs = (qlead, qmid, qlow)
+    c0, c1, e0, e1 = eq_p.c0, eq_p.c1, eq_m.c0, eq_m.c1
+    # The eigenvector lies primitively in its central lattice (r = 0).
+    _, a0, a1 = center.coordinates(j.eigvec)
+    # (c0 T + c1)(e0 T + e1) against n(a0) T^2 + (a0 a1' + a0' a1) T + n(a1),
+    # up to a unit scalar over the residue field F_{p^2}: find a nonzero
+    # coefficient pair and cross-multiply the rest.
+    us = (c0.mul(e0), c0.mul(e1).add(c1.mul(e0)), c1.mul(e1))
+    vs = (a0.mul(a0.conj()), a0.mul(a1.conj()).add(a0.conj().mul(a1)), a1.mul(a1.conj()))
     for u, v in zip(us, vs):
         if (u.residue() == (0, 0)) != (v.residue() == (0, 0)):
             return False
-    pivot = next(
-        (k for k in range(3) if us[k].residue() != (0, 0)),
-        None,
-    )
+    pivot = next((k for k in range(3) if us[k].residue() != (0, 0)), None)
     if pivot is None:
         return False  # both reductions vanish; precision trouble upstream
     for k in range(3):
@@ -280,7 +270,7 @@ def horizontal_polynomials_match(j, hp, hm) -> bool:
 
 
 def sweep_chart_consistency(
-    p: int, delta: int, count: int, radius: int, rng: random.Random, ord_max: int = 4
+    p: int, delta: int, count: int, radius: int, rng: random.Random
 ) -> VerificationReport:
     """Local equations against multiplicities over the radius ball: the
     p-exponent of the ordinary equation must equal the vertical
@@ -295,7 +285,7 @@ def sweep_chart_consistency(
     mismatches = []
     checked = 0
     for _ in range(count):
-        hom = random_special_hom(ctx, rng, ord_max)
+        hom = random_special_hom(ctx, rng, _CHART_ORD_MAX)
         center = hom.central()
         ball = bttree.tree_ball(center, radius)
         depth = {lat.key: d for lat, d in ball}

@@ -11,11 +11,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from cyclelift.bttree import _HNF_GUARD
-from cyclelift.errors import (
-    DegenerateVectorError,
-    HyperbolicBasisError,
-    PrecisionExhaustedError,
-)
+from cyclelift.errors import CycleLiftError, DegenerateVectorError, PrecisionExhaustedError
 from cyclelift.padic import LocalContext, QuadLocalElem, VectorC, epsilon, herm, qform
 from cyclelift.qseries import FormalSeries
 
@@ -181,6 +177,17 @@ def class_number_by_ideals(delta: int) -> int:
 # as cyclelift.bttree computed them before its integer core: the reference
 # the property suite compares the integer core against (keys, neighbour
 # order, r-invariants, precision errors and their `needed` values).
+# `ObjectLattice.from_vectors` is the same element-wise HNF as
+# `VertexLattice.from_vectors`, so comparing the two pins behaviour but
+# checks nothing independently; the neighbour, r-invariant and Hensel
+# basis paths remain independent.
+
+
+class HyperbolicBasisError(CycleLiftError):
+    """The object core found no hyperbolic basis of a lattice: its
+    canonical offset has a delta part, or the Hensel search found no
+    isotropic direction.  Impossible for a genuine vertex lattice, so
+    raising signals a canonical-form bug."""
 
 
 class ObjectLattice:

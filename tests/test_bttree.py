@@ -219,6 +219,8 @@ class TestRInvariant:
             LAM0.r_invariant(vec(CTX, (0, 0), (0, 0)))
         with pytest.raises(DegenerateVectorError):
             ball_r_invariants(LAM0, vec(CTX, (0, 0), (0, 0)), 1)
+        with pytest.raises(DegenerateVectorError):
+            LAM0.coordinates(vec(CTX, (0, 0), (0, 0)))
 
     def test_vanished_numerator_does_not_guess(self):
         # L = span{p^-2 v0, p^2 v1}, so r(x0, x1) = min(v(x0), v(x1) - 4) + 2.
@@ -461,3 +463,61 @@ class TestBallRInvariants:
             ball_r_invariants(lat, b, 2)
         b = ctx.vector(ctx.elem(1, 0, 20), ctx.elem(0, 0, 4))
         assert ball_r_invariants(lat, b, 0) == [(2, 0)]
+
+
+def assert_reproduces(lat, b, r, c0, c1):
+    """p^r (c0 u0 + c1 u1), in the basis hyperbolic_basis() hands out,
+    equals b in every digit both sides know, and those are at least
+    half the working precision."""
+    p = lat.ctx.p
+    u0, u1 = lat.hyperbolic_basis()
+    top = max(u0.denom_exp, u1.denom_exp)
+    s0, s1 = p ** (top - u0.denom_exp), p ** (top - u1.denom_exp)
+    shift = r - top + b.denom_exp  # b = p^-e (b0, b1) against p^(r - top) x
+    for x0, x1, bi in ((u0.a0, u1.a0, b.a0), (u0.a1, u1.a1, b.a1)):
+        x = c0.mul(x0.mul_int(s0)).add(c1.mul(x1.mul_int(s1)))
+        if shift >= 0:
+            x = x.mul_int(p**shift)
+        else:
+            bi = bi.mul_int(p**-shift)
+        assert x == bi, (p, lat.key)
+        assert min(x.prec, bi.prec) >= lat.ctx.precision // 2, (p, lat.key)
+
+
+class TestCoordinates:
+    def test_r_and_basis_reproduce_the_vector(self):
+        # Balls around central lattices (canonical bases at the centre,
+        # inherited ones elsewhere) at p = 3..13: r is the canonical-form
+        # r-invariant, the coefficient pair is primitive, and it rebuilds
+        # b in the exact basis.
+        for p, delta in ((3, -1), (5, -2), (7, -1), (11, -1), (13, -2)):
+            ctx = LocalContext(p=p, delta_sq=delta, precision=40)
+            rng = random.Random(200 + p)
+            radius = {3: 4, 5: 3}.get(p, 2)
+            for _ in range(3):
+                center = central_lattice(random_vector(ctx, rng))
+                for lat, _ in tree_ball(center, radius):
+                    b = random_vector(ctx, rng)
+                    r, c0, c1 = lat.coordinates(b)
+                    assert r == lat.r_invariant(b), (p, lat.key)
+                    assert c0.residue() != (0, 0) or c1.residue() != (0, 0)
+                    assert_reproduces(lat, b, r, c0, c1)
+
+    def test_coefficient_without_a_digit_raises(self):
+        # At this vertex N0 = 3^4 b0 and N1 = b1 (see TestRInvariant).
+        # With b0 = 1 and b1 = 0 known to 4 digits, m = 4 decides r = 2,
+        # but c1 = b1 / 3^4 keeps no digit; a fifth digit gives it one.
+        ctx = LocalContext(p=3, delta_sq=-10, precision=20)
+        lat = next(
+            lat for lat, _ in tree_ball(standard_lattices(ctx)[0], 4)
+            if lat.key == (2, 0, 4, (0, 0))
+        )
+        one = ctx.elem(1, 0, 20)
+        b = ctx.vector(one, ctx.elem(0, 0, 4))
+        assert lat.r_invariant(b) == 2
+        with pytest.raises(PrecisionExhaustedError):
+            lat.coordinates(b)
+        with pytest.raises(PrecisionExhaustedError):  # m undecidable
+            lat.coordinates(ctx.vector(one, ctx.elem(0, 0, 3)))
+        r, c0, c1 = lat.coordinates(ctx.vector(one, ctx.elem(0, 0, 5)))
+        assert (r, c0.residue(), c1.prec, c1.residue()) == (2, (1, 0), 1, (0, 0))

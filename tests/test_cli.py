@@ -8,6 +8,7 @@ from cyclelift.cli import (
     EXIT_OK,
     EXIT_PRECISION,
     EXIT_TRUNCATION,
+    LIFT_M_CAP,
     main,
     parse_coordinate,
     parse_vector,
@@ -322,6 +323,23 @@ class TestLiftCommand:
             "--in", str(src),
         )
         assert code == EXIT_TRUNCATION
+
+    def test_work_bounded_before_the_lift(self, tmp_path, capsys):
+        # Input through q^(10^12) at t = 2 would lift isqrt(10^12 // 2) =
+        # 707106 coefficients: refused before the lift, naming the count
+        # and --mmax, as is an --mmax above the cap; a smaller --mmax lifts.
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps({"max_exponent": 10**12, "coeffs": [{"n": 2, "c": "1/1"}]}))
+        lift = ("lift", "--level", "35", "--t", "2", "--in", str(src))
+        code, out, err = run(capsys, *lift)
+        assert (code, out) == (EXIT_HYPOTHESIS, "")
+        assert "707106" in err and "--mmax" in err
+        code, out, err = run(capsys, *lift, "--mmax", str(LIFT_M_CAP + 1))
+        assert (code, out) == (EXIT_HYPOTHESIS, "")
+        assert str(LIFT_M_CAP + 1) in err and "--mmax" in err
+        code, out, _ = run(capsys, *lift, "--mmax", "300")
+        assert code == EXIT_OK
+        assert json.loads(out)["max_exponent"] == 600
 
     def test_malformed_exit_2(self, tmp_path, capsys):
         src = tmp_path / "in.json"

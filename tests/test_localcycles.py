@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 import oracles
 from cyclelift.bttree import VertexLattice, distance, standard_lattices, tree_ball
 from cyclelift.errors import (
+    CycleLiftError,
     DegenerateVectorError,
     EmptyIntersectionError,
     NotAdjacentError,
+    PrecisionExhaustedError,
 )
 from cyclelift.localcycles import (
     MINUS,
@@ -352,6 +354,60 @@ class TestOrdinaryEquation:
                     assert eq.p_exp == multiplicity(hom, lat)
                     assert eq.residual_is_unit() == (lat != center)
 
+    def test_low_precision_keeps_a_unit_coefficient(self):
+        # At precision 8 the second coefficient is 1 + 2 delta mod 3, as
+        # at precision 40; dropping a vanished coordinate's division by
+        # p^r used to return 0 for both.
+        residues = []
+        for precision in (8, 40):
+            ctx = LocalContext(p=3, delta_sq=-10, precision=precision)
+            hom = SpecialHom.from_vector(MINUS, ctx.vector_from_ints((299, 999), (606, 189)))
+            eq = ordinary_equation(hom, VertexLattice(ctx, 3, 0, 5, (87, 0)))
+            residues.append((eq.p_exp, eq.c0.residue(), eq.c1.residue()))
+        assert residues[0] == residues[1]
+        assert residues[0][2] == (1, 2)
+
+    def test_low_precision_never_guesses(self):
+        # Vectors read at precision 8..12: wherever the call returns, its
+        # p-exponent and coefficient residues are those of the same
+        # integers at precision 80, on the radius-3 ball of the same
+        # centre key (so both sides walk the same inherited bases).
+        for p, delta in ((3, -10), (5, -2), (7, -1)):
+            exact = LocalContext(p=p, delta_sq=delta, precision=80)
+            rng = random.Random(p)
+            returned = 0
+            for precision in range(8, 13):
+                ctx = LocalContext(p=p, delta_sq=delta, precision=precision)
+                drawn = 0
+                while drawn < 4:
+                    a0 = (rng.randrange(p**12), rng.randrange(p**12))
+                    skew = p ** rng.randrange(4)
+                    a1 = (rng.randrange(p**12) * skew, rng.randrange(p**12) * skew)
+                    sign = rng.choice((MINUS, PLUS))
+                    try:
+                        hom = SpecialHom.from_vector(sign, ctx.vector_from_ints(a0, a1))
+                        center = hom.central()
+                    except (CycleLiftError, ValueError):
+                        continue  # isotropic, non-integral or undecidable here
+                    drawn += 1
+                    ref = SpecialHom.from_vector(sign, exact.vector_from_ints(a0, a1))
+                    ball = tree_ball(VertexLattice(ctx, *center.key), 3)
+                    ref_ball = tree_ball(VertexLattice(exact, *center.key), 3)
+                    for (lat, _), (ref_lat, _) in zip(ball, ref_ball):
+                        if ref_lat.r_invariant(ref.vec) < 0:
+                            continue
+                        try:
+                            eq = ordinary_equation(hom, lat)
+                        except PrecisionExhaustedError:
+                            continue
+                        returned += 1
+                        want = ordinary_equation(ref, ref_lat)
+                        assert min(eq.c0.prec, eq.c1.prec) >= 1
+                        assert (eq.p_exp, eq.c0.residue(), eq.c1.residue()) == (
+                            want.p_exp, want.c0.residue(), want.c1.residue()
+                        ), (p, precision, a0, a1, sign, lat.key)
+            assert returned >= 300, (p, returned)
+
 
 class TestSuperspecialExponents:
     def test_formula(self):
@@ -412,7 +468,6 @@ class TestHorizontalComparison:
         # quadratic must match the product of the two linear factors of
         # the split pair up to a unit.
         from cyclelift.sweeps import horizontal_polynomials_match
-        from cyclelift.localcycles import solve_coordinates
 
         rng = random.Random(55)
         for ctx in (CTX3, CTX):
@@ -421,8 +476,8 @@ class TestHorizontalComparison:
                     vec = random_anisotropic(ctx, rng, parity=parity)
                     j = OrthEndo.from_eigenvector(alpha, vec)
                     center = j.central()
-                    basis = center.hyperbolic_basis()
-                    a0, a1 = solve_coordinates(center, basis, j.eigvec)
+                    r, a0, a1 = center.coordinates(j.eigvec)
+                    assert r == 0  # primitive in its central lattice
                     z = a0.mul(a1.conj())
                     d_elem = z.sub(z.conj())
                     s_elem = z.add(z.conj())
