@@ -29,13 +29,15 @@ in two routines.  `from_vectors` (and through it `central_lattice`)
 canonicalizes the lattice two vectors span in padic.QuadLocalElem
 arithmetic: sums and products carry the smaller precision, exact
 division by p^k costs k digits, and a valuation that precision cannot
-decide raises PrecisionExhaustedError.  `VertexLattice.coordinates`
-writes a vector b = p^-e (b0 v0 + b1 v1) in a vertex's exact basis
-(k; a, c, bb, dd) through its numerators N0 = dd b0 - bb b1 and
-N1 = a b1 - c b0, each an integer combination that keeps its own
-precision.  `r_invariant`, a solve against the canonical form,
-cross-checks the r that `coordinates` and the descent below give, and
-`hyperbolic_basis` hands the exact basis out as padic.VectorC.
+decide raises PrecisionExhaustedError; `central_precision` bounds the
+digits a central lattice of integer coordinates consumes.
+`VertexLattice.coordinates` writes a vector b = p^-e (b0 v0 + b1 v1)
+in a vertex's exact basis (k; a, c, bb, dd) through its numerators
+N0 = dd b0 - bb b1 and N1 = a b1 - c b0, each an integer combination
+that keeps its own precision.  `r_invariant`, a solve against the
+canonical form, cross-checks the r that `coordinates` and the descent
+below give, and `hyperbolic_basis` hands the exact basis out as
+padic.VectorC.
 
 `ball_r_invariants` gives b's r-invariant at every vertex of a ball
 without building the ball: the two numerators move to a child's by one
@@ -47,10 +49,37 @@ that precision cannot decide raises PrecisionExhaustedError.
 from __future__ import annotations
 
 from cyclelift.errors import DegenerateVectorError, PrecisionExhaustedError
-from cyclelift.padic import LocalContext, QuadLocalElem, VectorC, epsilon, qform
+from cyclelift.padic import (
+    DEFAULT_MIN_PRECISION, LocalContext, QuadLocalElem, VectorC, epsilon, qform,
+)
 
 _HNF_GUARD = 4
 _NO_VAL = float("inf")  # valuation of an exact zero
+
+
+def central_precision(p: int, *coords: int) -> int:
+    """A working precision at which `central_lattice` decides every
+    valuation for p^-e ((x0 + y0 d) v0 + (x1 + y1 d) v1) with integer
+    coords (x0, y0, x1, y1): 3L + _HNF_GUARD - 1, and at least the context
+    minimum, for L base-p digits in the largest |coordinate|.  The key
+    it gives does not depend on the precision."""
+    # Proof.  A nonzero a_i = x_i + y_i d has v(a_i) <= L - 1, and
+    # D = x1 y0 - x0 y1 has p^v(D) <= |D| < 2 p^(2L), so v(D) <= 2L.  At
+    # precision P, VectorC divides out s = min v(a_i) <= L - 1, leaving
+    # Q = P - s digits; q(b) is 2 Delta D / p^(2s) over a p-power, so qform
+    # decides v(q) = v(D) - 2s < Q (D = 0 is isotropic), and the rescaling
+    # in central_lattice moves only the denominator.  from_vectors(b0,
+    # epsilon(b0)) pivots on a0 (a0 = 0 gives D = 0) at a = v(a0) - s; the
+    # second pivot z = 2 D d / (p^(2s) a0) has valuation B = v(D) - 2s - a
+    # and keeps Q - 2a digits, and w keeps Q - a.  The guard
+    # Q - 2a >= B + _HNF_GUARD, i.e. P >= v(D) + v(a0) - 2s + _HNF_GUARD,
+    # holds at P = 3L + _HNF_GUARD - 1; it decides v(z) and leaves w its
+    # B digits: every digit of the key.
+    n, digits = max(map(abs, coords)), 0
+    while n and p > 1:  # a bad p falls through to LocalContext's check
+        n //= p
+        digits += 1
+    return max(3 * digits + _HNF_GUARD - 1, DEFAULT_MIN_PRECISION)
 
 
 # -- integer valuations -------------------------------------------------------

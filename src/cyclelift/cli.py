@@ -3,6 +3,7 @@ decompositions, and Shimura lifts, with deterministic JSON/CSV output.
 
 Exit codes: 0 success, 1 mismatches found, 2 hypothesis violation or
 bad input, 3 precision exhausted, 4 series truncation insufficient.
+`cycle` derives its precision from its exact input and exits only 0 or 2.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import sys
 from math import isqrt
 
 from cyclelift import localcycles, qseries, sweeps
+from cyclelift.bttree import central_precision
 from cyclelift.errors import (
     DegenerateVectorError,
     HypothesisError,
@@ -22,7 +24,7 @@ from cyclelift.errors import (
     TruncationInsufficientError,
 )
 from cyclelift.identity import VerificationReport, parse_symbolic_entries
-from cyclelift.padic import LocalContext, required_precision
+from cyclelift.padic import LocalContext
 
 # perfbench/tracing.py wraps these sweeps by their cli.* names; wrapping
 # replaces every binding of a function, so the registry's runners (which
@@ -41,6 +43,11 @@ DEFAULT_SEED = 12345
 # accepts: its work grows with m_top, and at this cap a series dense in
 # symbolic coefficients lifts in about 1.6 s on one Xeon core.
 LIFT_M_CAP = 10_000
+
+# Largest cycle support, in vertices, that `cycle` builds: the ord-8 ball
+# at p = 5 (117,187 vertices, 24 MB of JSON) takes about 4 s and 313 MB
+# peak RSS on one Xeon core, and both grow linearly with the count.
+CYCLE_VERTEX_CAP = 200_000
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -71,8 +78,9 @@ def parse_coordinate(text: str) -> tuple[int, int]:
     return (x, y)
 
 
-def parse_vector(ctx: LocalContext, text: str):
-    """Parse 'x0+y0*d,x1+y1*d' with an optional '/p^e' denominator."""
+def parse_vector(text: str) -> tuple[tuple[int, int], tuple[int, int], int]:
+    """Parse 'x0+y0*d,x1+y1*d' with an optional '/p^e' denominator into
+    the exact ((x0, y0), (x1, y1), e)."""
     denom = 0
     if "/" in text:
         text, suffix = text.split("/", 1)
@@ -83,9 +91,7 @@ def parse_vector(ctx: LocalContext, text: str):
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError("vector needs exactly two coordinates")
-    a0 = parse_coordinate(parts[0])
-    a1 = parse_coordinate(parts[1])
-    return ctx.vector_from_ints(a0, a1, denom)
+    return parse_coordinate(parts[0]), parse_coordinate(parts[1]), denom
 
 
 # -- output helpers --------------------------------------------------------------
@@ -138,18 +144,32 @@ def cmd_verify(args) -> int:
     return _report_exit(runner(args, random.Random(args.seed)), args)
 
 
+def _check_support(p: int, radius: int) -> None:
+    """Refuse a cycle whose support, the ball of radius R around its
+    centre, has 1 + (p+1)(p^R - 1)/(p - 1) > CYCLE_VERTEX_CAP vertices
+    (counted up to R = 64 only)."""
+    size = 1 + (p + 1) * (p ** min(max(radius, 0), 64) - 1) // (p - 1)
+    if size > CYCLE_VERTEX_CAP:
+        more = "more than " if radius > 64 else ""
+        raise ValueError(
+            f"the cycle's support, the ball of radius {radius} around its centre, "
+            f"holds {more}{size} vertices, above the cap of {CYCLE_VERTEX_CAP}"
+        )
+
+
 def cmd_cycle(args) -> int:
-    depth = max(args.alpha or 0, 8)
-    precision = required_precision(depth, depth) if args.precision is None else args.precision
-    ctx = LocalContext(p=args.p, delta_sq=args.delta, precision=precision)
-    vec = parse_vector(ctx, args.b)
+    if args.ortho != (args.alpha is not None):
+        raise ValueError("--ortho requires --alpha" if args.ortho else "--alpha requires --ortho")
+    a0, a1, denom = parse_vector(args.b)
+    ctx = LocalContext(args.p, args.delta, central_precision(args.p, *a0, *a1))
+    vec = ctx.vector_from_ints(a0, a1, denom)
     if args.ortho:
-        if args.alpha is None:
-            raise ValueError("--ortho requires --alpha")
         j = localcycles.OrthEndo.from_eigenvector(args.alpha, vec)
+        _check_support(args.p, j.alpha - 1)
         cycle = localcycles.orthogonal_cycle(j)
     else:
         hom = localcycles.SpecialHom.from_vector(args.sign, vec)
+        _check_support(args.p, hom.ord_qpm - 1)
         cycle = localcycles.unitary_cycle(hom)
     data = localcycles.cycle_to_json_dict(cycle)
     emit(data, args.out, "json")
@@ -246,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--b", required=True, help="vector 'x0+y0*d,x1+y1*d[/p^e]'")
     pc.add_argument("--ortho", action="store_true", help="orthogonal cycle")
     pc.add_argument("--alpha", type=int, default=None, help="orthogonal valuation")
-    pc.add_argument("--precision", type=int, default=None)
     pc.add_argument("--out", default=None)
     pc.set_defaults(func=cmd_cycle)
 

@@ -1,6 +1,5 @@
 """Formal q-expansions over an abstract coefficient module, the formal
-Shimura lift, the reindexing operators U_d / B_d / phi_d, and the
-numeric Gauss-sum machinery for the constant-term cross-check.
+Shimura lift, and the reindexing operators U_d / B_d / phi_d.
 
 Coefficients may be exact rationals (fractions.Fraction / int) or any
 value that supports `+` (with the integer 0 as identity), `*` by an
@@ -12,7 +11,6 @@ silent zero.
 
 from __future__ import annotations
 
-import cmath
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -129,11 +127,6 @@ class ShimuraParams:
     @property
     def lam(self) -> int:
         return (self.kappa - 1) // 2
-
-    @property
-    def modulus(self) -> int:
-        """The modulus 4*N*t of the shifted character chi_t."""
-        return 4 * self.level_N * self.t
 
     def chi(self, n: int) -> int:
         if self.chi_kind == PRINCIPAL:
@@ -279,44 +272,6 @@ def op_phi_set(primes, series: FormalSeries) -> FormalSeries:
     for d in ps:
         out = op_phi(d, out)
     return out
-
-
-# -- Gauss sums and the numeric L-value -----------------------------------------
-
-
-def gauss_sum(params: ShimuraParams, a: int) -> complex:
-    """check chi_t(a) = sum_{h mod 4Nt} chi_t(h) exp(2 pi i a h / 4Nt)."""
-    mod = params.modulus
-    total = 0j
-    for h in range(1, mod):
-        ch = chi_t(params, h)
-        if ch:
-            total += ch * cmath.exp(2j * cmath.pi * a * h / mod)
-    return total
-
-
-def lvalue_numeric(params: ShimuraParams, s: int, terms: int) -> complex:
-    """Cesaro-averaged partial sums of sum_m m^-s check chi_t(m).
-
-    Conditionally convergent at s = 1; the Cesaro mean of the partial
-    sums converges to the analytic value.  Numeric cross-check only --
-    the contract-bearing value is the exact rational closed form.
-    """
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
-    mod = params.modulus
-    table = [gauss_sum(params, r) for r in range(mod)]
-    partial = 0j
-    cesaro = 0j
-    for m in range(1, terms + 1):
-        partial += table[m % mod] / m**s
-        cesaro += partial
-    return cesaro / terms
-
-
-def lvalue_numeric_scaled(params: ShimuraParams, terms: int) -> complex:
-    """(i / 2 pi) L(1, check chi_t), numerically."""
-    return 1j / (2 * cmath.pi) * lvalue_numeric(params, 1, terms)
 
 
 # -- JSON series format -----------------------------------------------------------

@@ -161,17 +161,6 @@ def lvalue_closed_form(field: QuadField, d_b: int) -> Fraction:
     return value
 
 
-def lvalue_series_rational(field: QuadField, d_b: int) -> Fraction:
-    """(i/2pi) L(1, check chi_t) by the independent 2^(number of prime
-    factors) evaluation: every l | d_b is inert, so each Euler factor
-    1 - chi_k(l) of lvalue_closed_form is 2, and the value is
-    -h(k) * 2^(number of prime factors) / |o_k^x|.  The two agree
-    whenever check_discriminant_hypotheses accepts d_b; this is also
-    the value the Cesaro-averaged partial sums converge to."""
-    primes = check_discriminant_hypotheses(field, d_b)
-    return Fraction(-field.class_number * 2 ** len(primes), field.unit_order)
-
-
 def auxiliary_prime_profile_ok(field: QuadField, p: int, q: int) -> bool:
     """Check the full Hilbert-symbol profile of (-p*q, Delta): the
     symbol must be -1 exactly at infinity and p, and +1 at every other

@@ -2,18 +2,21 @@
 solvability for Hilbert symbols, ideal-class enumeration for class
 numbers, residue-square tables, the object-path Bruhat-Tits tree
 core, breadth-first searches for tree distance and path-word labels,
-and the whole-file series reader.
+the whole-file series reader, and the L-value at s = 1 by Gauss sums
+(numerically) and by the 2^(number of prime factors) rational.
 
 These deliberately avoid the code paths they check.
 """
 
+import cmath
 from fractions import Fraction
 from math import gcd, isqrt
 
 from cyclelift.bttree import _HNF_GUARD
 from cyclelift.errors import CycleLiftError, DegenerateVectorError, PrecisionExhaustedError
 from cyclelift.padic import LocalContext, QuadLocalElem, VectorC, epsilon, herm, qform
-from cyclelift.qseries import FormalSeries
+from cyclelift.qseries import FormalSeries, ShimuraParams, chi_t
+from cyclelift.quadfield import QuadField, check_discriminant_hypotheses
 
 
 def squares_mod(n: int) -> set:
@@ -720,3 +723,52 @@ def series_from_json_dict(data: dict, symbolic_parser=None) -> FormalSeries:
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed series data: {exc}") from exc
     return FormalSeries(coeffs, bound)
+
+
+# -- Gauss sums and the L-value at s = 1 --------------------------------------
+
+
+def gauss_sum(params: ShimuraParams, a: int) -> complex:
+    """check chi_t(a) = sum_{h mod 4Nt} chi_t(h) exp(2 pi i a h / 4Nt)."""
+    mod = 4 * params.level_N * params.t
+    total = 0j
+    for h in range(1, mod):
+        ch = chi_t(params, h)
+        if ch:
+            total += ch * cmath.exp(2j * cmath.pi * a * h / mod)
+    return total
+
+
+def lvalue_numeric(params: ShimuraParams, s: int, terms: int) -> complex:
+    """Cesaro-averaged partial sums of sum_m m^-s check chi_t(m).
+
+    Conditionally convergent at s = 1; the Cesaro mean of the partial
+    sums converges to the analytic value.  Numeric cross-check only --
+    the contract-bearing value is the exact rational closed form.
+    """
+    if terms < 1:
+        raise ValueError("terms must be >= 1")
+    mod = 4 * params.level_N * params.t
+    table = [gauss_sum(params, r) for r in range(mod)]
+    partial = 0j
+    cesaro = 0j
+    for m in range(1, terms + 1):
+        partial += table[m % mod] / m**s
+        cesaro += partial
+    return cesaro / terms
+
+
+def lvalue_numeric_scaled(params: ShimuraParams, terms: int) -> complex:
+    """(i / 2 pi) L(1, check chi_t), numerically."""
+    return 1j / (2 * cmath.pi) * lvalue_numeric(params, 1, terms)
+
+
+def lvalue_series_rational(field: QuadField, d_b: int) -> Fraction:
+    """(i/2pi) L(1, check chi_t) by the independent 2^(number of prime
+    factors) evaluation: every l | d_b is inert, so each Euler factor
+    1 - chi_k(l) of lvalue_closed_form is 2, and the value is
+    -h(k) * 2^(number of prime factors) / |o_k^x|.  The two agree
+    whenever check_discriminant_hypotheses accepts d_b; this is also
+    the value the Cesaro-averaged partial sums converge to."""
+    primes = check_discriminant_hypotheses(field, d_b)
+    return Fraction(-field.class_number * 2 ** len(primes), field.unit_order)

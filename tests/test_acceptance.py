@@ -16,7 +16,7 @@ from cyclelift.sweeps import (
     sweep_rho,
 )
 from cyclelift.numth import INFINITY, factorize, hilbert_symbol, is_prime
-from cyclelift.qseries import ShimuraParams, lvalue_numeric_scaled
+from cyclelift.qseries import ShimuraParams
 from cyclelift.quadfield import (
     auxiliary_split_prime,
     chi_k,
@@ -26,7 +26,7 @@ from cyclelift.quadfield import (
     rho_divisor_sum,
 )
 from cyclelift.identity import fiber_count, verify_main_theorem, verify_remark_identity
-from oracles import class_number_by_ideals, hilbert_bruteforce
+from oracles import class_number_by_ideals, hilbert_bruteforce, lvalue_numeric_scaled
 
 DELTAS = (-2, -6, -10, -14, -22, -26)
 INERT_GRID = ((3, -10), (5, -2))  # the inert pairs of {3,5} x {-2,-10}

@@ -7,6 +7,7 @@ from cyclelift.bttree import (
     VertexLattice,
     ball_r_invariants,
     central_lattice,
+    central_precision,
     distance,
     standard_lattices,
     tree_ball,
@@ -264,6 +265,33 @@ class TestCentralLattice:
                 assert lat.dual().key == (
                     lat.key if lat.vtype == 0 else lat.scale_p_power(1).key
                 )
+
+    @pytest.mark.parametrize("p, delta", [(3, -1), (5, -2), (7, -1), (11, -1), (13, -2)])
+    def test_derived_precision_decides_every_exact_vector(self, p, delta):
+        # At central_precision of its integer coordinates, central_lattice
+        # never raises and gives the key it gives at precision 600.  The
+        # vectors: the family (p^k + p^k d, 1 + (1 + p^m) d), whose
+        # pivots sit near p^k and whose norm has valuation k + m, its
+        # mirror, and random coordinates of random length times random
+        # p-powers, over random denominators.
+        rng = random.Random(p)
+        cases = [((p**k, p**k), (1, 1 + p**m)) for k in range(40) for m in range(40)]
+        cases += [(a1, a0) for a0, a1 in cases[::4]]
+        while len(cases) < 2400:
+            coords = [rng.randrange(-p ** rng.randrange(1, 12), p**12) * p ** rng.randrange(8)
+                      for _ in range(4)]
+            cases.append((tuple(coords[:2]), tuple(coords[2:])))
+        wide = LocalContext(p=p, delta_sq=delta, precision=600)
+        decided = 0
+        for a0, a1 in cases:
+            if a1[0] * a0[1] == a0[0] * a1[1]:
+                continue  # isotropic: no central lattice at any precision
+            denom = rng.randrange(-3, 4)
+            ctx = LocalContext(p=p, delta_sq=delta, precision=central_precision(p, *a0, *a1))
+            got = central_lattice(ctx.vector_from_ints(a0, a1, denom))
+            assert got.key == central_lattice(wide.vector_from_ints(a0, a1, denom)).key
+            decided += 1
+        assert decided >= 2000
 
     def test_uniqueness_within_radius(self):
         # For b with ord q = 0 there is exactly one type-0 lattice with

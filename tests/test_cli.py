@@ -1,12 +1,14 @@
 import hashlib
 import json
+import time
 
 import pytest
 
+from cyclelift.bttree import central_lattice
 from cyclelift.cli import (
+    CYCLE_VERTEX_CAP,
     EXIT_HYPOTHESIS,
     EXIT_OK,
-    EXIT_PRECISION,
     EXIT_TRUNCATION,
     LIFT_M_CAP,
     main,
@@ -19,6 +21,13 @@ from cyclelift.padic import LocalContext
 # An orthogonal cycle whose centre lies at tree distance 20 from Lambda0.
 DEEP_CENTRE = (
     "--p", "3", "--delta", "-10", "--ortho", "--alpha", "2", "--b", "1+0d,0+3486784401d",
+)
+
+# An orthogonal cycle whose centre's canonical form needs more than the
+# 40 digits of the old fixed default precision.
+DEEP_PIVOTS = (
+    "--p", "3", "--delta", "-10", "--ortho", "--alpha", "1",
+    "--b", "14348907+14348907d,1+14348908d",
 )
 
 # The README `verify` commands and the SHA-256 of their stdout.
@@ -57,13 +66,12 @@ class TestParsing:
             parse_coordinate("d+1")
 
     def test_vector_with_denominator(self):
-        ctx = LocalContext(p=5, delta_sq=-2, precision=12)
-        v = parse_vector(ctx, "0+1d,1+0d/p^2")
-        assert v.denom_exp == 2
+        assert parse_vector("0+1d,1+0d/p^2") == ((0, 1), (1, 0), 2)
+        assert parse_vector("3-2d,7") == ((3, -2), (7, 0), 0)
         with pytest.raises(ValueError):
-            parse_vector(ctx, "1,2,3")
+            parse_vector("1,2,3")
         with pytest.raises(ValueError):
-            parse_vector(ctx, "1,2/q^2")
+            parse_vector("1,2/q^2")
 
 
 class TestVerifyCommand:
@@ -244,9 +252,12 @@ class TestCycleCommand:
             # Centre at depth 5 and labels out to depth 9 from Lambda0.
             (("--p", "3", "--delta", "-10", "--sign", "minus", "--b", "1+0d,0+243d"), 161,
              "6969bfa660d2ae439c5a3dd50ac43d7054d6e4a81bb8337e0aac47f333371b96"),
-            # Centre at depth 20, at the default precision.
+            # Centre at depth 20.
             (DEEP_CENTRE, 5,
              "81816ec47e355c55d41de0f87c4faf05cca2d2a40b233c3e3922cefdf3d7fddc"),
+            # The bytes that a precision of 60 gave when it was an option.
+            (DEEP_PIVOTS, 1,
+             "c1225eb59e390aa6a3a3964236ce69e7309839ed859e4c8b9247d54a0b795b30"),
         ],
     )
     def test_pinned_stdout(self, capsys, argv, vertical, digest):
@@ -271,26 +282,66 @@ class TestCycleCommand:
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
 
-    def test_too_small_precision_exits_3(self, capsys):
-        # The deep centre's canonical form needs 24 digits: below that
-        # the guard trips, and its message names a passing precision.
-        code, out, err = run(capsys, "cycle", *DEEP_CENTRE, "--precision", "22")
-        assert code == EXIT_PRECISION
-        assert out == ""
-        assert "needed >= 24" in err
-        code, _, _ = run(capsys, "cycle", *DEEP_CENTRE, "--precision", "24")
-        assert code == EXIT_OK
+    @pytest.mark.parametrize("p, delta", [(3, -10), (5, -2), (7, -2)])
+    def test_deep_pivots_need_no_precision_flag(self, capsys, p, delta):
+        # The vectors (p^k + p^k d, 1 + (1 + p^m) d) have ord q = k + m
+        # and pivots near p^k: every one decomposes, and its centre's
+        # pivot data is the key at precision 600.
+        for k in range(0, 25, 4):
+            for m in range(0, 25, 6):
+                x0, y0, x1, y1 = p**k, p**k, 1, 1 + p**m
+                code, out, err = run(
+                    capsys, "cycle", "--p", str(p), "--delta", str(delta), "--ortho",
+                    "--alpha", "1", "--b", f"{x0}+{y0}d,{x1}+{y1}d",
+                )
+                assert (code, err) == (EXIT_OK, "")
+                ctx = LocalContext(p=p, delta_sq=delta, precision=600)
+                centre = central_lattice(ctx.vector_from_ints((x0, y0), (x1, y1)))
+                assert list(json.loads(out)["vertices"].values()) == [centre.describe()]
 
-    @pytest.mark.parametrize("precision", ["0", "5"])
-    def test_precision_below_minimum_exits_2(self, capsys, precision):
-        # 0 is a precision, not "unset": it must not fall back to the default.
+    @pytest.mark.parametrize("precision", ["0", "60"])
+    def test_precision_flag_is_rejected(self, capsys, precision):
+        # The working precision follows from the input: there is no flag.
+        with pytest.raises(SystemExit) as exc:
+            main(["cycle", "--p", "5", "--delta", "-2", "--sign", "minus",
+                  "--b", "0+5d,5+0d", "--precision", precision])
+        assert exc.value.code == EXIT_HYPOTHESIS
+        out, err = capsys.readouterr()
+        assert out == "" and "--precision" in err
+
+    @pytest.mark.parametrize("p", ["-1", "0", "1", "4"])
+    def test_bad_prime_exits_2(self, capsys, p):
+        # The precision is derived before the context checks p: a p that
+        # is not an odd prime must still reach that check.
+        code, out, err = run(
+            capsys, "cycle", "--p", p, "--delta", "-2", "--sign", "minus",
+            "--b", "0+5d,5+0d",
+        )
+        assert (code, out) == (EXIT_HYPOTHESIS, "")
+        assert f"p must be an odd prime, got {p}" in err
+
+    def test_alpha_requires_ortho(self, capsys):
         code, out, err = run(
             capsys, "cycle", "--p", "5", "--delta", "-2", "--sign", "minus",
-            "--b", "0+5d,5+0d", "--precision", precision,
+            "--alpha", "3", "--b", "0+5d,5+0d",
         )
-        assert code == EXIT_HYPOTHESIS
-        assert out == ""
-        assert "precision must be >= 8" in err
+        assert (code, out) == (EXIT_HYPOTHESIS, "")
+        assert "--alpha requires --ortho" in err
+
+    @pytest.mark.parametrize("argv, count", [
+        # ord q = 20, a support of radius 19.
+        (("--sign", "minus", "--b", "59049+59049d,1+59050d"), "2324522933"),
+        # A radius-11 ball at p = 3: 354,293 vertices.
+        (("--ortho", "--alpha", "12", "--b", "1+0d,0+1d"), "354293"),
+        (("--ortho", "--alpha", str(10**18), "--b", "1+0d,0+1d"),
+         f"more than {1 + 2 * (3**64 - 1)}"),
+    ], ids=["ord-20", "radius-11", "alpha-1e18"])
+    def test_support_above_the_cap_exits_2_at_once(self, capsys, argv, count):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "cycle", "--p", "3", "--delta", "-10", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (EXIT_HYPOTHESIS, "")
+        assert f"holds {count} vertices" in err and str(CYCLE_VERTEX_CAP) in err
 
 
 class TestLiftCommand:

@@ -13,8 +13,6 @@ from cyclelift.qseries import (
     FormalSeries,
     ShimuraParams,
     chi_t,
-    gauss_sum,
-    lvalue_numeric_scaled,
     op_B,
     op_phi,
     op_phi_set,
@@ -25,7 +23,13 @@ from cyclelift.qseries import (
     series_to_json_dict,
     shimura_lift,
 )
-from cyclelift.quadfield import lvalue_series_rational, make_field
+from cyclelift.quadfield import make_field
+from oracles import (
+    gauss_sum,
+    lvalue_numeric,
+    lvalue_numeric_scaled,
+    lvalue_series_rational,
+)
 
 PARAMS = ShimuraParams(kappa=3, level_N=35, t=2)
 
@@ -195,8 +199,6 @@ class TestGaussAndLValue:
         assert abs(gauss_sum(PARAMS, 0)) < 1e-9
 
     def test_absolute_convergence_s2(self):
-        from cyclelift.qseries import lvalue_numeric
-
         a = lvalue_numeric(PARAMS, 2, 4000)
         b = lvalue_numeric(PARAMS, 2, 8000)
         assert abs(a - b) < 5e-3

@@ -9,14 +9,18 @@ from cyclelift.quadfield import (
     auxiliary_split_prime,
     chi_k,
     lvalue_closed_form,
-    lvalue_series_rational,
     make_field,
     optimal_embedding_count,
     rho,
     rho_divisor_sum,
     _reduced_forms,
 )
-from oracles import class_number_by_ideals, hilbert_bruteforce, squares_mod
+from oracles import (
+    class_number_by_ideals,
+    hilbert_bruteforce,
+    lvalue_series_rational,
+    squares_mod,
+)
 
 FIELDS = {d: make_field(d) for d in (-2, -6, -10, -14, -22, -26)}
 
