@@ -3,9 +3,10 @@ hermitian plane, a formal Shimura lift on q-expansions, and symbolic
 verifiers for the identity relating the orthogonal and unitary
 special-cycle generating series.
 
-Everything is exact: truncated p-adic integers with explicit precision
-tracking, rationals via fractions.Fraction, and formal symbols for
-divisor classes.  No floats enter any contract-bearing computation.
+Everything is exact: p-adic vectors are elements of Z[delta] over
+p-power denominators, so no valuation is ever truncated; rationals are
+fractions.Fraction, and divisor classes are formal symbols.  No floats
+enter any contract-bearing computation.
 """
 
 from cyclelift.errors import (
@@ -13,7 +14,6 @@ from cyclelift.errors import (
     EmptyIntersectionError,
     HypothesisError,
     NotAdjacentError,
-    PrecisionExhaustedError,
     SearchBoundExhaustedError,
     TruncationInsufficientError,
 )
@@ -23,7 +23,6 @@ __all__ = [
     "EmptyIntersectionError",
     "HypothesisError",
     "NotAdjacentError",
-    "PrecisionExhaustedError",
     "SearchBoundExhaustedError",
     "TruncationInsufficientError",
 ]

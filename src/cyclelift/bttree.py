@@ -8,7 +8,7 @@ p^b and min(a, b, val(w)) = 0.  The tuple (e, a, b, w) identifies the
 lattice, so equality is tuple equality.  Its dual, its type and its
 tree distance to another vertex are integer functions of the tuple.
 
-The tree is exact.  Every vertex carries a hyperbolic basis (two
+Everything here is exact.  Every vertex carries a hyperbolic basis (two
 isotropic generators pairing to delta, resp. delta/p, by type) as an
 integer matrix over a p-power denominator.  A vertex not reached as a
 neighbour (a central lattice, a dual) uses its canonical generators
@@ -20,82 +20,32 @@ p h) then gives p^b | wy, and wy is reduced mod p^b, so wy = 0 and
 (g1, g2) pairs to delta, resp. delta/p.  The neighbours of a vertex
 with basis (u0, u1) are one integer matrix move each (Serre, Trees,
 II.1) and inherit the moved basis, so every basis entry is a rational
-integer, and a neighbour's key is an integer column HNF of its basis:
-`neighbors` and `tree_ball` use no working precision and never run out
-of digits.
+integer, and a neighbour's key is an integer column HNF of its basis.
 
-Working precision applies only where a p-adic vector meets the tree,
-in two routines.  `from_vectors` (and through it `central_lattice`)
-canonicalizes the lattice two vectors span in padic.QuadLocalElem
-arithmetic: sums and products carry the smaller precision, exact
-division by p^k costs k digits, and a valuation that precision cannot
-decide raises PrecisionExhaustedError; `central_precision` bounds the
-digits a central lattice of integer coordinates consumes.
+A p-adic vector meets the tree in exact Z[delta] arithmetic.
+`from_vectors` (and through it `central_lattice`) takes the column HNF
+of two vectors modulo the determinant: the second pivot is p^b with
+b = v(det) - a, and the offset is needed only mod p^b.
 `VertexLattice.coordinates` writes a vector b = p^-e (b0 v0 + b1 v1)
 in a vertex's exact basis (k; a, c, bb, dd) through its numerators
-N0 = dd b0 - bb b1 and N1 = a b1 - c b0, each an integer combination
-that keeps its own precision.  `r_invariant`, a solve against the
-canonical form, cross-checks the r that `coordinates` and the descent
-below give, and `hyperbolic_basis` hands the exact basis out as
-padic.VectorC.
+N0 = dd b0 - bb b1 and N1 = a b1 - c b0.  `r_invariant`, a solve
+against the canonical form, cross-checks the r that `coordinates` and
+the descent below give, and `hyperbolic_basis` hands the exact basis
+out as padic.VectorC.
 
 `ball_r_invariants` gives b's r-invariant at every vertex of a ball
 without building the ball: the two numerators move to a child's by one
-integer step each (coordinate descent).  p N gains a digit,
-N0 - alpha N1 keeps the smaller precision, and a minimum of valuations
-that precision cannot decide raises PrecisionExhaustedError.
+integer step each (coordinate descent), and each carries its
+valuation, which p N raises by one and N0 - alpha N1 keeps unless
+v(N0) = v(N1).
 """
 
 from __future__ import annotations
 
-from cyclelift.errors import DegenerateVectorError, PrecisionExhaustedError
-from cyclelift.padic import (
-    DEFAULT_MIN_PRECISION, LocalContext, QuadLocalElem, VectorC, epsilon, qform,
-)
+from cyclelift.errors import DegenerateVectorError
+from cyclelift.padic import LocalContext, QuadLocalElem, VectorC, epsilon, pval, qform
 
-_HNF_GUARD = 4
 _NO_VAL = float("inf")  # valuation of an exact zero
-
-
-def central_precision(p: int, *coords: int) -> int:
-    """A working precision at which `central_lattice` decides every
-    valuation for p^-e ((x0 + y0 d) v0 + (x1 + y1 d) v1) with integer
-    coords (x0, y0, x1, y1): 3L + _HNF_GUARD - 1, and at least the context
-    minimum, for L base-p digits in the largest |coordinate|.  The key
-    it gives does not depend on the precision."""
-    # Proof.  A nonzero a_i = x_i + y_i d has v(a_i) <= L - 1, and
-    # D = x1 y0 - x0 y1 has p^v(D) <= |D| < 2 p^(2L), so v(D) <= 2L.  At
-    # precision P, VectorC divides out s = min v(a_i) <= L - 1, leaving
-    # Q = P - s digits; q(b) is 2 Delta D / p^(2s) over a p-power, so qform
-    # decides v(q) = v(D) - 2s < Q (D = 0 is isotropic), and the rescaling
-    # in central_lattice moves only the denominator.  from_vectors(b0,
-    # epsilon(b0)) pivots on a0 (a0 = 0 gives D = 0) at a = v(a0) - s; the
-    # second pivot z = 2 D d / (p^(2s) a0) has valuation B = v(D) - 2s - a
-    # and keeps Q - 2a digits, and w keeps Q - a.  The guard
-    # Q - 2a >= B + _HNF_GUARD, i.e. P >= v(D) + v(a0) - 2s + _HNF_GUARD,
-    # holds at P = 3L + _HNF_GUARD - 1; it decides v(z) and leaves w its
-    # B digits: every digit of the key.
-    n, digits = max(map(abs, coords)), 0
-    while n and p > 1:  # a bad p falls through to LocalContext's check
-        n //= p
-        digits += 1
-    return max(3 * digits + _HNF_GUARD - 1, DEFAULT_MIN_PRECISION)
-
-
-# -- integer valuations -------------------------------------------------------
-
-
-def _val(p: int, x: int, y: int) -> int | None:
-    """Valuation of x + y*delta (reduced mod its precision); None when it
-    vanishes at that precision."""
-    if not (x or y):
-        return None
-    v = 0
-    while not (x % p or y % p):
-        x //= p
-        y //= p
-        v += 1
-    return v
 
 
 class VertexLattice:
@@ -121,46 +71,37 @@ class VertexLattice:
     @classmethod
     def from_vectors(cls, u: VectorC, v: VectorC) -> "VertexLattice":
         """Canonicalize the lattice spanned by two vectors: column HNF
-        with p-power pivots, then the common p-power moved into the
-        denominator.  The element arithmetic carries the precision, so
-        a pivot valuation that precision cannot decide raises."""
+        with p-power pivots, taken modulo the determinant (Cohen, A
+        Course in Computational Algebraic Number Theory, 2.4.3), then
+        the common p-power moved into the denominator.
+
+        Over the common denominator p^-e, with generators as columns
+        (m00, m10) and (m01, m11), the first pivot is p^a for a the
+        smaller first-row valuation (the columns swapped so that it is
+        m00's), the second is p^b with b = v(det) - a, and the offset
+        w = m10 (m00 / p^a)^-1 is needed only mod p^b."""
         ctx = u.ctx
         pw = ctx.pows
-        # Matrix entries m_ij: coordinate i of generator j, at denominator e.
         e = max(u.denom_exp, v.denom_exp)
         m00 = u.a0.mul_int(pw[e - u.denom_exp])
         m10 = u.a1.mul_int(pw[e - u.denom_exp])
         m01 = v.a0.mul_int(pw[e - v.denom_exp])
         m11 = v.a1.mul_int(pw[e - v.denom_exp])
-
-        t0 = m00.valuation_or_none()
-        t1 = m01.valuation_or_none()
-        if t0 is None and t1 is None:
-            # Both generators lie in span(v1): rank-1 within precision.
-            raise DegenerateVectorError("degenerate lattice (rank < 2 at precision)")
-        if t1 is not None and (t0 is None or t1 < t0):
-            m00, m01, m10, m11 = m01, m00, m11, m10
-            a = t1
-        else:
-            a = t0
-
-        inv0 = m00.divide_p_power(a).unit_inverse()
-        lam = m01.mul(inv0).divide_p_power(a)
-        z = m11.sub(lam.mul(m10))
-        b = z.valuation()  # the second pivot
-        w = m10.mul(inv0)  # column 0 scaled so its first entry is p^a
-        if min(w.prec, z.prec) < b + _HNF_GUARD:
-            raise PrecisionExhaustedError(
-                "pivot valuations too close to working precision",
-                needed=a + b + _HNF_GUARD,
-            )
-
+        vdet = m00.mul(m11).sub(m01.mul(m10)).valuation()
+        if vdet is None:
+            raise DegenerateVectorError("degenerate lattice (rank < 2)")
+        a, a1 = m00.valuation(), m01.valuation()
+        if a is None or (a1 is not None and a1 < a):
+            m00, m10, a = m01, m11, a1
+        b = vdet - a
+        w = m10.mul(m00.divide_p_power(a).unit_inverse(b))
+        m = pw[b]
+        wx, wy = w.x % m, w.y % m
         # Extract content so that min(a, b, val(w)) = 0.
-        wv = w.valuation_or_none()
+        wv = pval(ctx.p, wx, wy)
         t = min(a, b) if wv is None else min(a, b, wv)
-        w = w.divide_p_power(t)
-        m = pw[b - t]
-        return cls(ctx, e - t, a - t, b - t, (w.x % m, w.y % m))
+        pt = pw[t]
+        return cls(ctx, e - t, a - t, b - t, (wx // pt, wy // pt))
 
     @property
     def key(self) -> tuple:
@@ -246,24 +187,14 @@ class VertexLattice:
         p, d = ctx.p, ctx.delta_sq
         wx, wy = self.off
         pa = ctx.pows[self.piv0]
-        q2 = min(a0.prec, a1.prec, ctx.precision)
-        m = ctx.pows[q2]
-        v1 = _val(p, a0.x, a0.y)
-        v2 = _val(
+        v1 = pval(p, a0.x, a0.y)
+        v2 = pval(
             p,
-            (a1.x * pa - wx * a0.x - d * wy * a0.y) % m,
-            (a1.y * pa - wx * a0.y - wy * a0.x) % m,
+            a1.x * pa - wx * a0.x - d * wy * a0.y,
+            a1.y * pa - wx * a0.y - wy * a0.x,
         )
+        # b is nonzero, so at most one of the two numerators vanishes.
         if v2 is None:
-            if v1 is None:
-                raise PrecisionExhaustedError("membership undecidable at precision")
-            # The second numerator is only known to have valuation >= q2,
-            # which decides the min only from q2 - piv0 - piv1 >= v1 - piv0.
-            # (A first numerator that vanishes never needs this: q0 >= q2 > v2.)
-            if q2 < v1 + self.piv1:
-                raise PrecisionExhaustedError(
-                    "membership undecidable at precision", needed=v1 + self.piv1
-                )
             r = v1 - self.piv0
         else:
             r = v2 - self.piv0 - self.piv1
@@ -277,25 +208,13 @@ class VertexLattice:
     def coordinates(self, b: VectorC) -> tuple[int, QuadLocalElem, QuadLocalElem]:
         """(r, c0, c1) with b = p^r (c0 u0 + c1 u1) in the exact
         hyperbolic basis (u0, u1) and min(v(c0), v(c1)) = 0, so r is
-        r_invariant(b).
-
-        With m = min(v(N0), v(N1)), ci = Ni / p^m is known mod
-        p^(qi - m), and r = k - e - v(det) + m.  Raises
-        PrecisionExhaustedError where precision cannot decide m or
-        leaves a coefficient no digit."""
+        r_invariant(b): with m = min(v(N0), v(N1)), ci = Ni / p^m and
+        r = k - e - v(det) + m."""
         shift, n0, n1 = _numerators(self, b)
-        m = _decided_min(n0, n1)
+        m = min(n0[2], n1[2])
         ctx = self.ctx
         pm = ctx.pows[m]
-        coeffs = []
-        for x, y, q, _ in (n0, n1):
-            if q <= m:
-                raise PrecisionExhaustedError(
-                    f"coordinate has no digit at precision {q}",
-                    needed=ctx.precision + m + 1 - q,
-                )
-            coeffs.append(ctx.elem(x // pm, y // pm, q - m))
-        return shift + m, coeffs[0], coeffs[1]
+        return shift + m, ctx.elem(n0[0] // pm, n0[1] // pm), ctx.elem(n1[0] // pm, n1[1] // pm)
 
     # -- hyperbolic basis and neighbours ------------------------------------
 
@@ -314,13 +233,11 @@ class VertexLattice:
 
     def hyperbolic_basis(self) -> tuple[VectorC, VectorC]:
         """An o-basis (u0, u1) of isotropic vectors with h(u0, u1) equal
-        to delta (type 0) or delta/p (type 2), at working precision: the
-        basis a neighbour inherits, else the canonical generators.  Each
-        column's p-content moves into the denominator before the column
-        is reduced, so both coordinates keep every digit."""
+        to delta (type 0) or delta/p (type 2), exactly: the basis a
+        neighbour inherits, else the canonical generators."""
         k, a, c, b, d = self._exact_basis()[:5]
         ctx = self.ctx
-        return _column(ctx, k, a, c), _column(ctx, k, b, d)
+        return ctx.vector_from_ints((a, 0), (c, 0), k), ctx.vector_from_ints((b, 0), (d, 0), k)
 
     def neighbors(self) -> list["VertexLattice"]:
         """The p+1 adjacent vertex lattices, of the opposite type.
@@ -357,7 +274,7 @@ class VertexLattice:
             elif va < vb:
                 vb1 = va
             else:
-                vb1 = _val(p, b1, 0)  # b1 >= a > 0: entries are non-negative
+                vb1 = pval(p, b1, 0)  # b1 >= a > 0: entries are non-negative
             out.append(_child(ctx, (k, pa, pc, b1, alpha * c + d, va1, vb1, vdet)))
         return out
 
@@ -384,14 +301,6 @@ def _child(ctx: LocalContext, basis: tuple) -> VertexLattice:
     else:
         w = 0
     return VertexLattice(ctx, k - t, A - t, B - t, (w // pw[t], 0), basis)
-
-
-def _column(ctx: LocalContext, k: int, x: int, y: int) -> VectorC:
-    """The vector p^-k (x v0 + y v1) of an exact integer column, at
-    working precision in both coordinates."""
-    g = _val(ctx.p, x, y)
-    pg = ctx.pows[g]
-    return ctx.vector_from_ints((x // pg, 0), (y // pg, 0), k - g)
 
 
 # -- standard lattices and tree operations ----------------------------------
@@ -435,7 +344,7 @@ def distance(lat: VertexLattice, other: VertexLattice) -> int:
     f, c, d, (x, _) = other.key
     pw = lat.ctx.pows
     low = b + c if b + c < a + d else a + d
-    vx = _val(lat.ctx.p, pw[a] * x - pw[c] * w, 0)
+    vx = pval(lat.ctx.p, pw[a] * x - pw[c] * w, 0)
     if vx is not None and vx < low:
         low = vx
     dist = other.det_valuation() - lat.det_valuation() - 2 * (low + e - f - a - b)
@@ -478,10 +387,9 @@ def ball_r_invariants(
     each child has v(det) + 1, and k + 1 under a type-0 parent.
     """
     vt = center.require_vertex()
-    ctx = center.ctx
-    p = ctx.p
+    p = center.ctx.p
     shift, n0, n1 = _numerators(center, b)
-    out = [(shift + _decided_min(n0, n1), 0)]
+    out = [(shift + min(n0[2], n1[2]), 0)]
     frontier = [(n0, n1, None)]
     ptype = vt
     for depth in range(1, radius + 1):
@@ -490,38 +398,36 @@ def ball_r_invariants(
         ptype = 2 - ptype
         nxt = []
         for n0, n1, parent in frontier:
-            x0, y0, q0, v0 = n0
-            x1, y1, q1, v1 = n1
-            pn1 = (p * x1, p * y1, q1 + 1, v1 + 1)
+            x0, y0, v0 = n0
+            x1, y1, v1 = n1
+            pv1 = v1 + 1
+            pn1 = (p * x1, p * y1, pv1)
             if parent != 0:
-                pn0 = (p * x0, p * y0, q0 + 1, v0 + 1)
-                out.append((shift + _decided_min(pn0, n1), depth))
-                nxt.append((pn0, n1, 1))
-            if parent != 1:  # alpha = 0 keeps N0 and its precision
-                out.append((shift + _decided_min(n0, pn1), depth))
+                pv0 = v0 + 1
+                out.append((shift + (pv0 if pv0 < v1 else v1), depth))
+                nxt.append(((p * x0, p * y0, pv0), n1, 1))
+            if parent != 1:  # alpha = 0 keeps N0
+                out.append((shift + (v0 if v0 < pv1 else pv1), depth))
                 nxt.append((n0, pn1, 0))
-            # N0 - alpha N1 for a unit alpha, at the smaller precision: its
-            # valuation is the smaller one unless v(N0) = v(N1).
-            q = q0 if q0 < q1 else q1
-            m = ctx.pows[q]
+            # N0 - alpha N1 for a unit alpha: its valuation is the
+            # smaller one unless v(N0) = v(N1).
+            low = v0 if v0 < v1 else v1
             for alpha in range(1, p):
-                x, y = (x0 - alpha * x1) % m, (y0 - alpha * y1) % m
-                if v0 != v1:
-                    v = v0 if v0 < v1 else v1
-                else:
-                    v = _val(p, x, y)
-                    if v is None:
-                        v = q
-                n = (x, y, q, v)
-                out.append((shift + _decided_min(n, pn1), depth))
-                nxt.append((n, pn1, 0))
+                x, y = x0 - alpha * x1, y0 - alpha * y1
+                if v0 == v1:
+                    low = pval(p, x, y)
+                    if low is None:
+                        low = _NO_VAL
+                out.append((shift + (low if low < pv1 else pv1), depth))
+                nxt.append(((x, y, low), pn1, 0))
         frontier = nxt
     return out
 
 
 def _numerators(lat: VertexLattice, b: VectorC) -> tuple:
     """(k - e - v(det), N0, N1) for b = p^-e (b0 v0 + b1 v1) in the
-    vertex's exact basis (k; a, c, bb, dd): N0 = dd b0 - bb b1 and
+    vertex's exact basis (k; a, c, bb, dd), each numerator as
+    (x, y, v(x + y delta)) with _NO_VAL for zero: N0 = dd b0 - bb b1 and
     N1 = a b1 - c b0, so that b = p^(k-e-v(det)) (N0 u0 + N1 u1).  The
     determinant is exactly p^v(det): the canonical generators' is
     p^(a+b), and each neighbour move multiplies it by p."""
@@ -529,42 +435,8 @@ def _numerators(lat: VertexLattice, b: VectorC) -> tuple:
     b0, b1 = b.a0, b.a1
     if not (b0.x or b0.y or b1.x or b1.y):
         raise DegenerateVectorError("r-invariant of the zero vector")
-    ctx = lat.ctx
-    return (
-        k - vdet - b.denom_exp,
-        _numerator(ctx, dd, b0, -bb, b1),
-        _numerator(ctx, a, b1, -c, b0),
-    )
-
-
-def _numerator(
-    ctx: LocalContext, s: int, u: QuadLocalElem, t: int, w: QuadLocalElem
-) -> tuple:
-    """s u + t w for exact integers s, t as (x, y, q, v): known mod p^q,
-    where s u is known to v(s) more digits than u, and of valuation v,
-    or v = q when it vanishes at that precision."""
-    p = ctx.p
-    q = min(
-        u.prec + _val(p, s, 0) if s else _NO_VAL,
-        w.prec + _val(p, t, 0) if t else _NO_VAL,
-    )
-    m = ctx.pows[q]
-    x, y = (s * u.x + t * w.x) % m, (s * u.y + t * w.y) % m
-    v = _val(p, x, y)
-    return x, y, q, q if v is None else v
-
-
-def _decided_min(n0: tuple, n1: tuple) -> int:
-    """min(v(N0), v(N1)) of two numerators (x, y, q, v), where v = q
-    stands for any valuation >= q; raises when precision cannot decide."""
-    q0, v0 = n0[2], n0[3]
-    q1, v1 = n1[2], n1[3]
-    if v0 < v1:
-        if v0 < q0:
-            return v0
-    elif v1 < v0:
-        if v1 < q1:
-            return v1
-    elif v0 < q0 or v1 < q1:
-        return v0
-    raise PrecisionExhaustedError("membership undecidable at precision")
+    nums = []
+    for n in (b0.mul_int(dd).sub(b1.mul_int(bb)), b1.mul_int(a).sub(b0.mul_int(c))):
+        v = n.valuation()
+        nums.append((n.x, n.y, _NO_VAL if v is None else v))
+    return k - vdet - b.denom_exp, nums[0], nums[1]

@@ -2,8 +2,9 @@
 decompositions, and Shimura lifts, with deterministic JSON/CSV output.
 
 Exit codes: 0 success, 1 mismatches found, 2 hypothesis violation or
-bad input, 3 precision exhausted, 4 series truncation insufficient.
-`cycle` derives its precision from its exact input and exits only 0 or 2.
+bad input, 4 series truncation insufficient.  3 is reserved: it meant
+"precision exhausted", which no input reaches now that every p-adic
+vector is exact.  `cycle` exits only 0 or 2.
 """
 
 from __future__ import annotations
@@ -16,11 +17,9 @@ import sys
 from math import isqrt
 
 from cyclelift import localcycles, qseries, sweeps
-from cyclelift.bttree import central_precision
 from cyclelift.errors import (
     DegenerateVectorError,
     HypothesisError,
-    PrecisionExhaustedError,
     TruncationInsufficientError,
 )
 from cyclelift.identity import VerificationReport, parse_symbolic_entries
@@ -49,11 +48,17 @@ LIFT_M_CAP = 10_000
 # peak RSS on one Xeon core, and both grow linearly with the count.
 CYCLE_VERTEX_CAP = 200_000
 
+# Largest count of ball vertices that `verify local-compare` visits: the
+# ball of radius alpha + 2, twice, for each alpha <= --alpha-max.  At
+# p = 11, --alpha-max 3 (425,144 vertices) the sweep takes about 4.5 s and
+# 185 MB peak RSS on one Xeon core; each further alpha multiplies the count
+# by about p.
+LOCAL_COMPARE_VERTEX_CAP = 1_000_000
+
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_HYPOTHESIS = 2
-EXIT_PRECISION = 3
-EXIT_TRUNCATION = 4
+EXIT_TRUNCATION = 4  # 3 is reserved (see the module docstring)
 
 
 # -- vector parsing -------------------------------------------------------------
@@ -141,14 +146,37 @@ def cmd_verify(args) -> int:
     for name in required:
         if getattr(args, name) is None:
             raise ValueError(f"verify {args.kind} requires --{name}")
+    if args.kind == "local-compare":
+        _check_local_compare(args.p, args.delta[0], args.alpha_max)
     return _report_exit(runner(args, random.Random(args.seed)), args)
+
+
+def _ball_size(p: int, radius: int) -> int:
+    """The vertices in a tree ball of radius R, 1 + (p+1)(p^R - 1)/(p - 1)
+    (counted up to R = 64 only)."""
+    return 1 + (p + 1) * (p ** min(max(radius, 0), 64) - 1) // (p - 1)
+
+
+def _check_local_compare(p: int, delta: int, alpha_max: int) -> None:
+    """Refuse a local-compare sweep that would visit more than
+    LOCAL_COMPARE_VERTEX_CAP ball vertices; a bad p or Delta is refused
+    first, as the sweep would refuse it."""
+    LocalContext(p, delta)
+    total = 0
+    for alpha in range(alpha_max + 1):
+        total += 2 * _ball_size(p, alpha + 2)
+        if total > LOCAL_COMPARE_VERTEX_CAP:
+            more = "more than " if alpha < alpha_max else ""
+            raise ValueError(
+                f"verify local-compare would visit {more}{total} ball vertices, "
+                f"above the cap of {LOCAL_COMPARE_VERTEX_CAP}"
+            )
 
 
 def _check_support(p: int, radius: int) -> None:
     """Refuse a cycle whose support, the ball of radius R around its
-    centre, has 1 + (p+1)(p^R - 1)/(p - 1) > CYCLE_VERTEX_CAP vertices
-    (counted up to R = 64 only)."""
-    size = 1 + (p + 1) * (p ** min(max(radius, 0), 64) - 1) // (p - 1)
+    centre, holds more than CYCLE_VERTEX_CAP vertices."""
+    size = _ball_size(p, radius)
     if size > CYCLE_VERTEX_CAP:
         more = "more than " if radius > 64 else ""
         raise ValueError(
@@ -161,7 +189,7 @@ def cmd_cycle(args) -> int:
     if args.ortho != (args.alpha is not None):
         raise ValueError("--ortho requires --alpha" if args.ortho else "--alpha requires --ortho")
     a0, a1, denom = parse_vector(args.b)
-    ctx = LocalContext(args.p, args.delta, central_precision(args.p, *a0, *a1))
+    ctx = LocalContext(args.p, args.delta)
     vec = ctx.vector_from_ints(a0, a1, denom)
     if args.ortho:
         j = localcycles.OrthEndo.from_eigenvector(args.alpha, vec)
@@ -283,6 +311,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes a value that starts with "-" for a flag, so `--b X` is
+    # passed on as `--b=X`: a vector may start with a minus sign.
+    for i in range(len(argv) - 2, -1, -1):
+        if argv[i] == "--b":
+            argv[i:i + 2] = ["--b=" + argv[i + 1]]
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -293,10 +327,6 @@ def main(argv=None) -> int:
     except (DegenerateVectorError, ValueError, json.JSONDecodeError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except PrecisionExhaustedError as exc:
-        needed = f" (needed >= {exc.needed})" if exc.needed else ""
-        print(f"precision exhausted: {exc}{needed}", file=sys.stderr)
-        return EXIT_PRECISION
     except TruncationInsufficientError as exc:
         print(f"truncation insufficient: {exc}", file=sys.stderr)
         return EXIT_TRUNCATION

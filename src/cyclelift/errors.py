@@ -9,18 +9,6 @@ class CycleLiftError(Exception):
     """Base class for all package-specific errors."""
 
 
-class PrecisionExhaustedError(CycleLiftError):
-    """A valuation decision hit the truncation modulus p^N.
-
-    Raised instead of guessing: every downstream formula is a statement
-    about valuations, so silent truncation would corrupt multiplicities.
-    """
-
-    def __init__(self, message: str = "", needed: int | None = None):
-        super().__init__(message or "precision exhausted")
-        self.needed = needed
-
-
 class DegenerateVectorError(CycleLiftError):
     """An operation requiring an anisotropic vector got an isotropic one."""
 

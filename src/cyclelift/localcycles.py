@@ -246,11 +246,10 @@ class OrdinaryEquation:
     vtype: int
 
     def residual_is_unit(self) -> bool:
-        """Whether the linear factor is a unit of the ordinary chart:
-        within precision this is detected by p | (c0 c1' - c0' c1)."""
+        """Whether the linear factor is a unit of the ordinary chart,
+        detected by p | (c0 c1' - c0' c1)."""
         c0, c1 = self.c0, self.c1
-        cross = c0.mul(c1.conj()).sub(c0.conj().mul(c1))
-        v = cross.valuation_or_none()
+        v = c0.mul(c1.conj()).sub(c0.conj().mul(c1)).valuation()
         return v is None or v >= 1
 
 

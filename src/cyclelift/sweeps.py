@@ -21,7 +21,7 @@ from cyclelift.identity import (
     verify_remark_identity,
 )
 from cyclelift.numth import hilbert_places, hilbert_symbol
-from cyclelift.padic import LocalContext, qform, required_precision
+from cyclelift.padic import LocalContext, qform
 from cyclelift.quadfield import make_field, optimal_embedding_count, rho, rho_divisor_sum
 
 # The fields that `verify rho` sweeps when no --delta is given.
@@ -31,11 +31,9 @@ RHO_DELTAS = (-2, -6, -10, -14, -22, -26)
 # -- randomized generators -----------------------------------------------------
 
 # Random vectors draw coordinates mod p^_DRAW_DIGITS and scale the second
-# one by up to p^_SKEW_MAX, so lattice pivots can sit _COORD_BUDGET digits
-# above what (t, radius) alone would predict.
+# one by up to p^_SKEW_MAX.
 _DRAW_DIGITS = 6
 _SKEW_MAX = 3
-_COORD_BUDGET = _DRAW_DIGITS + _SKEW_MAX
 
 # `local-compare` re-checks this many ball vertices with their own tree
 # distance; `chart` draws special homomorphisms with ord q^+- at most
@@ -135,9 +133,7 @@ def sweep_r_formula(
     full balls around the central lattice.  Direct membership
     (`r_invariant`) cross-checks the descent at the last vertex of each
     sphere, a geodesic from the centre; those checks are not counted."""
-    ctx = LocalContext(
-        p=p, delta_sq=delta, precision=required_precision(_COORD_BUDGET + 4, radius)
-    )
+    ctx = LocalContext(p=p, delta_sq=delta)
     mismatches = []
     checked = 0
     for i in range(count):
@@ -183,15 +179,11 @@ def sweep_local_compare(
     max(alpha - d, 0) on the radius-(alpha+2) ball, the horizontal
     counts must be 1 + 1 = 2 at the shared central lattice, and the
     residue horizontal polynomials must match up to a unit."""
+    ctx = LocalContext(p=p, delta_sq=delta)
     mismatches = []
     checked = 0
     for alpha in range(alpha_max + 1):
         for odd_norm in (True, False):
-            ctx = LocalContext(
-                p=p,
-                delta_sq=delta,
-                precision=required_precision(_COORD_BUDGET + alpha, alpha + 2),
-            )
             vec = random_eigenvector(ctx, rng, odd_norm)
             j = localcycles.OrthEndo.from_eigenvector(alpha, vec)
             hp, hm = localcycles.split_pair(j)
@@ -260,7 +252,7 @@ def horizontal_polynomials_match(j, hp, hm) -> bool:
             return False
     pivot = next((k for k in range(3) if us[k].residue() != (0, 0)), None)
     if pivot is None:
-        return False  # both reductions vanish; precision trouble upstream
+        return False  # both reductions vanish
     for k in range(3):
         lhs = us[k].mul(vs[pivot])
         rhs = vs[k].mul(us[pivot])
@@ -279,9 +271,7 @@ def sweep_chart_consistency(
     the superspecial exponents at every tree edge touching the cycle
     support must reproduce the multiplicities of both components (a
     sample of empty edges is checked for the trivial (0, 0) case)."""
-    ctx = LocalContext(
-        p=p, delta_sq=delta, precision=required_precision(_COORD_BUDGET + 4, radius)
-    )
+    ctx = LocalContext(p=p, delta_sq=delta)
     mismatches = []
     checked = 0
     for _ in range(count):

@@ -1,9 +1,10 @@
 """Independent oracles used by the test suite: brute-force conic
 solvability for Hilbert symbols, ideal-class enumeration for class
-numbers, residue-square tables, the object-path Bruhat-Tits tree
-core, breadth-first searches for tree distance and path-word labels,
-the whole-file series reader, and the L-value at s = 1 by Gauss sums
-(numerically) and by the 2^(number of prime factors) rational.
+numbers, residue-square tables, a truncated p-adic ring and the
+object-path Bruhat-Tits tree core on it, breadth-first searches for
+tree distance and path-word labels, the whole-file series reader, and
+the L-value at s = 1 by Gauss sums (numerically) and by the
+2^(number of prime factors) rational.
 
 These deliberately avoid the code paths they check.
 """
@@ -12,9 +13,10 @@ import cmath
 from fractions import Fraction
 from math import gcd, isqrt
 
-from cyclelift.bttree import _HNF_GUARD
-from cyclelift.errors import CycleLiftError, DegenerateVectorError, PrecisionExhaustedError
-from cyclelift.padic import LocalContext, QuadLocalElem, VectorC, epsilon, herm, qform
+from dataclasses import dataclass
+
+from cyclelift.errors import CycleLiftError, DegenerateVectorError
+from cyclelift.numth import is_prime, kronecker
 from cyclelift.qseries import FormalSeries, ShimuraParams, chi_t
 from cyclelift.quadfield import QuadField, check_discriminant_hypotheses
 
@@ -174,16 +176,269 @@ def class_number_by_ideals(delta: int) -> int:
     return len(reps)
 
 
+# -- the truncated ring ---------------------------------------------------------
+#
+# x + y*delta in o_{k,p} known modulo p^prec, with per-element precision
+# tracking ("zealous" arithmetic): sums and products carry the smaller
+# precision, exact division by p^k costs k digits, and a valuation that the
+# carried precision cannot decide raises TruncationExhausted rather than
+# guessing.  This is the arithmetic cyclelift.padic used before it became
+# exact; the object-path tree core below runs on it, so it shares no
+# arithmetic with cyclelift.bttree, which must agree with it wherever it
+# returns.
+
+
+class TruncationExhausted(CycleLiftError):
+    """A valuation decision of the truncated ring hit its modulus p^N;
+    `needed` is a precision that would decide it, when known."""
+
+    def __init__(self, message: str = "", needed: int | None = None):
+        super().__init__(message or "precision exhausted")
+        self.needed = needed
+
+
+MIN_PRECISION = 8
+
+# Digits the truncated HNF keeps past its second pivot (see
+# ObjectLattice.from_vectors and central_precision).
+HNF_GUARD = 4
+
+
+@dataclass(frozen=True)
+class TruncatedContext:
+    """Odd inert prime p, the nonresidue Delta, and working precision."""
+
+    p: int
+    delta_sq: int
+    precision: int
+
+    def __post_init__(self):
+        if self.p == 2 or not is_prime(self.p):
+            raise ValueError(f"p must be an odd prime, got {self.p}")
+        if kronecker(self.delta_sq, self.p) != -1:
+            raise ValueError(f"Delta = {self.delta_sq} is not a nonresidue mod {self.p}")
+        if self.precision < MIN_PRECISION:
+            raise ValueError(f"precision must be >= {MIN_PRECISION}, got {self.precision}")
+
+    def elem(self, x: int, y: int = 0, prec: int | None = None) -> "TruncatedElem":
+        prec = self.precision if prec is None else prec
+        m = self.p**prec
+        return TruncatedElem(self, x % m, y % m, prec)
+
+    def delta(self) -> "TruncatedElem":
+        return self.elem(0, 1)
+
+    def one(self) -> "TruncatedElem":
+        return self.elem(1, 0)
+
+    def zero(self) -> "TruncatedElem":
+        return self.elem(0, 0)
+
+    def vector(self, a0, a1, denom_exp: int = 0) -> "TruncatedVector":
+        return TruncatedVector(self, a0, a1, denom_exp)
+
+    def vector_from_ints(self, a0, a1, denom_exp: int = 0) -> "TruncatedVector":
+        return TruncatedVector(self, self.elem(*a0), self.elem(*a1), denom_exp)
+
+
+class TruncatedElem:
+    """x + y*delta known modulo p^prec; x and y are stored reduced mod
+    p^prec, so zero at precision means x == y == 0."""
+
+    __slots__ = ("ctx", "x", "y", "prec")
+
+    def __init__(self, ctx: TruncatedContext, x: int, y: int, prec: int):
+        self.ctx = ctx
+        self.x = x
+        self.y = y
+        self.prec = prec
+
+    def __repr__(self):
+        return f"({self.x} + {self.y}*d mod {self.ctx.p}^{self.prec})"
+
+    def __eq__(self, other):
+        if not isinstance(other, TruncatedElem):
+            return NotImplemented
+        m = self.ctx.p ** min(self.prec, other.prec)
+        return (self.x - other.x) % m == 0 and (self.y - other.y) % m == 0
+
+    __hash__ = None
+
+    def _wrap(self, x: int, y: int, prec: int) -> "TruncatedElem":
+        m = self.ctx.p**prec
+        return TruncatedElem(self.ctx, x % m, y % m, prec)
+
+    def add(self, other):
+        return self._wrap(self.x + other.x, self.y + other.y, min(self.prec, other.prec))
+
+    def sub(self, other):
+        return self._wrap(self.x - other.x, self.y - other.y, min(self.prec, other.prec))
+
+    def neg(self):
+        return self._wrap(-self.x, -self.y, self.prec)
+
+    def mul(self, other):
+        d = self.ctx.delta_sq
+        x = self.x * other.x + d * self.y * other.y
+        y = self.x * other.y + self.y * other.x
+        return self._wrap(x, y, min(self.prec, other.prec))
+
+    def mul_int(self, n: int):
+        return self._wrap(self.x * n, self.y * n, self.prec)
+
+    def conj(self):
+        return self._wrap(self.x, -self.y, self.prec)
+
+    def is_zero(self) -> bool:
+        return self.x == 0 and self.y == 0
+
+    def valuation(self) -> int:
+        """Exact valuation; raises TruncationExhausted when the element
+        is indistinguishable from 0 at its precision."""
+        if self.is_zero():
+            raise TruncationExhausted(
+                f"valuation undecidable at precision {self.prec}", needed=self.prec + 1
+            )
+        p = self.ctx.p
+        v, x, y = 0, self.x, self.y
+        while x % p == 0 and y % p == 0:
+            x //= p
+            y //= p
+            v += 1
+        return v
+
+    def valuation_or_none(self) -> int | None:
+        return None if self.is_zero() else self.valuation()
+
+    def unit_inverse(self):
+        n = (self.x * self.x - self.ctx.delta_sq * self.y * self.y) % self.ctx.p**self.prec
+        if n % self.ctx.p == 0:
+            raise ValueError("unit_inverse of a non-unit")
+        ninv = pow(n, -1, self.ctx.p**self.prec)
+        return self._wrap(self.x * ninv, -self.y * ninv, self.prec)
+
+    def divide_p_power(self, k: int):
+        """Exact division by p^k; costs k digits of precision."""
+        if k == 0:
+            return self
+        pk = self.ctx.p**k
+        if self.prec <= k:
+            raise TruncationExhausted(
+                f"cannot divide by p^{k} at precision {self.prec}", needed=k + 1
+            )
+        if self.x % pk or self.y % pk:
+            raise ValueError(f"element has valuation below {k}")
+        return self._wrap(self.x // pk, self.y // pk, self.prec - k)
+
+    def reduce_to(self, prec: int):
+        if prec < 1:
+            raise TruncationExhausted(
+                "no residual precision left", needed=self.prec + (1 - prec)
+            )
+        return self if prec >= self.prec else self._wrap(self.x, self.y, prec)
+
+    def residue(self) -> tuple[int, int]:
+        return (self.x % self.ctx.p, self.y % self.ctx.p)
+
+
+class TruncatedVector:
+    """p^(-denom_exp) * (a0 * v0 + a1 * v1), normalized so that
+    min(val(a0), val(a1)) = 0 unless zero at precision."""
+
+    __slots__ = ("ctx", "a0", "a1", "denom_exp")
+
+    def __init__(self, ctx, a0, a1, denom_exp: int = 0):
+        v0, v1 = a0.valuation_or_none(), a1.valuation_or_none()
+        shift = min((v for v in (v0, v1) if v is not None), default=0)
+        if shift:
+            # A coordinate that vanishes at its carried precision must
+            # still be certifiably divisible by p^shift.
+            a0 = a0.divide_p_power(shift) if v0 is not None else a0.reduce_to(a0.prec - shift)
+            a1 = a1.divide_p_power(shift) if v1 is not None else a1.reduce_to(a1.prec - shift)
+            denom_exp -= shift
+        self.ctx = ctx
+        self.a0 = a0
+        self.a1 = a1
+        self.denom_exp = denom_exp
+
+    def __repr__(self):
+        return f"p^-{self.denom_exp}*[{self.a0}, {self.a1}]"
+
+    def is_zero(self) -> bool:
+        return self.a0.is_zero() and self.a1.is_zero()
+
+    def scale_p_power(self, k: int) -> "TruncatedVector":
+        return TruncatedVector(self.ctx, self.a0, self.a1, self.denom_exp - k)
+
+
+def truncated_herm(u: TruncatedVector, w: TruncatedVector):
+    """h(u, w) = p^exp * value, value = delta (u0 conj(w1) - u1 conj(w0))."""
+    inner = u.a0.mul(w.a1.conj()).sub(u.a1.mul(w.a0.conj()))
+    return u.ctx.delta().mul(inner), -(u.denom_exp + w.denom_exp)
+
+
+def truncated_qform(b: TruncatedVector) -> int | None:
+    """ord_p q(b), or None when q(b) vanishes at working precision."""
+    value, exp = truncated_herm(b, b)
+    return None if value.is_zero() else value.valuation() + exp
+
+
+def truncated_epsilon(b: TruncatedVector) -> TruncatedVector:
+    return TruncatedVector(b.ctx, b.a0.conj(), b.a1.conj(), b.denom_exp)
+
+
+def truncate(ctx: TruncatedContext, b) -> TruncatedVector:
+    """An exact cyclelift.padic vector read at ctx's working precision."""
+    return ctx.vector_from_ints((b.a0.x, b.a0.y), (b.a1.x, b.a1.y), b.denom_exp)
+
+
+def agrees(exact, vec: TruncatedVector) -> bool:
+    """Whether an exact cyclelift.padic vector equals a truncated one in
+    every digit the truncated one knows."""
+    p = vec.ctx.p
+    top = max(exact.denom_exp, vec.denom_exp)
+    s, t = p ** (top - exact.denom_exp), p ** (top - vec.denom_exp)
+    for a, b in ((exact.a0, vec.a0), (exact.a1, vec.a1)):
+        m = p ** (b.prec + top - vec.denom_exp)
+        if (a.x * s - b.x * t) % m or (a.y * s - b.y * t) % m:
+            return False
+    return True
+
+
+def central_precision(p: int, *coords: int) -> int:
+    """A working precision at which `central_lattice` decides every
+    valuation for p^-e ((x0 + y0 d) v0 + (x1 + y1 d) v1) with integer
+    coords (x0, y0, x1, y1): 3L + HNF_GUARD - 1, and at least
+    MIN_PRECISION, for L base-p digits in the largest |coordinate|.  The
+    key it gives does not depend on the precision."""
+    # Proof.  A nonzero a_i = x_i + y_i d has v(a_i) <= L - 1, and
+    # D = x1 y0 - x0 y1 has p^v(D) <= |D| < 2 p^(2L), so v(D) <= 2L.  At
+    # precision P, the vector divides out s = min v(a_i) <= L - 1, leaving
+    # Q = P - s digits; q(b) is 2 Delta D / p^(2s) over a p-power, so
+    # truncated_qform decides v(q) = v(D) - 2s < Q (D = 0 is isotropic), and
+    # the rescaling in central_lattice moves only the denominator.
+    # from_vectors(b0, epsilon(b0)) pivots on a0 (a0 = 0 gives D = 0) at
+    # a = v(a0) - s; the second pivot z = 2 D d / (p^(2s) a0) has valuation
+    # B = v(D) - 2s - a and keeps Q - 2a digits, and w keeps Q - a.  The guard
+    # Q - 2a >= B + HNF_GUARD, i.e. P >= v(D) + v(a0) - 2s + HNF_GUARD, holds
+    # at P = 3L + HNF_GUARD - 1; it decides v(z) and leaves w its B digits:
+    # every digit of the key.
+    n, digits = max(map(abs, coords)), 0
+    while n:
+        n //= p
+        digits += 1
+    return max(3 * digits + HNF_GUARD - 1, MIN_PRECISION)
+
+
 # -- the object-path tree core ------------------------------------------------
 #
-# The Bruhat-Tits tree operations on padic.QuadLocalElem / VectorC objects,
+# The Bruhat-Tits tree operations on TruncatedElem / TruncatedVector objects,
 # as cyclelift.bttree computed them before its integer core: the reference
-# the property suite compares the integer core against (keys, neighbour
-# order, r-invariants, precision errors and their `needed` values).
-# `ObjectLattice.from_vectors` is the same element-wise HNF as
-# `VertexLattice.from_vectors`, so comparing the two pins behaviour but
-# checks nothing independently; the neighbour, r-invariant and Hensel
-# basis paths remain independent.
+# the property suite compares the exact core against (keys, neighbour
+# order, r-invariants, coordinates) wherever it returns.  Its from_vectors is
+# an element-wise HNF at working precision, the core's an HNF modulo the
+# determinant; the neighbour, r-invariant, coordinate and Hensel basis paths
+# are independent of the core as well.
 
 
 class HyperbolicBasisError(CycleLiftError):
@@ -215,7 +470,7 @@ class ObjectLattice:
     # -- construction ----------------------------------------------------------
 
     @classmethod
-    def from_vectors(cls, u: VectorC, v: VectorC, _vtype=-1, _hyperbolic=None) -> "ObjectLattice":
+    def from_vectors(cls, u: TruncatedVector, v: TruncatedVector, _vtype=-1, _hyperbolic=None) -> "ObjectLattice":
         """Canonicalize the lattice spanned by two vectors (HNF with
         p-power pivots plus denominator normalization)."""
         ctx = u.ctx
@@ -245,10 +500,10 @@ class ObjectLattice:
         b = z.valuation()  # PrecisionExhausted if undecidable
         w = m10.mul(inv0)  # column 0 scaled so its first entry is p^a
 
-        if min(w.prec, z.prec) < b + _HNF_GUARD:
-            raise PrecisionExhaustedError(
+        if min(w.prec, z.prec) < b + HNF_GUARD:
+            raise TruncationExhausted(
                 "pivot valuations too close to working precision",
-                needed=a + b + _HNF_GUARD,
+                needed=a + b + HNF_GUARD,
             )
 
         # Extract content so that min(a, b, val(w)) = 0.
@@ -289,7 +544,7 @@ class ObjectLattice:
 
     # -- basic data --------------------------------------------------------
 
-    def basis(self) -> tuple[VectorC, VectorC]:
+    def basis(self) -> tuple[TruncatedVector, TruncatedVector]:
         """The canonical-form generators as ambient vectors."""
         ctx = self.ctx
         p = ctx.p
@@ -330,8 +585,8 @@ class ObjectLattice:
         dv = det.valuation()
         dunit_inv = det.divide_p_power(dv).unit_inverse()
         # Columns of adj(T) * dunit_inv, with denominator exponent dv - e.
-        c0 = VectorC(ctx, t11.mul(dunit_inv), t10.neg().mul(dunit_inv), dv - self.denom_exp)
-        c1 = VectorC(ctx, t01.neg().mul(dunit_inv), t00.mul(dunit_inv), dv - self.denom_exp)
+        c0 = TruncatedVector(ctx, t11.mul(dunit_inv), t10.neg().mul(dunit_inv), dv - self.denom_exp)
+        c1 = TruncatedVector(ctx, t01.neg().mul(dunit_inv), t00.mul(dunit_inv), dv - self.denom_exp)
         return ObjectLattice.from_vectors(c0, c1)
 
     @property
@@ -355,7 +610,7 @@ class ObjectLattice:
 
     # -- membership --------------------------------------------------------
 
-    def r_invariant(self, b: VectorC) -> int:
+    def r_invariant(self, b: TruncatedVector) -> int:
         """max r such that p^(-r) b lies in the lattice (may be negative).
 
         Solved against the canonical triangular basis; exact integer
@@ -374,12 +629,12 @@ class ObjectLattice:
         y1 = None if v1 is None else v1 - self.piv0
         y2 = None if v2 is None else v2 - self.piv0 - self.piv1
         if y1 is None and y2 is None:
-            raise PrecisionExhaustedError("membership undecidable at precision")
+            raise TruncationExhausted("membership undecidable at precision")
         if y2 is None:
             # n2 vanishes at its precision: y2 is only bounded below.
             low = n2.prec - self.piv0 - self.piv1
             if low < y1:
-                raise PrecisionExhaustedError(
+                raise TruncationExhausted(
                     "membership undecidable at precision", needed=n2.prec + y1 - low
                 )
             r = y1
@@ -387,12 +642,33 @@ class ObjectLattice:
             r = y2 if y1 is None else min(y1, y2)
         return r + self.denom_exp - b.denom_exp
 
-    def contains(self, b: VectorC) -> bool:
+    def contains(self, b: TruncatedVector) -> bool:
         return self.r_invariant(b) >= 0
+
+    def coordinates(self, b: TruncatedVector):
+        """(r, c0, c1) with b = p^r (c0 g1 + c1 g2) in the canonical
+        generators g1 = p^-e (p^a v0 + w v1), g2 = p^(b-e) v1, and
+        min(v(c0), v(c1)) = 0: with N0 = p^b b0 and N1 = p^a b1 - w b0,
+        m = min(v(N0), v(N1)), ci = Ni / p^m and r = e - e_b - a - b + m.
+        Raises TruncationExhausted where precision cannot decide m or
+        leaves a coefficient no digit."""
+        ctx = self.ctx
+        p = ctx.p
+        n0 = b.a0.mul_int(p**self.piv1)
+        n1 = b.a1.mul_int(p**self.piv0).sub(ctx.elem(*self.off).mul(b.a0))
+        # A numerator that vanishes at precision q has valuation >= q.
+        (v0, q0), (v1, q1) = (
+            (n.prec if n.is_zero() else n.valuation(), n.prec) for n in (n0, n1)
+        )
+        m = min(v0, v1)
+        if not (v0 < q0 and v0 <= v1 or v1 < q1 and v1 <= v0):
+            raise TruncationExhausted("membership undecidable at precision")
+        r = self.denom_exp - b.denom_exp - self.piv0 - self.piv1 + m
+        return r, n0.divide_p_power(m), n1.divide_p_power(m)
 
     # -- hyperbolic basis and neighbours ------------------------------------
 
-    def hyperbolic_basis(self) -> tuple[VectorC, VectorC]:
+    def hyperbolic_basis(self) -> tuple[TruncatedVector, TruncatedVector]:
         """An o-basis (u0, u1) of isotropic vectors with h(u0, u1) equal
         to delta (type 0) or delta/p (type 2): the inherited basis, else
         the canonical one (hensel_hyperbolic_basis builds one from
@@ -450,7 +726,7 @@ class ObjectLattice:
         return out
 
 
-def _vector_combination(ctx: LocalContext, alpha: int, u0: VectorC, u1: VectorC) -> VectorC:
+def _vector_combination(ctx: TruncatedContext, alpha: int, u0: TruncatedVector, u1: TruncatedVector) -> TruncatedVector:
     """alpha * u0 + u1 at a common denominator."""
     e = max(u0.denom_exp, u1.denom_exp)
     p = ctx.p
@@ -458,10 +734,10 @@ def _vector_combination(ctx: LocalContext, alpha: int, u0: VectorC, u1: VectorC)
     s1 = p ** (e - u1.denom_exp)
     a0 = u0.a0.mul_int(alpha * s0).add(u1.a0.mul_int(s1))
     a1 = u0.a1.mul_int(alpha * s0).add(u1.a1.mul_int(s1))
-    return VectorC(ctx, a0, a1, e)
+    return TruncatedVector(ctx, a0, a1, e)
 
 
-def _gram(scale_exp: int, g1: VectorC, g2: VectorC):
+def _gram(scale_exp: int, g1: TruncatedVector, g2: TruncatedVector):
     """Entries of p^scale_exp * Gram(g1, g2) as ring elements; raises if
     the scaled Gram is not integral (the lattice is not a vertex
     lattice of the expected type)."""
@@ -469,7 +745,7 @@ def _gram(scale_exp: int, g1: VectorC, g2: VectorC):
     for u in (g1, g2):
         row = []
         for w in (g1, g2):
-            val, exp = herm(u, w)
+            val, exp = truncated_herm(u, w)
             shift = exp + scale_exp
             if shift >= 0:
                 row.append(val.mul_int(u.ctx.p**shift))
@@ -479,7 +755,7 @@ def _gram(scale_exp: int, g1: VectorC, g2: VectorC):
     return entries
 
 
-def hensel_hyperbolic_basis(lat: ObjectLattice) -> tuple[VectorC, VectorC]:
+def hensel_hyperbolic_basis(lat: ObjectLattice) -> tuple[TruncatedVector, TruncatedVector]:
     """A hyperbolic basis found by search rather than read off the
     canonical form: a residue-isotropic direction over the canonical
     basis, Hensel-lifted to an isotropic u0, then u1 isotropic with the
@@ -492,7 +768,7 @@ def hensel_hyperbolic_basis(lat: ObjectLattice) -> tuple[VectorC, VectorC]:
     g1, g2 = lat.basis()
     gram = _gram(scale_exp, g1, g2)
 
-    def qtilde(a: QuadLocalElem, b: QuadLocalElem) -> QuadLocalElem:
+    def qtilde(a: TruncatedElem, b: TruncatedElem) -> TruncatedElem:
         # q~(a g1 + b g2) = n(a) G00 + Tr(a conj(b) G01) + n(b) G11
         cross = a.mul(b.conj()).mul(gram[0][1])
         return (
@@ -501,7 +777,7 @@ def hensel_hyperbolic_basis(lat: ObjectLattice) -> tuple[VectorC, VectorC]:
             .add(b.mul(b.conj()).mul(gram[1][1]))
         )
 
-    def htilde(a, b, c, d) -> QuadLocalElem:
+    def htilde(a, b, c, d) -> TruncatedElem:
         # h~(a g1 + b g2, c g1 + d g2)
         return (
             a.mul(c.conj()).mul(gram[0][0])
@@ -573,7 +849,7 @@ def hensel_hyperbolic_basis(lat: ObjectLattice) -> tuple[VectorC, VectorC]:
     return u0, u1
 
 
-def _coords_to_ambient(a: QuadLocalElem, b: QuadLocalElem, g1: VectorC, g2: VectorC) -> VectorC:
+def _coords_to_ambient(a: TruncatedElem, b: TruncatedElem, g1: TruncatedVector, g2: TruncatedVector) -> TruncatedVector:
     ctx = g1.ctx
     p = ctx.p
     e = max(g1.denom_exp, g2.denom_exp)
@@ -581,13 +857,13 @@ def _coords_to_ambient(a: QuadLocalElem, b: QuadLocalElem, g1: VectorC, g2: Vect
     s2 = p ** (e - g2.denom_exp)
     c0 = a.mul(g1.a0.mul_int(s1)).add(b.mul(g2.a0.mul_int(s2)))
     c1 = a.mul(g1.a1.mul_int(s1)).add(b.mul(g2.a1.mul_int(s2)))
-    return VectorC(ctx, c0, c1, e)
+    return TruncatedVector(ctx, c0, c1, e)
 
 
 # -- standard lattices and tree operations ----------------------------------
 
 
-def standard_lattices(ctx: LocalContext) -> tuple[ObjectLattice, ObjectLattice]:
+def standard_lattices(ctx: TruncatedContext) -> tuple[ObjectLattice, ObjectLattice]:
     """The base vertex: Lambda0 = span{v0, v1} (type 0) and its
     neighbour Lambda0' = span{p^-1 v0, v1} (type 2)."""
     v0 = ctx.vector_from_ints((1, 0), (0, 0))
@@ -598,20 +874,19 @@ def standard_lattices(ctx: LocalContext) -> tuple[ObjectLattice, ObjectLattice]:
     return lam0, lam0p
 
 
-def central_lattice(b: VectorC) -> ObjectLattice:
+def central_lattice(b: TruncatedVector) -> ObjectLattice:
     """The unique vertex lattice containing the rescaled b primitively:
     span{b0, epsilon(b0)} where b0 = p^-t b has ord q in {0, -1}.
 
     Type 0 when ord q(b) is even, type 2 when odd; raises
     DegenerateVectorError for isotropic b.
     """
-    q = qform(b)
-    if q.is_isotropic:
+    q = truncated_qform(b)
+    if q is None:
         raise DegenerateVectorError("central lattice of an isotropic vector")
-    t = -((-q.valuation) // 2)  # ceil(ord/2)
+    t = -((-q) // 2)  # ceil(ord/2)
     b0 = b.scale_p_power(-t)
-    vt = 0 if q.valuation % 2 == 0 else 2
-    return ObjectLattice.from_vectors(b0, epsilon(b0), _vtype=vt)
+    return ObjectLattice.from_vectors(b0, truncated_epsilon(b0), _vtype=q % 2 * 2)
 
 
 class SearchRadiusExceeded(Exception):

@@ -7,17 +7,16 @@ from cyclelift.bttree import (
     VertexLattice,
     ball_r_invariants,
     central_lattice,
-    central_precision,
     distance,
     standard_lattices,
     tree_ball,
 )
-from cyclelift.errors import DegenerateVectorError, PrecisionExhaustedError
+from cyclelift.errors import DegenerateVectorError
 from cyclelift.padic import LocalContext, herm, qform
 import oracles
 
-CTX = LocalContext(p=5, delta_sq=-2, precision=26)
-CTX3 = LocalContext(p=3, delta_sq=-10, precision=26)
+CTX = LocalContext(p=5, delta_sq=-2)
+CTX3 = LocalContext(p=3, delta_sq=-10)
 LAM0, LAM0P = standard_lattices(CTX)
 
 
@@ -25,21 +24,20 @@ def vec(ctx, a0, a1, denom=0):
     return ctx.vector_from_ints(a0, a1, denom)
 
 
-# One inert Delta per prime, at the smallest working precision and a
-# roomy one.
+# One inert Delta per prime, with the truncated oracle's smallest working
+# precision and a roomy one.
 PRIME_GRID = [
     (pd, precision) for pd in ((3, -1), (5, -2), (7, -1), (11, -1)) for precision in (8, 40)
 ]
 
 
-def central_lattices(ctx):
+def central_lattices(ctx, depth=9):
     """Central lattices of v0 + (r + p^k delta) v1 and its mirror, at tree
-    distance k from Lambda0: k < 2 at precision 8 (where deeper canonical
-    forms from vectors run out of digits), k < 9 above."""
+    distance k < depth from Lambda0, for a random r of 40 digits."""
     p = ctx.p
     rng = random.Random(p)
-    for k in range(2 if ctx.precision == 8 else 9):
-        r = rng.randrange(p**ctx.precision)
+    for k in range(depth):
+        r = rng.randrange(p**40)
         yield central_lattice(vec(ctx, (1, 0), (r, p**k)))
         yield central_lattice(vec(ctx, (r, p**k), (1, 0)))
 
@@ -49,11 +47,6 @@ def rebuilt_through_dual(lat):
     carries no inherited hyperbolic basis."""
     dual = lat.dual()
     return dual if lat.vtype == 0 else dual.scale_p_power(-1)
-
-
-def coordinates(u):
-    """Each coordinate of a vector as (denominator exponent, x, y, digits)."""
-    return [(u.denom_exp, a.x, a.y, a.prec) for a in (u.a0, u.a1)]
 
 
 def assert_hyperbolic(lat):
@@ -100,14 +93,23 @@ class TestCanonicalForm:
         assert hash(a) == hash(b)
 
     def test_degenerate_rejected(self):
-        # Proportional columns: truncated arithmetic cannot distinguish
-        # genuine dependence from precision starvation, so this is a
-        # precision error by design.
-        with pytest.raises(PrecisionExhaustedError):
+        # Proportional columns: the exact determinant is zero.  The
+        # truncated oracle cannot tell genuine dependence from precision
+        # starvation, so it raises a precision error instead.
+        with pytest.raises(DegenerateVectorError):
             VertexLattice.from_vectors(vec(CTX, (1, 0), (1, 0)), vec(CTX, (2, 0), (2, 0)))
-        # Both generators inside span(v1): detected as degenerate.
+        tctx = oracles.TruncatedContext(5, -2, 26)
+        with pytest.raises(oracles.TruncationExhausted):
+            oracles.ObjectLattice.from_vectors(
+                tctx.vector_from_ints((1, 0), (1, 0)), tctx.vector_from_ints((2, 0), (2, 0))
+            )
+        # Both generators inside span(v1): degenerate on both sides.
         with pytest.raises(DegenerateVectorError):
             VertexLattice.from_vectors(vec(CTX, (0, 0), (1, 0)), vec(CTX, (0, 0), (0, 1)))
+        with pytest.raises(DegenerateVectorError):
+            oracles.ObjectLattice.from_vectors(
+                tctx.vector_from_ints((0, 0), (1, 0)), tctx.vector_from_ints((0, 0), (0, 1))
+            )
 
     def test_non_vertex_lattice_classified(self):
         skew = VertexLattice.from_vectors(vec(CTX, (5, 0), (0, 0)), vec(CTX, (0, 0), (1, 0)))
@@ -143,53 +145,55 @@ class TestNeighbors:
             for lat, _ in tree_ball(lam0, 2):
                 assert_hyperbolic(lat)
         for p, delta in ((3, -1), (5, -2), (7, -1), (11, -1), (13, -2)):
-            ctx = LocalContext(p=p, delta_sq=delta, precision=40)
+            ctx = LocalContext(p=p, delta_sq=delta)
             for center in itertools.islice(central_lattices(ctx), 0, None, 6):
                 for lat, _ in tree_ball(center, 3):
                     assert_hyperbolic(lat)
-        for (p, delta), precision in PRIME_GRID:
-            ctx = LocalContext(p=p, delta_sq=delta, precision=precision)
+        for (p, delta), _ in PRIME_GRID[::2]:
+            ctx = LocalContext(p=p, delta_sq=delta)
             for lat in central_lattices(ctx):
                 assert_hyperbolic(lat)
                 assert_hyperbolic(rebuilt_through_dual(lat))
 
     def test_canonical_basis_refines_the_hensel_reference(self):
-        # The Hensel build finds the same basis in value, but with fewer
-        # digits; at p = 3, precision 8 it even returns a u1 that is zero
-        # at its precision.  Lattices are rebuilt from (key, type) so
-        # that neither side inherits a basis.
-        deep_ctx = LocalContext(p=3, delta_sq=-10, precision=8)
+        # The Hensel build, on the truncated ring, finds the same basis in
+        # value to the digits it keeps; at p = 3, precision 8 it even
+        # returns a u1 that is zero at its precision, where the core's is
+        # exact.  Lattices are rebuilt from (key, type) so that neither
+        # side inherits a basis.
+        deep_ctx = oracles.TruncatedContext(3, -10, 8)
         deep_key = (2, 0, 4, (0, 0))
-        cases = [(deep_ctx, (deep_key, 0))]
+        cases = [(LocalContext(3, -10), deep_ctx, (deep_key, 0))]
         for (p, delta), precision in PRIME_GRID:
-            ctx = LocalContext(p=p, delta_sq=delta, precision=precision)
+            ctx = LocalContext(p=p, delta_sq=delta)
+            tctx = oracles.TruncatedContext(p, delta, precision)
             lam0, _ = standard_lattices(ctx)
-            lats = [lat for lat, _ in tree_ball(lam0, 2)] + list(central_lattices(ctx))
-            cases += [(ctx, (lat.key, lat.vtype)) for lat in lats]
-        for ctx, (key, vtype) in cases:
+            lats = [lat for lat, _ in tree_ball(lam0, 2)]
+            lats += central_lattices(ctx, 2 if precision == 8 else 9)
+            cases += [(ctx, tctx, (lat.key, lat.vtype)) for lat in lats]
+        for ctx, tctx, (key, vtype) in cases:
             core = VertexLattice(ctx, *key).hyperbolic_basis()
-            ref = oracles.hensel_hyperbolic_basis(oracles.ObjectLattice(ctx, *key, vtype))
+            ref = oracles.hensel_hyperbolic_basis(oracles.ObjectLattice(tctx, *key, vtype))
             for u, r in zip(core, ref):
-                for (e, x, y, q), (re, rx, ry, rq) in zip(coordinates(u), coordinates(r)):
-                    assert q - e >= rq - re, (ctx.p, key)
-                    top = max(e, re)
-                    m = ctx.p ** (rq - re + top)
-                    scale, rscale = ctx.p ** (top - e), ctx.p ** (top - re)
-                    assert (x * scale - rx * rscale) % m == 0, (ctx.p, key)
-                    assert (y * scale - ry * rscale) % m == 0, (ctx.p, key)
+                assert oracles.agrees(u, r), (ctx.p, key)
         _, ref_u1 = oracles.hensel_hyperbolic_basis(oracles.ObjectLattice(deep_ctx, *deep_key, 0))
-        assert ref_u1.a0.is_zero() and ref_u1.a1.is_zero()
-        _, core_u1 = VertexLattice(deep_ctx, *deep_key).hyperbolic_basis()
-        assert not core_u1.a1.is_zero()
+        assert ref_u1.is_zero()
+        _, core_u1 = VertexLattice(LocalContext(3, -10), *deep_key).hyperbolic_basis()
+        assert (core_u1.a0.x, core_u1.a1.x, core_u1.denom_exp) == (0, 1, -2)
 
     def test_hyperbolic_basis_keeps_every_digit(self):
-        # The moves put p^4 into u0's column at this vertex; reducing the
-        # column before dividing it out used to leave 16 of 20 digits.
-        ctx = LocalContext(p=3, delta_sq=-10, precision=20)
+        # The moves put p^4 into u0's column at this vertex.  The core's
+        # inherited basis is exact, and the oracle's, walked along the
+        # same moves on the truncated ring at 20 digits, agrees with it.
+        ctx = LocalContext(p=3, delta_sq=-10)
         ball = tree_ball(standard_lattices(ctx)[0], 4)
         lat = next(lat for lat, _ in ball if lat.key == (2, 0, 4, (80, 0)))
-        for u in lat.hyperbolic_basis():
-            assert (u.a0.prec, u.a1.prec) == (20, 20)
+        tctx = oracles.TruncatedContext(3, -10, 20)
+        ref_ball = oracles.tree_ball(oracles.standard_lattices(tctx)[0], 4)
+        ref = next(lat for lat, _ in ref_ball if lat.key == (2, 0, 4, (80, 0)))
+        for u, r in zip(lat.hyperbolic_basis(), ref.hyperbolic_basis()):
+            assert u.a0.y == u.a1.y == 0
+            assert oracles.agrees(u, r)
         assert_hyperbolic(lat)
 
     def test_canonical_offset_with_delta_part_is_not_hyperbolic(self):
@@ -225,18 +229,23 @@ class TestRInvariant:
 
     def test_vanished_numerator_does_not_guess(self):
         # L = span{p^-2 v0, p^2 v1}, so r(x0, x1) = min(v(x0), v(x1) - 4) + 2.
-        # Known to 3 digits, x1 = 0 fits both 3^3 (r = 1) and 3^4 (r = 2).
-        ctx = LocalContext(p=3, delta_sq=-10, precision=20)
+        # Known to 3 digits, x1 = 0 fits both 3^3 (r = 1) and 3^4 (r = 2):
+        # the truncated oracle refuses to choose, and the core, which only
+        # ever sees exact vectors, decides each lift.
+        ctx = LocalContext(p=3, delta_sq=-10)
         ball = tree_ball(standard_lattices(ctx)[0], 4)
         lat = next(lat for lat, _ in ball if lat.key == (2, 0, 4, (0, 0)))
-        one = ctx.elem(1, 0, 20)
-        assert lat.r_invariant(ctx.vector(one, ctx.elem(27, 0, 20))) == 1
-        assert lat.r_invariant(ctx.vector(one, ctx.elem(81, 0, 20))) == 2
-        with pytest.raises(PrecisionExhaustedError) as info:
-            lat.r_invariant(ctx.vector(one, ctx.elem(0, 0, 3)))
+        assert lat.r_invariant(vec(ctx, (1, 0), (27, 0))) == 1
+        assert lat.r_invariant(vec(ctx, (1, 0), (81, 0))) == 2
+        assert lat.r_invariant(vec(ctx, (1, 0), (0, 0))) == 2
+        tctx = oracles.TruncatedContext(3, -10, 20)
+        ref = oracles.ObjectLattice(tctx, *lat.key)
+        one = tctx.elem(1, 0, 20)
+        with pytest.raises(oracles.TruncationExhausted) as info:
+            ref.r_invariant(tctx.vector(one, tctx.elem(0, 0, 3)))
         assert info.value.needed == 4
-        # With 4 digits, v(x1) >= 4 already decides r = 2.
-        assert lat.r_invariant(ctx.vector(one, ctx.elem(0, 0, 4))) == 2
+        # With 4 digits, v(x1) >= 4 already decides r = 2, as for every lift.
+        assert ref.r_invariant(tctx.vector(one, tctx.elem(0, 0, 4))) == 2
 
 
 class TestCentralLattice:
@@ -268,12 +277,13 @@ class TestCentralLattice:
 
     @pytest.mark.parametrize("p, delta", [(3, -1), (5, -2), (7, -1), (11, -1), (13, -2)])
     def test_derived_precision_decides_every_exact_vector(self, p, delta):
-        # At central_precision of its integer coordinates, central_lattice
-        # never raises and gives the key it gives at precision 600.  The
-        # vectors: the family (p^k + p^k d, 1 + (1 + p^m) d), whose
-        # pivots sit near p^k and whose norm has valuation k + m, its
-        # mirror, and random coordinates of random length times random
-        # p-powers, over random denominators.
+        # The exact central_lattice gives the key the truncated oracle
+        # gives at oracles.central_precision of the integer coordinates,
+        # where the oracle never raises.  The vectors: the family
+        # (p^k + p^k d, 1 + (1 + p^m) d), whose pivots sit near p^k and
+        # whose norm has valuation k + m, its mirror, and random
+        # coordinates of random length and sign times random p-powers,
+        # over random denominators.
         rng = random.Random(p)
         cases = [((p**k, p**k), (1, 1 + p**m)) for k in range(40) for m in range(40)]
         cases += [(a1, a0) for a0, a1 in cases[::4]]
@@ -281,15 +291,19 @@ class TestCentralLattice:
             coords = [rng.randrange(-p ** rng.randrange(1, 12), p**12) * p ** rng.randrange(8)
                       for _ in range(4)]
             cases.append((tuple(coords[:2]), tuple(coords[2:])))
-        wide = LocalContext(p=p, delta_sq=delta, precision=600)
+        ctx = LocalContext(p=p, delta_sq=delta)
         decided = 0
         for a0, a1 in cases:
-            if a1[0] * a0[1] == a0[0] * a1[1]:
-                continue  # isotropic: no central lattice at any precision
             denom = rng.randrange(-3, 4)
-            ctx = LocalContext(p=p, delta_sq=delta, precision=central_precision(p, *a0, *a1))
-            got = central_lattice(ctx.vector_from_ints(a0, a1, denom))
-            assert got.key == central_lattice(wide.vector_from_ints(a0, a1, denom)).key
+            b = ctx.vector_from_ints(a0, a1, denom)
+            if a1[0] * a0[1] == a0[0] * a1[1]:
+                # isotropic: no central lattice
+                with pytest.raises(DegenerateVectorError):
+                    central_lattice(b)
+                continue
+            tctx = oracles.TruncatedContext(p, delta, oracles.central_precision(p, *a0, *a1))
+            ref = oracles.central_lattice(tctx.vector_from_ints(a0, a1, denom))
+            assert central_lattice(b).key == ref.key
             decided += 1
         assert decided >= 2000
 
@@ -363,10 +377,11 @@ class TestDistanceAndBall:
                 assert distance(a, b) == oracles.distance_bfs(a, b, radius_cap=8)
 
     def test_long_walk_at_low_precision(self):
-        # Twenty steps from Lambda0 put pivots far past 8 digits; dual,
-        # type and distance read the integer key and never run out.
+        # Twenty steps from Lambda0 put pivots far past the 8 digits of the
+        # truncated ring's smallest precision; dual, type and distance read
+        # the integer key.
         for p, delta in ((3, -1), (5, -2)):
-            ctx = LocalContext(p=p, delta_sq=delta, precision=8)
+            ctx = LocalContext(p=p, delta_sq=delta)
             rng = random.Random(p)
             lam0, _ = standard_lattices(ctx)
             prev, v = None, lam0
@@ -377,13 +392,13 @@ class TestDistanceAndBall:
                 nbs = v.neighbors()
                 assert all(distance(v, nb) == 1 for nb in nbs)
                 prev, v = v, rng.choice([nb for nb in nbs if nb != prev])
-            assert max(v.piv0, v.piv1) > ctx.precision
+            assert max(v.piv0, v.piv1) > oracles.MIN_PRECISION
 
     def test_ball_skips_the_parent_by_index(self):
         # The same keys, in order, as a walk that builds every neighbour
         # and drops the parent by key.
         for p, delta in ((3, -1), (5, -2), (7, -1), (11, -1), (13, -2)):
-            ctx = LocalContext(p=p, delta_sq=delta, precision=40)
+            ctx = LocalContext(p=p, delta_sq=delta)
             radius = {3: 5, 5: 3}.get(p, 2)
             centers = list(standard_lattices(ctx)) + list(
                 itertools.islice(central_lattices(ctx), 0, None, 5)
@@ -410,11 +425,30 @@ def random_vector(ctx, rng, digits=6):
 
 
 def lift(ctx, b, rng):
-    """A random vector of ctx that agrees with b to b's precision."""
-    def elem(a):
+    """A random exact vector of ctx that agrees with the truncated b in
+    every digit b knows."""
+    def coord(a):
         m = ctx.p**a.prec
-        return ctx.elem(a.x + m * rng.randrange(m), a.y + m * rng.randrange(m))
-    return ctx.vector(elem(b.a0), elem(b.a1), b.denom_exp)
+        return (a.x + m * rng.randrange(-m, m), a.y + m * rng.randrange(-m, m))
+    return ctx.vector_from_ints(coord(b.a0), coord(b.a1), b.denom_exp)
+
+
+def coarse_vector(tctx, rng, precision):
+    """A truncated vector with coordinates known to 1..precision digits,
+    or None where the truncated ring cannot normalize it or it vanishes
+    at its precision."""
+    p = tctx.p
+    digits = [rng.randint(1, precision) for _ in range(2)]
+    xs = [rng.randrange(p**precision) * p ** rng.randrange(3) for _ in range(4)]
+    try:
+        b = tctx.vector(
+            tctx.elem(xs[0], xs[1], digits[0]),
+            tctx.elem(xs[2], xs[3], digits[1]),
+            rng.randrange(-2, 3),
+        )
+    except oracles.TruncationExhausted:
+        return None
+    return None if b.is_zero() else b
 
 
 class TestBallRInvariants:
@@ -424,7 +458,7 @@ class TestBallRInvariants:
         # coordinates, negative denominators and the centre's own vector
         # rescaled.
         for p, delta in ((3, -1), (5, -2), (7, -1), (11, -1), (13, -2)):
-            ctx = LocalContext(p=p, delta_sq=delta, precision=40)
+            ctx = LocalContext(p=p, delta_sq=delta)
             rng = random.Random(p)
             radius = {3: 5, 5: 3}.get(p, 2)
             wanted = [0, 0, 2, 2]
@@ -441,62 +475,64 @@ class TestBallRInvariants:
                         assert ball_r_invariants(lat, b, radius) == want, (p, lat.key)
 
     def test_never_guesses(self):
-        # Coordinates known to 1..precision digits: every r the descent
-        # returns is the r of every lift of the vector.
+        # Coordinates known to 1..precision digits: wherever the truncated
+        # oracle's r-invariant returns on every vertex of the ball, the
+        # core's descent gives those r on every exact lift of the vector,
+        # and so does the core's own r_invariant.
         for p, delta in ((3, -1), (5, -2), (7, -1)):
-            exact = LocalContext(p=p, delta_sq=delta, precision=80)
+            ctx = LocalContext(p=p, delta_sq=delta)
             rng = random.Random(100 + p)
             radius = 5 if p == 3 else 3
             returned = raised = 0
             for precision in range(8, 13):
-                ctx = LocalContext(p=p, delta_sq=delta, precision=precision)
+                tctx = oracles.TruncatedContext(p, delta, precision)
                 for _ in range(6):
-                    center = central_lattice(random_vector(exact, rng, 4))
+                    center = VertexLattice(ctx, *central_lattice(random_vector(ctx, rng, 4)).key)
                     ball = tree_ball(center, radius)
-                    digits = [rng.randint(1, precision) for _ in range(2)]
-                    xs = [rng.randrange(p**precision) * p ** rng.randrange(3) for _ in range(4)]
-                    try:
-                        b = ctx.vector(
-                            ctx.elem(xs[0], xs[1], digits[0]),
-                            ctx.elem(xs[2], xs[3], digits[1]),
-                            rng.randrange(-2, 3),
-                        )
-                    except PrecisionExhaustedError:
-                        continue  # the vector itself cannot be normalized
-                    try:
-                        rs = ball_r_invariants(
-                            VertexLattice(ctx, *center.key), b, radius
-                        )
-                    except PrecisionExhaustedError:
-                        raised += 1
+                    b = coarse_vector(tctx, rng, precision)
+                    if b is None:
                         continue
-                    returned += 1
+                    try:
+                        want = [(oracles.ObjectLattice(tctx, *lat.key).r_invariant(b), d)
+                                for lat, d in ball]
+                    except oracles.TruncationExhausted:
+                        raised += 1
+                        want = None
                     for _ in range(3):
-                        b_exact = lift(exact, b, rng)
+                        b_exact = lift(ctx, b, rng)
+                        rs = ball_r_invariants(center, b_exact, radius)
                         assert rs == [(lat.r_invariant(b_exact), d) for lat, d in ball]
-            assert returned >= 20, (p, returned, raised)
+                        if want is not None:
+                            assert rs == want
+                    returned += want is not None
+            assert returned >= 20 and raised >= 1, (p, returned, raised)
 
     def test_undecidable_membership_raises(self):
         # r(b) at this vertex is 1 or 2 for a second coordinate known to
-        # 3 digits (see TestRInvariant): both sides refuse to choose.
-        ctx = LocalContext(p=3, delta_sq=-10, precision=20)
+        # 3 digits (see TestRInvariant): the truncated oracle refuses to
+        # choose, and the core's descent and r_invariant decide each
+        # exact lift alike.
+        ctx = LocalContext(p=3, delta_sq=-10)
         lat = next(
             lat for lat, _ in tree_ball(standard_lattices(ctx)[0], 4)
             if lat.key == (2, 0, 4, (0, 0))
         )
-        b = ctx.vector(ctx.elem(1, 0, 20), ctx.elem(0, 0, 3))
-        with pytest.raises(PrecisionExhaustedError):
-            lat.r_invariant(b)
-        with pytest.raises(PrecisionExhaustedError):
-            ball_r_invariants(lat, b, 2)
-        b = ctx.vector(ctx.elem(1, 0, 20), ctx.elem(0, 0, 4))
-        assert ball_r_invariants(lat, b, 0) == [(2, 0)]
+        tctx = oracles.TruncatedContext(3, -10, 20)
+        with pytest.raises(oracles.TruncationExhausted):
+            oracles.ObjectLattice(tctx, *lat.key).r_invariant(
+                tctx.vector(tctx.elem(1, 0, 20), tctx.elem(0, 0, 3))
+            )
+        for x1, r in ((27, 1), (81, 2), (0, 2)):
+            b = vec(ctx, (1, 0), (x1, 0))
+            assert ball_r_invariants(lat, b, 0) == [(r, 0)] == [(lat.r_invariant(b), 0)]
+            assert ball_r_invariants(lat, b, 2) == [
+                (v.r_invariant(b), d) for v, d in tree_ball(lat, 2)
+            ]
 
 
 def assert_reproduces(lat, b, r, c0, c1):
     """p^r (c0 u0 + c1 u1), in the basis hyperbolic_basis() hands out,
-    equals b in every digit both sides know, and those are at least
-    half the working precision."""
+    equals b exactly."""
     p = lat.ctx.p
     u0, u1 = lat.hyperbolic_basis()
     top = max(u0.denom_exp, u1.denom_exp)
@@ -509,7 +545,6 @@ def assert_reproduces(lat, b, r, c0, c1):
         else:
             bi = bi.mul_int(p**-shift)
         assert x == bi, (p, lat.key)
-        assert min(x.prec, bi.prec) >= lat.ctx.precision // 2, (p, lat.key)
 
 
 class TestCoordinates:
@@ -519,7 +554,7 @@ class TestCoordinates:
         # r-invariant, the coefficient pair is primitive, and it rebuilds
         # b in the exact basis.
         for p, delta in ((3, -1), (5, -2), (7, -1), (11, -1), (13, -2)):
-            ctx = LocalContext(p=p, delta_sq=delta, precision=40)
+            ctx = LocalContext(p=p, delta_sq=delta)
             rng = random.Random(200 + p)
             radius = {3: 4, 5: 3}.get(p, 2)
             for _ in range(3):
@@ -534,18 +569,56 @@ class TestCoordinates:
     def test_coefficient_without_a_digit_raises(self):
         # At this vertex N0 = 3^4 b0 and N1 = b1 (see TestRInvariant).
         # With b0 = 1 and b1 = 0 known to 4 digits, m = 4 decides r = 2,
-        # but c1 = b1 / 3^4 keeps no digit; a fifth digit gives it one.
-        ctx = LocalContext(p=3, delta_sq=-10, precision=20)
-        lat = next(
-            lat for lat, _ in tree_ball(standard_lattices(ctx)[0], 4)
-            if lat.key == (2, 0, 4, (0, 0))
-        )
-        one = ctx.elem(1, 0, 20)
-        b = ctx.vector(one, ctx.elem(0, 0, 4))
-        assert lat.r_invariant(b) == 2
-        with pytest.raises(PrecisionExhaustedError):
-            lat.coordinates(b)
-        with pytest.raises(PrecisionExhaustedError):  # m undecidable
-            lat.coordinates(ctx.vector(one, ctx.elem(0, 0, 3)))
-        r, c0, c1 = lat.coordinates(ctx.vector(one, ctx.elem(0, 0, 5)))
+        # but c1 = b1 / 3^4 keeps no digit: the truncated oracle raises,
+        # and a fifth digit gives c1 one.  The core decides every lift,
+        # and its residues match the oracle's wherever the oracle returns.
+        ctx = LocalContext(p=3, delta_sq=-10)
+        key = (2, 0, 4, (0, 0))
+        lat = VertexLattice(ctx, *key)
+        tctx = oracles.TruncatedContext(3, -10, 20)
+        ref = oracles.ObjectLattice(tctx, *key)
+        one = tctx.elem(1, 0, 20)
+        b = tctx.vector(one, tctx.elem(0, 0, 4))
+        assert ref.r_invariant(b) == 2
+        with pytest.raises(oracles.TruncationExhausted):
+            ref.coordinates(b)
+        with pytest.raises(oracles.TruncationExhausted):  # m undecidable
+            ref.coordinates(tctx.vector(one, tctx.elem(0, 0, 3)))
+        r, c0, c1 = ref.coordinates(tctx.vector(one, tctx.elem(0, 0, 5)))
         assert (r, c0.residue(), c1.prec, c1.residue()) == (2, (1, 0), 1, (0, 0))
+        for x1, c1_residue in ((0, (0, 0)), (81, (1, 0)), (243, (0, 0)), (-81, (2, 0))):
+            r, c0, c1 = lat.coordinates(vec(ctx, (1, 0), (x1, 0)))
+            assert (r, c0.residue(), c1.residue()) == (2, (1, 0), c1_residue)
+
+    def test_residues_match_the_truncated_oracle(self):
+        # Deep and random exact vectors at p = 3..13 against the oracle's
+        # coordinates in the same canonical basis (lattices built from
+        # their keys), at a working precision of 30 digits: r and both
+        # residues agree wherever the oracle returns, and the core
+        # returns everywhere.
+        for p, delta in ((3, -1), (5, -2), (7, -1), (11, -1), (13, -2)):
+            ctx = LocalContext(p=p, delta_sq=delta)
+            tctx = oracles.TruncatedContext(p, delta, 30)
+            rng = random.Random(300 + p)
+            vecs = [vec(ctx, (p**k, p**k), (1, 1 + p**m)) for k in range(0, 40, 7)
+                    for m in range(0, 40, 9)]
+            vecs += [vec(ctx, *[(rng.randrange(-10**30, 10**30), rng.randrange(10**30))
+                                for _ in range(2)]) for _ in range(20)]
+            returned = raised = 0
+            for b in vecs:
+                center = central_lattice(b)
+                for lat, _ in tree_ball(center, 2):
+                    lat = VertexLattice(ctx, *lat.key)
+                    r, c0, c1 = lat.coordinates(b)
+                    try:
+                        want = oracles.ObjectLattice(tctx, *lat.key).coordinates(
+                            oracles.truncate(tctx, b)
+                        )
+                    except oracles.TruncationExhausted:
+                        raised += 1
+                        continue
+                    returned += 1
+                    assert (r, c0.residue(), c1.residue()) == (
+                        want[0], want[1].residue(), want[2].residue()
+                    ), (p, b, lat.key)
+            assert returned > raised > 0, (p, returned, raised)

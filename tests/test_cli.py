@@ -4,18 +4,18 @@ import time
 
 import pytest
 
-from cyclelift.bttree import central_lattice
+import oracles
 from cyclelift.cli import (
     CYCLE_VERTEX_CAP,
     EXIT_HYPOTHESIS,
     EXIT_OK,
     EXIT_TRUNCATION,
     LIFT_M_CAP,
+    LOCAL_COMPARE_VERTEX_CAP,
     main,
     parse_coordinate,
     parse_vector,
 )
-from cyclelift.padic import LocalContext
 
 
 # An orthogonal cycle whose centre lies at tree distance 20 from Lambda0.
@@ -148,7 +148,7 @@ class TestVerifyCommand:
     )
     def test_local_compare_precision_covers_skewed_draws(self, capsys, argv):
         # These seeds draw vectors whose second coordinate carries the
-        # largest p-power skew; the working precision must budget for it.
+        # largest p-power skew.
         code, out, err = run(capsys, "verify", "local-compare", *argv)
         assert code == EXIT_OK, err
         assert json.loads(out)["mismatches"] == []
@@ -188,6 +188,24 @@ class TestVerifyCommand:
             "--count", "2", "--radius", "3",
         )
         assert code == EXIT_OK and json.loads(out)["mismatches"] == []
+
+    def test_local_compare_is_bounded_before_it_starts(self, capsys):
+        # Twice the radius-(alpha + 2) ball for each alpha <= 3 at p = 11 is
+        # 425,144 vertices, under the cap, and runs; alpha <= 4 would visit
+        # 4,676,890 and is refused at once, naming the count.
+        code, out, err = run(capsys, "verify", "local-compare", "--p", "11",
+                             "--delta", "-1", "--alpha-max", "3")
+        assert code == EXIT_OK, err
+        assert json.loads(out)["mismatches"] == []
+        for alpha_max, count in (("4", "4676890"), (str(10**18), "more than 4676890")):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "verify", "local-compare", "--p", "11",
+                                 "--delta", "-1", "--alpha-max", alpha_max)
+            assert time.perf_counter() - start < 1.0
+            assert (code, out) == (EXIT_HYPOTHESIS, "")
+            assert f"visit {count} ball vertices" in err
+            assert str(LOCAL_COMPARE_VERTEX_CAP) in err
+            assert len(err.strip().splitlines()) == 1
 
     # Inert pairs (p, Delta) beyond the p in {3, 5} of the other tests.
     @pytest.mark.parametrize("p, delta", [(7, -2), (11, -14), (13, -2)])
@@ -286,7 +304,7 @@ class TestCycleCommand:
     def test_deep_pivots_need_no_precision_flag(self, capsys, p, delta):
         # The vectors (p^k + p^k d, 1 + (1 + p^m) d) have ord q = k + m
         # and pivots near p^k: every one decomposes, and its centre's
-        # pivot data is the key at precision 600.
+        # pivot data is the truncated oracle's key at precision 600.
         for k in range(0, 25, 4):
             for m in range(0, 25, 6):
                 x0, y0, x1, y1 = p**k, p**k, 1, 1 + p**m
@@ -295,13 +313,13 @@ class TestCycleCommand:
                     "--alpha", "1", "--b", f"{x0}+{y0}d,{x1}+{y1}d",
                 )
                 assert (code, err) == (EXIT_OK, "")
-                ctx = LocalContext(p=p, delta_sq=delta, precision=600)
-                centre = central_lattice(ctx.vector_from_ints((x0, y0), (x1, y1)))
+                ctx = oracles.TruncatedContext(p, delta, 600)
+                centre = oracles.central_lattice(ctx.vector_from_ints((x0, y0), (x1, y1)))
                 assert list(json.loads(out)["vertices"].values()) == [centre.describe()]
 
     @pytest.mark.parametrize("precision", ["0", "60"])
     def test_precision_flag_is_rejected(self, capsys, precision):
-        # The working precision follows from the input: there is no flag.
+        # Every vector is exact: there is no working precision to set.
         with pytest.raises(SystemExit) as exc:
             main(["cycle", "--p", "5", "--delta", "-2", "--sign", "minus",
                   "--b", "0+5d,5+0d", "--precision", precision])
@@ -311,14 +329,24 @@ class TestCycleCommand:
 
     @pytest.mark.parametrize("p", ["-1", "0", "1", "4"])
     def test_bad_prime_exits_2(self, capsys, p):
-        # The precision is derived before the context checks p: a p that
-        # is not an odd prime must still reach that check.
+        # A p that is not an odd prime must reach the context's check.
         code, out, err = run(
             capsys, "cycle", "--p", p, "--delta", "-2", "--sign", "minus",
             "--b", "0+5d,5+0d",
         )
         assert (code, out) == (EXIT_HYPOTHESIS, "")
         assert f"p must be an odd prime, got {p}" in err
+
+    def test_vector_with_a_leading_minus(self, capsys):
+        # `--b X` and `--b=X` read the same vector, also when it starts
+        # with a minus sign, which argparse would take for a flag.
+        argv = ("cycle", "--p", "3", "--delta", "-10", "--sign", "minus")
+        code, out, err = run(capsys, *argv, "--b", "-1+0d,0+3d")
+        assert (code, err) == (EXIT_OK, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "7b88ae1143be461710436473019bc6e2fb9e874109e6623fd493f3a53450105b"
+        )
+        assert run(capsys, *argv, "--b=-1+0d,0+3d") == (code, out, err)
 
     def test_alpha_requires_ortho(self, capsys):
         code, out, err = run(

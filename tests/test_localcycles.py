@@ -11,7 +11,6 @@ from cyclelift.errors import (
     DegenerateVectorError,
     EmptyIntersectionError,
     NotAdjacentError,
-    PrecisionExhaustedError,
 )
 from cyclelift.localcycles import (
     MINUS,
@@ -32,8 +31,8 @@ from cyclelift.localcycles import (
 )
 from cyclelift.padic import LocalContext, epsilon, qform
 
-CTX = LocalContext(p=5, delta_sq=-2, precision=30)
-CTX3 = LocalContext(p=3, delta_sq=-10, precision=30)
+CTX = LocalContext(p=5, delta_sq=-2)
+CTX3 = LocalContext(p=3, delta_sq=-10)
 LAM0, LAM0P = standard_lattices(CTX)
 
 UNIT_VEC = CTX.vector_from_ints((0, 1), (1, 0))  # (delta, 1), q = -4
@@ -95,9 +94,7 @@ class TestMultiplicity:
 
     def test_support_bound(self):
         rng = random.Random(8)
-        wide = {3: LocalContext(p=3, delta_sq=-10, precision=40),
-                5: LocalContext(p=5, delta_sq=-2, precision=40)}
-        for ctx in (wide[3], wide[5]):
+        for ctx in (CTX3, CTX):
             done = 0
             while done < 6:
                 vec = random_anisotropic(ctx, rng)
@@ -145,8 +142,7 @@ class TestUnitaryCycle:
 class TestCycleProfile:
     # ord q = 8: the unitary cycle's support is the radius-7 ball, 117,187
     # vertices at p = 5.
-    CTX40 = LocalContext(p=5, delta_sq=-2, precision=40)
-    VEC = CTX40.vector_from_ints((0, 625), (625, 0))
+    VEC = CTX.vector_from_ints((0, 625), (625, 0))
 
     def test_building_enumerates_nothing(self, monkeypatch):
         calls = []
@@ -316,11 +312,11 @@ class TestOrdinaryEquation:
         # coefficients are literally the coordinates.
         eq = ordinary_equation(hom, LAM0)
         assert eq.p_exp == 0
-        assert (eq.c0, eq.c1) == (CTX.one(), CTX.elem(1, 1))
+        assert (eq.c0, eq.c1) == (CTX.elem(1), CTX.elem(1, 1))
         homp = SpecialHom.from_vector(PLUS, vec)
         eqp = ordinary_equation(homp, LAM0)
         assert eqp.p_exp == 1
-        assert (eqp.c0, eqp.c1) == (CTX.one(), CTX.elem(1, -1))
+        assert (eqp.c0, eqp.c1) == (CTX.elem(1), CTX.elem(1, -1))
 
     def test_p_vec_example(self):
         hom = SpecialHom.from_vector(MINUS, P_VEC)
@@ -355,29 +351,38 @@ class TestOrdinaryEquation:
                     assert eq.residual_is_unit() == (lat != center)
 
     def test_low_precision_keeps_a_unit_coefficient(self):
-        # At precision 8 the second coefficient is 1 + 2 delta mod 3, as
-        # at precision 40; dropping a vanished coordinate's division by
-        # p^r used to return 0 for both.
-        residues = []
+        # The second coefficient is 1 + 2 delta mod 3, and the truncated
+        # oracle's coordinates give the same residues at precision 8 and
+        # 40 (dropping a vanished coordinate's division by p^r used to
+        # return 0 for both).
+        ctx = LocalContext(p=3, delta_sq=-10)
+        key = (3, 0, 5, (87, 0))
+        hom = SpecialHom.from_vector(MINUS, ctx.vector_from_ints((299, 999), (606, 189)))
+        eq = ordinary_equation(hom, VertexLattice(ctx, *key))
+        assert eq.c1.residue() == (1, 2)
         for precision in (8, 40):
-            ctx = LocalContext(p=3, delta_sq=-10, precision=precision)
-            hom = SpecialHom.from_vector(MINUS, ctx.vector_from_ints((299, 999), (606, 189)))
-            eq = ordinary_equation(hom, VertexLattice(ctx, 3, 0, 5, (87, 0)))
-            residues.append((eq.p_exp, eq.c0.residue(), eq.c1.residue()))
-        assert residues[0] == residues[1]
-        assert residues[0][2] == (1, 2)
+            tctx = oracles.TruncatedContext(3, -10, precision)
+            r, c0, c1 = oracles.ObjectLattice(tctx, *key).coordinates(
+                oracles.truncate(tctx, hom.vec)
+            )
+            # A minus sign on a type-2 line conjugates the coefficients.
+            assert (r, c0.conj().residue(), c1.conj().residue()) == (
+                eq.p_exp, eq.c0.residue(), eq.c1.residue()
+            )
 
     def test_low_precision_never_guesses(self):
-        # Vectors read at precision 8..12: wherever the call returns, its
-        # p-exponent and coefficient residues are those of the same
-        # integers at precision 80, on the radius-3 ball of the same
-        # centre key (so both sides walk the same inherited bases).
+        # Vectors read by the truncated oracle at precision 8..12: wherever
+        # its coordinates return, r and the coefficient residues are
+        # those of the exact core, on the radius-3 ball of the centre,
+        # every vertex rebuilt from its key so that both sides use the
+        # canonical basis; and the core's ordinary equation has that r
+        # as its p-exponent, up to the sign's shift.
         for p, delta in ((3, -10), (5, -2), (7, -1)):
-            exact = LocalContext(p=p, delta_sq=delta, precision=80)
+            ctx = LocalContext(p=p, delta_sq=delta)
             rng = random.Random(p)
             returned = 0
             for precision in range(8, 13):
-                ctx = LocalContext(p=p, delta_sq=delta, precision=precision)
+                tctx = oracles.TruncatedContext(p, delta, precision)
                 drawn = 0
                 while drawn < 4:
                     a0 = (rng.randrange(p**12), rng.randrange(p**12))
@@ -386,25 +391,25 @@ class TestOrdinaryEquation:
                     sign = rng.choice((MINUS, PLUS))
                     try:
                         hom = SpecialHom.from_vector(sign, ctx.vector_from_ints(a0, a1))
-                        center = hom.central()
                     except (CycleLiftError, ValueError):
-                        continue  # isotropic, non-integral or undecidable here
+                        continue  # isotropic or non-integral
                     drawn += 1
-                    ref = SpecialHom.from_vector(sign, exact.vector_from_ints(a0, a1))
-                    ball = tree_ball(VertexLattice(ctx, *center.key), 3)
-                    ref_ball = tree_ball(VertexLattice(exact, *center.key), 3)
-                    for (lat, _), (ref_lat, _) in zip(ball, ref_ball):
-                        if ref_lat.r_invariant(ref.vec) < 0:
+                    b = oracles.truncate(tctx, hom.vec)
+                    for lat, _ in tree_ball(hom.central(), 3):
+                        lat = VertexLattice(ctx, *lat.key)
+                        r, c0, c1 = lat.coordinates(hom.vec)
+                        if r < 0:
                             continue
+                        eq = ordinary_equation(hom, lat)
+                        assert eq.p_exp == r + (hom.sign == PLUS and lat.vtype == 0)
                         try:
-                            eq = ordinary_equation(hom, lat)
-                        except PrecisionExhaustedError:
+                            want = oracles.ObjectLattice(tctx, *lat.key).coordinates(b)
+                        except oracles.TruncationExhausted:
                             continue
                         returned += 1
-                        want = ordinary_equation(ref, ref_lat)
-                        assert min(eq.c0.prec, eq.c1.prec) >= 1
-                        assert (eq.p_exp, eq.c0.residue(), eq.c1.residue()) == (
-                            want.p_exp, want.c0.residue(), want.c1.residue()
+                        assert min(want[1].prec, want[2].prec) >= 1
+                        assert (r, c0.residue(), c1.residue()) == (
+                            want[0], want[1].residue(), want[2].residue()
                         ), (p, precision, a0, a1, sign, lat.key)
             assert returned >= 300, (p, returned)
 
@@ -447,7 +452,7 @@ class TestSuperspecialExponents:
     def test_pair_beyond_distance_cap_not_adjacent(self):
         # A pair 41 steps apart, far beyond any search radius: adjacency
         # is decided by the exact distance alone.
-        ctx = LocalContext(p=3, delta_sq=-10, precision=100)
+        ctx = LocalContext(p=3, delta_sq=-10)
         lam0, _ = standard_lattices(ctx)
         far = lam0
         for _ in range(41):
@@ -464,10 +469,17 @@ class TestHorizontalComparison:
         # coordinates in the hyperbolic basis of the central lattice:
         #   [j] = delta/(a0 a1' - a0' a1) * [[S, -2 n(a0)], [2 n(a1), -S]]
         # with S = a0 a1' + a0' a1.  It must fix the eigenvector with
-        # eigenvalue delta, have rational entries, and its horizontal
-        # quadratic must match the product of the two linear factors of
-        # the split pair up to a unit.
+        # eigenvalue delta and have rational entries (both mod p^K, where
+        # the unit inverse lives), and its horizontal quadratic must match
+        # the product of the two linear factors of the split pair up to a
+        # unit.
         from cyclelift.sweeps import horizontal_polynomials_match
+
+        K = 30
+
+        def congruent(u, v):
+            m = u.ctx.p**K
+            return (u.x - v.x) % m == 0 and (u.y - v.y) % m == 0
 
         rng = random.Random(55)
         for ctx in (CTX3, CTX):
@@ -481,17 +493,17 @@ class TestHorizontalComparison:
                     z = a0.mul(a1.conj())
                     d_elem = z.sub(z.conj())
                     s_elem = z.add(z.conj())
-                    factor = ctx.delta().mul(d_elem.unit_inverse())
+                    factor = ctx.delta().mul(d_elem.unit_inverse(K))
                     m00 = factor.mul(s_elem)
                     m01 = factor.mul(a0.mul(a0.conj())).mul_int(-2)
                     m10 = factor.mul(a1.mul(a1.conj())).mul_int(2)
                     m11 = factor.mul(s_elem).neg()
                     # rational entries
                     for entry in (m00, m01, m10, m11):
-                        assert entry.y % ctx.p**entry.prec == 0
+                        assert entry.y % ctx.p**K == 0
                     # eigenvector equation [j] (a0, a1) = delta (a0, a1)
-                    assert m00.mul(a0).add(m01.mul(a1)) == ctx.delta().mul(a0)
-                    assert m10.mul(a0).add(m11.mul(a1)) == ctx.delta().mul(a1)
+                    assert congruent(m00.mul(a0).add(m01.mul(a1)), ctx.delta().mul(a0))
+                    assert congruent(m10.mul(a0).add(m11.mul(a1)), ctx.delta().mul(a1))
                     if alpha >= 1:
                         hp, hm = split_pair(j)
                         assert horizontal_polynomials_match(j, hp, hm)
@@ -539,7 +551,7 @@ def test_path_words_match_bfs_reference(p, kind, seed):
     its tree distance to the centre."""
     rng = random.Random(seed)
     deltas, depth = LABEL_CASES[p]
-    ctx = LocalContext(p=p, delta_sq=rng.choice(deltas), precision=40)
+    ctx = LocalContext(p=p, delta_sq=rng.choice(deltas))
     k, radius = rng.choice([(k, r) for k in range(depth + 1) for r in range(depth + 1 - k)])
     vec = vector_with_ord(ctx, rng, k)
     if kind == "ortho":

@@ -1,25 +1,21 @@
+import dataclasses
 import random
 
 import pytest
 
-from cyclelift.errors import DegenerateVectorError, PrecisionExhaustedError
-from cyclelift.padic import (
-    LocalContext,
-    epsilon,
-    herm,
-    ord_qform,
-    qform,
-    required_precision,
-)
+import oracles
+from cyclelift import padic
+from cyclelift.errors import DegenerateVectorError
+from cyclelift.padic import LocalContext, VectorC, epsilon, herm, ord_qform, qform
 
-CTX = LocalContext(p=5, delta_sq=-2, precision=20)
-CTX3 = LocalContext(p=3, delta_sq=-10, precision=20)
+CTX = LocalContext(p=5, delta_sq=-2)
+CTX3 = LocalContext(p=3, delta_sq=-10)
 
 
 def random_vector(ctx, rng, span=4):
     while True:
-        a0 = (rng.randrange(ctx.p**span), rng.randrange(ctx.p**span))
-        a1 = (rng.randrange(ctx.p**span), rng.randrange(ctx.p**span))
+        a0 = (rng.randrange(-ctx.p**span, ctx.p**span), rng.randrange(ctx.p**span))
+        a1 = (rng.randrange(ctx.p**span), rng.randrange(-ctx.p**span, ctx.p**span))
         if any(x % ctx.p for x in a0 + a1):
             return ctx.vector_from_ints(a0, a1, rng.randrange(-2, 3))
 
@@ -27,17 +23,20 @@ def random_vector(ctx, rng, span=4):
 class TestContext:
     def test_rejects_split_prime(self):
         with pytest.raises(ValueError):
-            LocalContext(p=3, delta_sq=-2, precision=20)  # -2 is a square mod 3
+            LocalContext(p=3, delta_sq=-2)  # -2 is a square mod 3
 
     def test_rejects_even_prime_and_low_precision(self):
         with pytest.raises(ValueError):
-            LocalContext(p=2, delta_sq=-2, precision=20)
+            LocalContext(p=2, delta_sq=-2)
+        # Only the truncated oracle ring has a working precision to refuse.
         with pytest.raises(ValueError):
-            LocalContext(p=5, delta_sq=-2, precision=4)
+            oracles.TruncatedContext(p=5, delta_sq=-2, precision=4)
 
     def test_required_precision_policy(self):
-        assert required_precision(3, 6) == 2 * 9 + 8
-        assert required_precision(0, 0) == 8
+        # There is no working precision: a context is p and Delta alone.
+        assert [f.name for f in dataclasses.fields(LocalContext)] == ["p", "delta_sq"]
+        for name in ("required_precision", "DEFAULT_MIN_PRECISION"):
+            assert not hasattr(padic, name)
 
 
 class TestElem:
@@ -47,35 +46,41 @@ class TestElem:
         assert d.conj() == d.neg()
         e = CTX.elem(3, 4)
         assert e.mul(e.conj()) == CTX.elem(3 * 3 - (-2) * 4 * 4)
+        assert e.add(e).sub(e.mul_int(2)) == CTX.elem(0)
 
     def test_valuation(self):
         assert CTX.elem(25, 50).valuation() == 2
         assert CTX.elem(25, 1).valuation() == 0
-        with pytest.raises(PrecisionExhaustedError):
-            CTX.elem(0, 0).valuation()
+        assert CTX.elem(-125, 0).valuation() == 3
+        assert CTX.elem(0, 0).valuation() is None  # the valuation of zero is infinite
 
     def test_unit_inverse(self):
         e = CTX.elem(3, 4)
-        assert e.mul(e.unit_inverse()) == CTX.one()
+        for k in (0, 1, 20):
+            inv = e.unit_inverse(k)
+            prod = e.mul(inv)
+            assert (prod.x - 1) % 5**k == 0 and prod.y % 5**k == 0
+            assert 0 <= inv.x < 5**k and 0 <= inv.y < 5**k
         with pytest.raises(ValueError):
-            CTX.elem(5, 10).unit_inverse()
+            CTX.elem(5, 10).unit_inverse(3)
 
     def test_divide_p_power_tracks_precision(self):
-        e = CTX.elem(50, 25)
-        q = e.divide_p_power(2)
-        assert q.prec == CTX.precision - 2
-        assert q == CTX.elem(2, 1, prec=q.prec)
+        # Division is exact: no digit is lost, and the sign is kept.
+        assert CTX.elem(50, 25).divide_p_power(2) == CTX.elem(2, 1)
+        assert CTX.elem(-50, 25).divide_p_power(2) == CTX.elem(-2, 1)
+        assert CTX.elem(7, 3).divide_p_power(0) == CTX.elem(7, 3)
         with pytest.raises(ValueError):
             CTX.elem(5, 1).divide_p_power(1)
 
     def test_vector_normalization_guards_starved_zero(self):
-        # One coordinate vanishes at a tiny precision while the other
-        # forces a large shift: the divisibility of the zero coordinate
-        # is uncertifiable, so normalization must refuse.
-        low_zero = CTX.elem(0, 0, prec=3)
-        high = CTX.elem(5**6, 0)
-        with pytest.raises(PrecisionExhaustedError):
-            CTX.vector(low_zero, high)
+        # A zero coordinate is exactly zero, so normalization divides the
+        # other one out; the truncated oracle, which knows the zero to 3
+        # digits only, cannot certify that and refuses.
+        b = VectorC(CTX, CTX.elem(0, 0), CTX.elem(5**6, 0))
+        assert (b.a0, b.a1, b.denom_exp) == (CTX.elem(0), CTX.elem(1), -6)
+        t = oracles.TruncatedContext(p=5, delta_sq=-2, precision=20)
+        with pytest.raises(oracles.TruncationExhausted):
+            t.vector(t.elem(0, 0, prec=3), t.elem(5**6, 0))
 
 
 class TestHerm:
@@ -87,7 +92,7 @@ class TestHerm:
         val, _ = herm(v1, v0)
         assert val == CTX.delta().neg()
         val, _ = herm(v0, v0)
-        assert val.is_zero()
+        assert val == CTX.elem(0)
 
     def test_norm_of_delta_one(self):
         b = CTX.vector_from_ints((0, 1), (1, 0))
@@ -116,9 +121,8 @@ class TestQForm:
 
     def test_unit_norm_example(self):
         b = CTX.vector_from_ints((0, 1), (1, 0))
-        q = qform(b)
-        assert q.valuation == 0
-        assert q.unit_residue == (-4) % 5
+        assert qform(b).valuation == 0
+        assert ord_qform(b) == 0
 
     def test_scaling_shifts_by_two(self):
         b = CTX.vector_from_ints((0, 1), (1, 0))
@@ -133,7 +137,7 @@ class TestQForm:
             for _ in range(300):
                 b = random_vector(ctx, rng)
                 val, _ = herm(b, b)
-                assert val.y % ctx.p ** val.prec == 0
+                assert val.y == 0
 
 
 class TestEpsilon:
@@ -143,7 +147,7 @@ class TestEpsilon:
         b = CTX.vector_from_ints((0, 1), (1, 0))
         eb = epsilon(b)
         assert eb.a0 == CTX.elem(0, -1)
-        assert eb.a1 == CTX.one()
+        assert eb.a1 == CTX.elem(1)
 
     def test_negates_qform(self):
         b = CTX.vector_from_ints((0, 1), (1, 0))
@@ -158,10 +162,11 @@ class TestEpsilon:
             b = random_vector(CTX, rng)
             bb = epsilon(epsilon(b))
             assert bb.a0 == b.a0 and bb.a1 == b.a1 and bb.denom_exp == b.denom_exp
-            a = CTX.elem(rng.randrange(1, 100), rng.randrange(100))
-            scaled = epsilon(b.scale_unit(a))
-            direct = epsilon(b).scale_unit(a.conj())
-            assert scaled.a0 == direct.a0 and scaled.a1 == direct.a1
+            a = CTX.elem(5 * rng.randrange(20) + rng.randrange(1, 5), rng.randrange(100))
+            scaled = epsilon(VectorC(CTX, b.a0.mul(a), b.a1.mul(a), b.denom_exp))
+            direct = epsilon(b)
+            ac = a.conj()
+            assert (scaled.a0, scaled.a1) == (direct.a0.mul(ac), direct.a1.mul(ac))
             q1 = qform(b)
             q2 = qform(epsilon(b))
             assert q1.valuation == q2.valuation

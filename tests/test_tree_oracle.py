@@ -1,16 +1,16 @@
-"""Property suite: the integer tree core of cyclelift.bttree against the
-object-path reference in oracles.py, at p in {3, 5, 7, 11, 13} with two
-inert Delta each, at working precisions low enough to run out.
+"""Property suite: the exact tree core of cyclelift.bttree against the
+object-path reference in oracles.py, which runs on the truncated ring,
+at p in {3, 5, 7, 11, 13} with two inert Delta each, at working
+precisions low enough for the oracle to run out.
 
-Outcomes are compared whole: either the same values (keys in order,
-r-invariants) or the same exception type, message and `needed`.  There
-are two exceptions.  The core walks the tree on exact integer bases,
-and reads duals and types off integer keys, so it never runs out of
-digits there: where the oracle raises at the working precision, the
-core must give the oracle's keys, duals and types at precision
-EXACT_PRECISION.  And the core's hyperbolic basis keeps every digit of
-its exact columns, so it must agree with the oracle's at the smaller
-of the two precisions.
+The core works on exact vectors and never runs out of digits.  Wherever
+the oracle returns at its working precision, the core must give its
+values (keys in order, duals, types, r-invariants, hyperbolic bases to
+the oracle's digits).  Where the oracle raises, the core must still
+return, and give the oracle's values at precision EXACT_PRECISION.
+Vectors the oracle knows to a few digits only are compared through
+exact lifts: the oracle's r, wherever it returns, is the core's r on
+every lift.
 """
 
 import random
@@ -46,29 +46,14 @@ def ball_keys(module, center, radius):
     return [(lat.key, d) for lat, d in module.tree_ball(center, radius)]
 
 
-def oracle_outcome(ctx, fn):
-    """The outcome of fn(ctx) on the oracle, or where that raises, of
-    fn at EXACT_PRECISION."""
-    found = outcome(lambda: fn(ctx))
-    if found[0] == "ok":
+def oracle_outcome(tctx, fn):
+    """The outcome of fn(tctx) on the oracle, or where that raises
+    TruncationExhausted, of fn at EXACT_PRECISION."""
+    found = outcome(lambda: fn(tctx))
+    if found[0] != "TruncationExhausted":
         return found
-    exact = LocalContext(p=ctx.p, delta_sq=ctx.delta_sq, precision=EXACT_PRECISION)
+    exact = oracles.TruncatedContext(tctx.p, tctx.delta_sq, EXACT_PRECISION)
     return outcome(lambda: fn(exact))
-
-
-def agree_at_smaller_precision(u, r):
-    """u keeps at least r's digits, and the two vectors agree in every
-    coordinate at the smaller of their precisions."""
-    top = max(u.denom_exp, r.denom_exp)
-    for a, b in ((u.a0, r.a0), (u.a1, r.a1)):
-        known, ref_known = a.prec - u.denom_exp, b.prec - r.denom_exp
-        if known < ref_known:
-            return False
-        m = u.ctx.p ** (ref_known + top)
-        scale, ref_scale = u.ctx.p ** (top - u.denom_exp), u.ctx.p ** (top - r.denom_exp)
-        if (a.x * scale - b.x * ref_scale) % m or (a.y * scale - b.y * ref_scale) % m:
-            return False
-    return True
 
 
 def random_vector(ctx, rng):
@@ -86,29 +71,39 @@ def random_vector(ctx, rng):
             return vec
 
 
-def coarse_vector(ctx, rng):
-    """A vector whose coordinates are known to only 1-4 digits each, so
-    that membership can be undecidable at precision (or the vector zero)."""
-    p = ctx.p
+def coarse_vector(tctx, rng):
+    """A truncated vector whose coordinates are known to only 1-4 digits
+    each, so that membership can be undecidable at precision (or the
+    vector zero)."""
+    p = tctx.p
     k0, k1 = rng.randint(1, 4), rng.randint(1, 4)
     x0, y0, x1, y1 = (rng.randrange(p**4) * p ** rng.randrange(3) for _ in range(4))
     try:
-        return ctx.vector(ctx.elem(x0, y0, k0), ctx.elem(x1, y1, k1))
+        return tctx.vector(tctx.elem(x0, y0, k0), tctx.elem(x1, y1, k1))
     except CycleLiftError:
-        return coarse_vector(ctx, rng)
+        return coarse_vector(tctx, rng)
+
+
+def lift(ctx, b, rng):
+    """A random exact vector that agrees with the truncated b in every
+    digit b knows."""
+    def coord(a):
+        m = ctx.p**a.prec
+        return (a.x + m * rng.randrange(-m, m), a.y + m * rng.randrange(-m, m))
+    return ctx.vector_from_ints(coord(b.a0), coord(b.a1), b.denom_exp)
 
 
 @SUITE
 @given(PRIME_DELTA, st.integers(8, 16), st.booleans())
 def test_standard_balls_and_neighbour_order(pd, precision, type2):
     p, delta = pd
-    ctx = LocalContext(p=p, delta_sq=delta, precision=precision)
-    core = bttree.standard_lattices(ctx)[type2]
-    assert outcome(lambda: [nb.key for nb in core.neighbors()]) == oracle_outcome(
-        ctx, lambda c: [nb.key for nb in oracles.standard_lattices(c)[type2].neighbors()]
+    tctx = oracles.TruncatedContext(p, delta, precision)
+    core = bttree.standard_lattices(LocalContext(p, delta))[type2]
+    assert ("ok", [nb.key for nb in core.neighbors()]) == oracle_outcome(
+        tctx, lambda c: [nb.key for nb in oracles.standard_lattices(c)[type2].neighbors()]
     )
-    assert outcome(lambda: ball_keys(bttree, core, RADIUS[p])) == oracle_outcome(
-        ctx, lambda c: ball_keys(oracles, oracles.standard_lattices(c)[type2], RADIUS[p])
+    assert ("ok", ball_keys(bttree, core, RADIUS[p])) == oracle_outcome(
+        tctx, lambda c: ball_keys(oracles, oracles.standard_lattices(c)[type2], RADIUS[p])
     )
 
 
@@ -116,42 +111,47 @@ def test_standard_balls_and_neighbour_order(pd, precision, type2):
 @given(PRIME_DELTA, st.integers(8, 20), st.integers(0, 2**32))
 def test_central_balls_match(pd, precision, seed):
     p, delta = pd
-    ctx = LocalContext(p=p, delta_sq=delta, precision=precision)
+    ctx = LocalContext(p, delta)
+    tctx = oracles.TruncatedContext(p, delta, precision)
     rng = random.Random(seed)
     vec = random_vector(ctx, rng)
-    core = outcome(lambda: bttree.central_lattice(vec))
-    ref = outcome(lambda: oracles.central_lattice(vec))
-    if core[0] != "ok" or ref[0] != "ok":
-        assert core == ref
-        return
-    core, ref = core[1], ref[1]
+    core = bttree.central_lattice(vec)
+    ref = oracle_outcome(tctx, lambda c: oracles.central_lattice(oracles.truncate(c, vec)))
+    assert ref[0] == "ok"
+    ref = ref[1]
     assert core.key == ref.key
-    found = outcome(core.hyperbolic_basis)
-    ref_found = outcome(ref.hyperbolic_basis)
-    if found[0] != "ok" or ref_found[0] != "ok":
-        assert found == ref_found
-    else:
-        for u, r in zip(found[1], ref_found[1]):
-            assert agree_at_smaller_precision(u, r)
+    # The core's basis is exact; the oracle's agrees with it in every
+    # digit it keeps, or raises.
+    ref_basis = outcome(ref.hyperbolic_basis)
+    if ref_basis[0] == "ok":
+        for u, r in zip(core.hyperbolic_basis(), ref_basis[1]):
+            assert oracles.agrees(u, r)
     # The oracle's centre carries no inherited basis, so rebuilding it
     # from its key at another precision gives the same tree.
     radius = RADIUS[p] - 1
     core_ball = bttree.tree_ball(core, radius)
     assert ("ok", [(lat.key, d) for lat, d in core_ball]) == oracle_outcome(
-        ctx, lambda c: ball_keys(oracles, oracles.ObjectLattice(c, *ref.key, ref.vtype), radius)
+        tctx, lambda c: ball_keys(oracles, oracles.ObjectLattice(c, *ref.key, ref.vtype), radius)
     )
-    probes = (vec, random_vector(ctx, rng), coarse_vector(ctx, rng))
+    probes = (vec, random_vector(ctx, rng))
+    coarse = coarse_vector(tctx, rng)
+    lifts = [lift(ctx, coarse, rng) for _ in range(3)]
     for lat, _ in core_ball:
-        rlat = oracles.ObjectLattice(ctx, *lat.key)
+        rlat = oracles.ObjectLattice(tctx, *lat.key)
         for b in probes:
-            assert outcome(lambda: lat.r_invariant(b)) == outcome(lambda: rlat.r_invariant(b))
+            found = outcome(lambda: rlat.r_invariant(oracles.truncate(tctx, b)))
+            if found[0] == "ok":
+                assert lat.r_invariant(b) == found[1]
+        found = outcome(lambda: rlat.r_invariant(coarse))
+        if found[0] == "ok":
+            assert [lat.r_invariant(b) for b in lifts] == [found[1]] * len(lifts)
 
 
 @SUITE
 @given(PRIME_DELTA, st.integers(0, 2**32))
 def test_neighbour_symmetry(pd, seed):
     p, delta = pd
-    ctx = LocalContext(p=p, delta_sq=delta, precision=30)
+    ctx = LocalContext(p, delta)
     rng = random.Random(seed)
     center = bttree.central_lattice(random_vector(ctx, rng))
     ball = bttree.tree_ball(center, RADIUS[p] - 1)
@@ -163,31 +163,27 @@ def test_neighbour_symmetry(pd, seed):
 
 @SUITE
 @given(PRIME_DELTA, st.integers(8, 30), st.integers(0, 2**32))
-@example(pd=(3, -1), precision=8, seed=1424)  # construction raises on both sides
+@example(pd=(3, -1), precision=8, seed=1424)  # the oracle's construction raises
 def test_dual_involution(pd, precision, seed):
     p, delta = pd
-    ctx = LocalContext(p=p, delta_sq=delta, precision=precision)
+    ctx = LocalContext(p, delta)
+    tctx = oracles.TruncatedContext(p, delta, precision)
     rng = random.Random(seed)
     u, v = random_vector(ctx, rng), random_vector(ctx, rng)
     pairs = (
-        (lambda: bttree.central_lattice(u), lambda: oracles.central_lattice(u)),
-        (
-            lambda: bttree.VertexLattice.from_vectors(u, v),
-            lambda: oracles.ObjectLattice.from_vectors(u, v),
-        ),
+        (bttree.central_lattice(u),
+         lambda c: oracles.central_lattice(oracles.truncate(c, u))),
+        (bttree.VertexLattice.from_vectors(u, v),
+         lambda c: oracles.ObjectLattice.from_vectors(
+             oracles.truncate(c, u), oracles.truncate(c, v))),
     )
-    for make, make_ref in pairs:
-        found, ref_found = outcome(make), outcome(make_ref)
-        if found[0] != "ok" or ref_found[0] != "ok":
-            assert found == ref_found
-            continue
-        lat = found[1]
-        assert lat.key == ref_found[1].key
+    for lat, make_ref in pairs:
+        assert ("ok", lat.key) == oracle_outcome(tctx, lambda c: make_ref(c).key)
         assert ("ok", lat.dual().key) == oracle_outcome(
-            ctx, lambda c: oracles.ObjectLattice(c, *lat.key).dual().key
+            tctx, lambda c: oracles.ObjectLattice(c, *lat.key).dual().key
         )
         assert ("ok", lat.vtype) == oracle_outcome(
-            ctx, lambda c: oracles.ObjectLattice(c, *lat.key).vtype
+            tctx, lambda c: oracles.ObjectLattice(c, *lat.key).vtype
         )
         assert lat.dual().dual() == lat
 
@@ -196,7 +192,7 @@ def test_dual_involution(pd, precision, seed):
 @given(PRIME_DELTA, st.integers(0, 2**32))
 def test_distance_matches_bfs(pd, seed):
     p, delta = pd
-    ctx = LocalContext(p=p, delta_sq=delta, precision=30)
+    ctx = LocalContext(p, delta)
     rng = random.Random(seed)
     center = bttree.central_lattice(random_vector(ctx, rng))
     ball = bttree.tree_ball(center, 2)
@@ -211,7 +207,7 @@ def test_distance_matches_bfs(pd, seed):
 @example(pd=(5, -2), seed=1080)  # a centre basis that lost digits ran out of precision
 def test_r_formula(pd, seed):
     p, delta = pd
-    ctx = LocalContext(p=p, delta_sq=delta, precision=30)
+    ctx = LocalContext(p, delta)
     vec = random_vector(ctx, random.Random(seed))
     ordq = qform(vec).valuation
     t = -((-ordq) // 2)
