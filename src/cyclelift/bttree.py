@@ -373,6 +373,12 @@ def tree_ball(center: VertexLattice, radius: int) -> list[tuple[VertexLattice, i
     return out
 
 
+def ball_size(p: int, radius: int) -> int:
+    """len(tree_ball(center, radius)) in the (p + 1)-regular tree:
+    1 + (p + 1)(p^R - 1)/(p - 1), with R = max(radius, 0)."""
+    return 1 + (p + 1) * (p ** max(radius, 0) - 1) // (p - 1)
+
+
 def ball_r_invariants(
     center: VertexLattice, b: VectorC, radius: int
 ) -> list[tuple[int, int]]:

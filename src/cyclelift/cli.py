@@ -14,9 +14,8 @@ import json
 import random
 import re
 import sys
-from math import isqrt
 
-from cyclelift import localcycles, qseries, sweeps
+from cyclelift import bttree, localcycles, qseries, sweeps
 from cyclelift.errors import (
     DegenerateVectorError,
     HypothesisError,
@@ -48,12 +47,17 @@ LIFT_M_CAP = 10_000
 # peak RSS on one Xeon core, and both grow linearly with the count.
 CYCLE_VERTEX_CAP = 200_000
 
-# Largest count of ball vertices that `verify local-compare` visits: the
-# ball of radius alpha + 2, twice, for each alpha <= --alpha-max.  At
-# p = 11, --alpha-max 3 (425,144 vertices) the sweep takes about 4.5 s and
-# 185 MB peak RSS on one Xeon core; each further alpha multiplies the count
-# by about p.
-LOCAL_COMPARE_VERTEX_CAP = 1_000_000
+# Largest count of ball vertices that a tree sweep of `verify` visits, as
+# its registry entry in sweeps.SWEEPS counts them.  On one Xeon core,
+# local-compare at p = 11, --alpha-max 3 (425,144 vertices) takes about
+# 4.5 s and 185 MB peak RSS, and chart at p = 13, --count 2 --radius 5
+# (866,350) about 7.5 s and 470 MB; each further alpha or radius
+# multiplies the count by about p.
+VERIFY_VERTEX_CAP = 1_000_000
+
+# Radii above this are counted as this radius: even at p = 3 its ball
+# holds far more vertices than either cap.
+_RADIUS_CLIP = 64
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -142,47 +146,30 @@ def _require_at_least(flag: str, value: int, least: int) -> None:
 def cmd_verify(args) -> int:
     for name, flag, least in _SWEEP_MINIMA:
         _require_at_least(flag, getattr(args, name), least)
-    runner, required = sweeps.SWEEPS[args.kind]
+    runner, required, balls = sweeps.SWEEPS[args.kind]
     for name in required:
         if getattr(args, name) is None:
             raise ValueError(f"verify {args.kind} requires --{name}")
-    if args.kind == "local-compare":
-        _check_local_compare(args.p, args.delta[0], args.alpha_max)
+    if balls is not None:
+        # A bad p or Delta is refused first, as the sweep would refuse it.
+        _refuse_balls(LocalContext(args.p, args.delta[0]), balls(args), VERIFY_VERTEX_CAP,
+                      f"verify {args.kind} would visit {{}} ball vertices")
     return _report_exit(runner(args, random.Random(args.seed)), args)
 
 
-def _ball_size(p: int, radius: int) -> int:
-    """The vertices in a tree ball of radius R, 1 + (p+1)(p^R - 1)/(p - 1)
-    (counted up to R = 64 only)."""
-    return 1 + (p + 1) * (p ** min(max(radius, 0), 64) - 1) // (p - 1)
-
-
-def _check_local_compare(p: int, delta: int, alpha_max: int) -> None:
-    """Refuse a local-compare sweep that would visit more than
-    LOCAL_COMPARE_VERTEX_CAP ball vertices; a bad p or Delta is refused
-    first, as the sweep would refuse it."""
-    LocalContext(p, delta)
+def _refuse_balls(ctx: LocalContext, balls, cap: int, claim: str) -> None:
+    """Refuse work over tree balls at ctx.p, given as (radius, times)
+    pairs, before it starts when their vertices add up to more than cap.
+    The message opens with claim.format(count), the count read as "more
+    than" it when the pairs left or a clipped radius would add more."""
+    balls = iter(balls)
     total = 0
-    for alpha in range(alpha_max + 1):
-        total += 2 * _ball_size(p, alpha + 2)
-        if total > LOCAL_COMPARE_VERTEX_CAP:
-            more = "more than " if alpha < alpha_max else ""
-            raise ValueError(
-                f"verify local-compare would visit {more}{total} ball vertices, "
-                f"above the cap of {LOCAL_COMPARE_VERTEX_CAP}"
-            )
-
-
-def _check_support(p: int, radius: int) -> None:
-    """Refuse a cycle whose support, the ball of radius R around its
-    centre, holds more than CYCLE_VERTEX_CAP vertices."""
-    size = _ball_size(p, radius)
-    if size > CYCLE_VERTEX_CAP:
-        more = "more than " if radius > 64 else ""
-        raise ValueError(
-            f"the cycle's support, the ball of radius {radius} around its centre, "
-            f"holds {more}{size} vertices, above the cap of {CYCLE_VERTEX_CAP}"
-        )
+    for radius, times in balls:
+        total += times * bttree.ball_size(ctx.p, min(radius, _RADIUS_CLIP))
+        if total > cap:
+            more = radius > _RADIUS_CLIP or next(balls, None) is not None
+            raise ValueError(claim.format(("more than " if more else "") + str(total))
+                             + f", above the cap of {cap}")
 
 
 def cmd_cycle(args) -> int:
@@ -192,15 +179,15 @@ def cmd_cycle(args) -> int:
     ctx = LocalContext(args.p, args.delta)
     vec = ctx.vector_from_ints(a0, a1, denom)
     if args.ortho:
-        j = localcycles.OrthEndo.from_eigenvector(args.alpha, vec)
-        _check_support(args.p, j.alpha - 1)
-        cycle = localcycles.orthogonal_cycle(j)
+        special = localcycles.OrthEndo.from_eigenvector(args.alpha, vec)
+        radius, build = special.alpha - 1, localcycles.orthogonal_cycle
     else:
-        hom = localcycles.SpecialHom.from_vector(args.sign, vec)
-        _check_support(args.p, hom.ord_qpm - 1)
-        cycle = localcycles.unitary_cycle(hom)
-    data = localcycles.cycle_to_json_dict(cycle)
-    emit(data, args.out, "json")
+        special = localcycles.SpecialHom.from_vector(args.sign, vec)
+        radius, build = special.ord_qpm - 1, localcycles.unitary_cycle
+    _refuse_balls(ctx, ((radius, 1),), CYCLE_VERTEX_CAP,
+                  f"the cycle's support, the ball of radius {radius} around its centre, "
+                  "holds {} vertices")
+    emit(localcycles.cycle_to_json_dict(build(special)), args.out, "json")
     return EXIT_OK
 
 
@@ -225,32 +212,23 @@ def cmd_lift(args) -> int:
         square_class=args.t if args.t >= 1 else None,
     )
     params = qseries.ShimuraParams(
-        kappa=args.kappa,
-        level_N=args.level,
-        t=args.t,
-        chi_kind=qseries.PRINCIPAL if args.chi_kronecker is None else "kronecker",
-        chi_disc=args.chi_kronecker,
+        kappa=args.kappa, level_N=args.level, t=args.t, chi_disc=args.chi_kronecker
     )
-    m_top = isqrt(series.max_exponent // args.t) if args.mmax is None else args.mmax
+    m_top = qseries.lift_count(series, args.t, args.mmax)
     if m_top > LIFT_M_CAP:
         raise ValueError(
             f"the lift would compute {m_top} coefficients, above the cap of "
             f"{LIFT_M_CAP}; pass --mmax {LIFT_M_CAP} or less"
         )
     lifted = qseries.shimura_lift(series, params, mmax=args.mmax)
-    constant_policy = "absent"
-    if 0 in lifted.coeffs:
-        if isinstance(lifted.coeffs[0], qseries.ConstantTermMarker):
-            # Non-contractual path: drop the marker but flag the policy.
-            constant_policy = "unavailable_omitted"
-            lifted = qseries.FormalSeries(
-                {n: c for n, c in lifted.coeffs.items() if n != 0},
-                lifted.max_exponent,
-            )
-        else:
-            constant_policy = "closed_form"
     out = qseries.series_to_json_dict(lifted)
-    out["constant_term_policy"] = constant_policy
+    # shimura_lift leaves out a constant term that it cannot evaluate.
+    if not series.coefficient(0):
+        out["constant_term_policy"] = "absent"
+    elif 0 in lifted.coeffs:
+        out["constant_term_policy"] = "closed_form"
+    else:
+        out["constant_term_policy"] = "unavailable_omitted"
     out["params"] = {
         "kappa": args.kappa,
         "level": args.level,
@@ -310,6 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # argparse takes a value that starts with "-" for a flag, so `--b X` is
@@ -317,8 +298,7 @@ def main(argv=None) -> int:
     for i in range(len(argv) - 2, -1, -1):
         if argv[i] == "--b":
             argv[i:i + 2] = ["--b=" + argv[i + 1]]
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except HypothesisError as exc:

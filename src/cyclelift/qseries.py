@@ -94,22 +94,18 @@ def series_difference_support(a: FormalSeries, b: FormalSeries) -> list[int]:
 
 # -- Shimura parameters and characters ----------------------------------------
 
-PRINCIPAL = "principal"
-
-
 @dataclass(frozen=True)
 class ShimuraParams:
     """Lift parameters (kappa, N, t, chi).
 
-    chi is either the principal character mod 4N (chi_kind='principal')
-    or the real character given by a Kronecker-symbol discriminant
-    (chi_kind='kronecker', chi_disc=D).
+    chi is the principal character mod 4N when chi_disc is None, else
+    the real character n -> (chi_disc | n) of a nonzero Kronecker-symbol
+    discriminant.
     """
 
     kappa: int
     level_N: int
     t: int
-    chi_kind: str = PRINCIPAL
     chi_disc: int | None = None
 
     def __post_init__(self):
@@ -119,9 +115,7 @@ class ShimuraParams:
             raise HypothesisError(f"N must be positive, got {self.level_N}")
         if self.t < 1 or not is_squarefree(self.t):
             raise HypothesisError(f"t must be positive squarefree, got {self.t}")
-        if self.chi_kind not in (PRINCIPAL, "kronecker"):
-            raise HypothesisError(f"unsupported character kind {self.chi_kind!r}")
-        if self.chi_kind == "kronecker" and not self.chi_disc:
+        if self.chi_disc == 0:
             raise HypothesisError("kronecker character needs a discriminant")
 
     @property
@@ -129,7 +123,7 @@ class ShimuraParams:
         return (self.kappa - 1) // 2
 
     def chi(self, n: int) -> int:
-        if self.chi_kind == PRINCIPAL:
+        if self.chi_disc is None:
             return 1 if gcd(n, 4 * self.level_N) == 1 else 0
         return kronecker(self.chi_disc, n)
 
@@ -149,21 +143,11 @@ def chi_t(params: ShimuraParams, n: int) -> int:
 # -- the formal Shimura lift ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConstantTermMarker:
-    """Placeholder for a constant term outside the exact closed-form
-    case: a rational multiple of a(0) whose value this artifact does
-    not evaluate (non-contractual path)."""
-
-    a0: object
-    params: ShimuraParams
-
-
 def _closed_form_lvalue(params: ShimuraParams) -> Fraction | None:
     """The exact rational (i/2pi) L(1, check chi_t) when the parameters
     are the paper's (kappa=3, principal chi, t=|Delta|, N=D_B), else
     None."""
-    if params.kappa != 3 or params.chi_kind != PRINCIPAL:
+    if params.kappa != 3 or params.chi_disc is not None:
         return None
     if params.t % 2 != 0:
         return None
@@ -172,6 +156,13 @@ def _closed_form_lvalue(params: ShimuraParams) -> Fraction | None:
         return lvalue_closed_form(field, params.level_N)
     except HypothesisError:
         return None
+
+
+def lift_count(series: FormalSeries, t: int, mmax: int | None = None) -> int:
+    """The count m_top of coefficients b(1..m_top) that shimura_lift
+    computes: mmax when given, else the largest M with t*M^2 within the
+    input truncation."""
+    return isqrt(series.max_exponent // t) if mmax is None else mmax
 
 
 def shimura_lift(
@@ -186,20 +177,16 @@ def shimura_lift(
     requested mmax, validated against it).
 
     The constant term is -a(0) (i/2pi) L(1, check chi_t), evaluated by
-    the exact closed form when the parameters admit one; otherwise a
-    ConstantTermMarker is stored (and omitted when a(0) = 0).
+    the exact closed form when the parameters admit one; otherwise it
+    is left out, as it is when a(0) = 0.
     """
     t = params.t
-    m_reachable = isqrt(series.max_exponent // t)
-    if mmax is None:
-        m_top = m_reachable
-    else:
-        if mmax > m_reachable:
-            raise TruncationInsufficientError(
-                f"lift to m={mmax} needs input through q^{t * mmax * mmax}, "
-                f"have {series.max_exponent}"
-            )
-        m_top = mmax
+    m_top = lift_count(series, t, mmax)
+    if m_top > lift_count(series, t):
+        raise TruncationInsufficientError(
+            f"lift to m={mmax} needs input through q^{t * mmax * mmax}, "
+            f"have {series.max_exponent}"
+        )
     power = (params.kappa - 3) // 2
     # a(t k^2) for k = 1..m_top: the coefficients the sums below read.
     read = [series.coefficient(t * k * k) for k in range(1, m_top + 1)]
@@ -219,12 +206,9 @@ def shimura_lift(
         if acc:
             out[t * m] = acc
     a0 = series.coefficient(0)
-    if a0:
-        lrat = _closed_form_lvalue(params)
-        if lrat is not None:
-            out[0] = a0 * -lrat
-        else:
-            out[0] = ConstantTermMarker(a0=a0, params=params)
+    lrat = _closed_form_lvalue(params) if a0 else None
+    if lrat is not None:
+        out[0] = a0 * -lrat
     return FormalSeries(out, t * m_top)
 
 

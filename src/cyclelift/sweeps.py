@@ -2,10 +2,12 @@
 random generators, and the registry of `verify` kinds.
 
 Every sweep returns a VerificationReport.  SWEEPS maps each kind to
-(runner, required flags): a runner takes the parsed `verify` arguments
-and a seeded random.Random, and the required flags are the argument
-names (also the flag names without their leading "--") that the kind
-cannot run without.
+(runner, required flags, balls): a runner takes the parsed `verify`
+arguments and a seeded random.Random; the required flags are the
+argument names (also the flag names without their leading "--") that
+the kind cannot run without; and balls, None for a kind that walks no
+tree, maps the arguments to the tree balls the sweep visits, as lazy
+(radius, times) pairs, so that its work is known before it starts.
 """
 
 from __future__ import annotations
@@ -328,17 +330,21 @@ _IDENTITY = ("delta", "db")
 
 # The runners look the sweeps up by module-level name on every call, so
 # that a wrapper installed over a name (a profiler's, say) is the one run.
+# local-compare visits the radius-(alpha + 2) ball twice for each alpha.
 SWEEPS = {
-    "rho": (lambda a, rng: sweep_rho(a.delta or RHO_DELTAS, a.max), ()),
+    "rho": (lambda a, rng: sweep_rho(a.delta or RHO_DELTAS, a.max), (), None),
     "r-formula": (
-        lambda a, rng: sweep_r_formula(a.p, a.delta[0], a.count, a.radius, rng), _TREE),
+        lambda a, rng: sweep_r_formula(a.p, a.delta[0], a.count, a.radius, rng), _TREE,
+        lambda a: ((a.radius, a.count),)),
     "local-compare": (
-        lambda a, rng: sweep_local_compare(a.p, a.delta[0], a.alpha_max, rng), _TREE),
+        lambda a, rng: sweep_local_compare(a.p, a.delta[0], a.alpha_max, rng), _TREE,
+        lambda a: ((alpha + 2, 2) for alpha in range(a.alpha_max + 1))),
     "chart": (
         lambda a, rng: sweep_chart_consistency(a.p, a.delta[0], a.count, a.radius, rng),
-        _TREE),
+        _TREE, lambda a: ((a.radius, a.count),)),
     "main-identity": (
-        lambda a, rng: verify_main_theorem(make_field(a.delta[0]), a.db, a.mmax), _IDENTITY),
-    "remark-identity": (_remark_identity, _IDENTITY),
-    "hilbert": (lambda a, rng: sweep_hilbert(a.count, rng), ()),
+        lambda a, rng: verify_main_theorem(make_field(a.delta[0]), a.db, a.mmax), _IDENTITY,
+        None),
+    "remark-identity": (_remark_identity, _IDENTITY, None),
+    "hilbert": (lambda a, rng: sweep_hilbert(a.count, rng), (), None),
 }

@@ -11,11 +11,12 @@ from cyclelift.cli import (
     EXIT_OK,
     EXIT_TRUNCATION,
     LIFT_M_CAP,
-    LOCAL_COMPARE_VERTEX_CAP,
+    VERIFY_VERTEX_CAP,
     main,
     parse_coordinate,
     parse_vector,
 )
+from cyclelift.sweeps import RHO_DELTAS
 
 
 # An orthogonal cycle whose centre lies at tree distance 20 from Lambda0.
@@ -189,23 +190,60 @@ class TestVerifyCommand:
         )
         assert code == EXIT_OK and json.loads(out)["mismatches"] == []
 
-    def test_local_compare_is_bounded_before_it_starts(self, capsys):
-        # Twice the radius-(alpha + 2) ball for each alpha <= 3 at p = 11 is
-        # 425,144 vertices, under the cap, and runs; alpha <= 4 would visit
-        # 4,676,890 and is refused at once, naming the count.
-        code, out, err = run(capsys, "verify", "local-compare", "--p", "11",
-                             "--delta", "-1", "--alpha-max", "3")
+    # Each tree sweep runs under VERIFY_VERTEX_CAP and is refused at once
+    # above it, naming the count.  local-compare visits twice the
+    # radius-(alpha + 2) ball for each alpha: 425,144 vertices at p = 11,
+    # alpha <= 3, and 4,676,890 at alpha <= 4.  r-formula and chart visit
+    # --count balls of radius --radius: one radius-7 ball at p = 13 holds
+    # 73,206,603 vertices; a radius above 64 is counted as 64.
+    @pytest.mark.parametrize("argv, runs, refused", [
+        (("local-compare", "--p", "11", "--delta", "-1"), ("--alpha-max", "3"), [
+            (("--alpha-max", "4"), "4676890"),
+            (("--alpha-max", str(10**18)), "more than 4676890"),
+        ]),
+        *[((kind, "--p", "13", "--delta", "-2"), runs, [
+            (("--count", "1", "--radius", "7"), "73206603"),
+            (("--count", str(10**18), "--radius", "1"), str(15 * 10**18)),
+            (("--count", "1", "--radius", str(10**18)),
+             f"more than {1 + 14 * (13**64 - 1) // 12}"),
+        ]) for kind, runs in (("r-formula", ("--count", "2", "--radius", "5")),
+                              ("chart", ("--count", "1", "--radius", "4")))],
+    ], ids=["local-compare", "r-formula", "chart"])
+    def test_local_compare_is_bounded_before_it_starts(self, capsys, argv, runs, refused):
+        code, out, err = run(capsys, "verify", *argv, *runs)
         assert code == EXIT_OK, err
         assert json.loads(out)["mismatches"] == []
-        for alpha_max, count in (("4", "4676890"), (str(10**18), "more than 4676890")):
+        for flags, count in refused:
             start = time.perf_counter()
-            code, out, err = run(capsys, "verify", "local-compare", "--p", "11",
-                                 "--delta", "-1", "--alpha-max", alpha_max)
+            code, out, err = run(capsys, "verify", *argv, *flags)
             assert time.perf_counter() - start < 1.0
             assert (code, out) == (EXIT_HYPOTHESIS, "")
-            assert f"visit {count} ball vertices" in err
-            assert str(LOCAL_COMPARE_VERTEX_CAP) in err
+            assert f"verify {argv[0]} would visit {count} ball vertices" in err
+            assert str(VERIFY_VERTEX_CAP) in err
             assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("p", ["1", "4"])
+    @pytest.mark.parametrize("sweep", [
+        ("r-formula", "--radius", str(10**18)),
+        ("chart", "--radius", str(10**18)),
+        ("local-compare", "--alpha-max", str(10**18)),
+    ], ids=lambda sweep: sweep[0])
+    def test_bad_prime_is_refused_before_the_bound(self, capsys, p, sweep):
+        # The ball formula divides by p - 1: a p that is not an odd prime
+        # must be refused as such before any vertex is counted.
+        code, out, err = run(capsys, "verify", sweep[0], "--p", p, "--delta", "-2",
+                             *sweep[1:])
+        assert (code, out) == (EXIT_HYPOTHESIS, "")
+        assert f"p must be an odd prime, got {p}" in err
+        assert "vertices" not in err and len(err.strip().splitlines()) == 1
+
+    def test_calls_share_no_parsed_state(self, capsys):
+        # One parser serves every call in a process: a --delta given to one
+        # call must not reach the next, which sweeps the default fields.
+        assert run(capsys, "verify", "rho", "--delta", "-2", "--max", "5")[0] == EXIT_OK
+        code, out, _ = run(capsys, "verify", "rho", "--max", "5")
+        assert code == EXIT_OK
+        assert json.loads(out)["params"]["deltas"] == list(RHO_DELTAS)
 
     # Inert pairs (p, Delta) beyond the p in {3, 5} of the other tests.
     @pytest.mark.parametrize("p, delta", [(7, -2), (11, -14), (13, -2)])
@@ -386,6 +424,30 @@ class TestLiftCommand:
         assert coeffs[6] == "1/1"
         assert 10 not in coeffs  # chi_t(5) = 0
         assert data["constant_term_policy"] == "absent"
+
+    @pytest.mark.parametrize("flags, policy", [
+        # The paper's parameters (kappa 3, principal chi, t = |Delta|,
+        # N = D_B): the constant term is -a(0) times the closed-form L-value.
+        ((), "closed_form"),
+        (("--kappa", "5"), "unavailable_omitted"),
+    ])
+    def test_constant_term_policy(self, tmp_path, capsys, flags, policy):
+        from cyclelift.quadfield import lvalue_closed_form, make_field
+
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps({"max_exponent": 200,
+                                   "coeffs": [{"n": 0, "c": "3/1"}, {"n": 2, "c": "1/1"}]}))
+        code, out, _ = run(capsys, "lift", *flags, "--level", "35", "--t", "2",
+                           "--in", str(src))
+        assert code == EXIT_OK
+        data = json.loads(out)
+        assert data["constant_term_policy"] == policy
+        constant = {e["n"]: e["c"] for e in data["coeffs"]}.get(0)
+        if policy == "closed_form":
+            value = -3 * lvalue_closed_form(make_field(-2), 35)
+            assert constant == f"{value.numerator}/{value.denominator}"
+        else:
+            assert constant is None
 
     def test_lift_empty_series(self, tmp_path, capsys):
         src = tmp_path / "in.json"

@@ -38,6 +38,7 @@ CASES = [
     ("valid", series((0, "3/2"), (2, "1/1"), (5, "7/3"), (8, "-2/5")), [], 0),
     ("valid t=3", series((3, "1/1"), (12, "5/7"), (4, "1/9")), ["--t", "3"], 0),
     ("kronecker chi", series((2, "1/1"), (8, "2/3")), ["--chi-kronecker", "-8"], 0),
+    ("kronecker chi 0", series((2, "1/1")), ["--chi-kronecker", "0"], 2),
     ("kappa 5", series((0, "1/1"), (2, "1/1"), (18, "4/1")), ["--kappa", "5"], 0),
     ("mmax", series((2, "1/1"), (8, "1/3"), (18, "1/2")), ["--mmax", "2"], 0),
     ("1/0 kept", series((2, "1/0")), [], 2),

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from cyclelift.errors import HypothesisError, TruncationInsufficientError
 from cyclelift.numth import kronecker
 from cyclelift.qseries import (
-    ConstantTermMarker,
     FormalSeries,
     ShimuraParams,
     chi_t,
@@ -87,7 +86,7 @@ class TestChiT:
                 assert chi_t(PARAMS, n) == 0, n
 
     def test_kronecker_character_kind(self):
-        params = ShimuraParams(kappa=3, level_N=5, t=3, chi_kind="kronecker", chi_disc=-4)
+        params = ShimuraParams(kappa=3, level_N=5, t=3, chi_disc=-4)
         for n in range(1, 50):
             expected = kronecker(-4, n) * kronecker(-1, n) * kronecker(3, n)
             assert chi_t(params, n) == expected
@@ -99,6 +98,8 @@ class TestChiT:
             ShimuraParams(kappa=3, level_N=35, t=4)  # not squarefree
         with pytest.raises(HypothesisError):
             ShimuraParams(kappa=3, level_N=0, t=2)
+        with pytest.raises(HypothesisError):
+            ShimuraParams(kappa=3, level_N=35, t=2, chi_disc=0)
 
 
 class TestShimuraLift:
@@ -158,7 +159,8 @@ class TestShimuraLift:
         params = ShimuraParams(kappa=3, level_N=6, t=2)  # 2 | 6 not valid D_B
         f = FormalSeries({0: Fraction(1)}, 800)
         lifted = shimura_lift(f, params)
-        assert isinstance(lifted.coefficient(0), ConstantTermMarker)
+        # The constant term has no closed form here: it is omitted.
+        assert 0 not in lifted.coeffs and lifted.coefficient(0) == 0
 
 
 class TestOperators:
@@ -245,7 +247,7 @@ LIFT_PARAMS = st.sampled_from([
     ShimuraParams(5, 7, 1),
     ShimuraParams(5, 11, 3),
     ShimuraParams(7, 13, 5),
-    ShimuraParams(3, 5, 6, "kronecker", -8),
+    ShimuraParams(3, 5, 6, -8),
 ])
 
 
