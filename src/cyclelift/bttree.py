@@ -37,7 +37,9 @@ out as padic.VectorC.
 without building the ball: the two numerators move to a child's by one
 integer step each (coordinate descent), and each carries its
 valuation, which p N raises by one and N0 - alpha N1 keeps unless
-v(N0) = v(N1).
+v(N0) = v(N1).  `ball_vertex` builds the one vertex at a given index
+of `tree_ball`'s order, walking the child path that the index spells
+out, so a sweep that samples a ball by index needs no ball.
 """
 
 from __future__ import annotations
@@ -371,6 +373,30 @@ def tree_ball(center: VertexLattice, radius: int) -> list[tuple[VertexLattice, i
                 nxt.append((nb, 1 if i == 0 and parent != 0 else 0))
         frontier = nxt
     return out
+
+
+def ball_vertex(center: VertexLattice, index: int) -> tuple[VertexLattice, int]:
+    """tree_ball(center, R)[index], for any R that reaches it, built
+    alone.  Past the centre, an index is a sphere and an offset in it,
+    and the offset is the child path in mixed radix: the centre's child
+    (p + 1 of them) is the leading digit, then one base-p digit per
+    level, each indexing `_children` as `tree_ball` walks them."""
+    center.require_vertex()
+    if index == 0:
+        return center, 0
+    p = center.ctx.p
+    depth, offset, sphere = 1, index - 1, p + 1
+    while offset >= sphere:
+        offset -= sphere
+        depth, sphere = depth + 1, sphere * p
+    digits = []
+    for _ in range(depth - 1):
+        offset, digit = divmod(offset, p)
+        digits.append(digit)
+    lat, parent = center, None
+    for digit in [offset, *reversed(digits)]:
+        lat, parent = lat._children(parent)[digit], 1 if digit == 0 and parent != 0 else 0
+    return lat, depth
 
 
 def ball_size(p: int, radius: int) -> int:

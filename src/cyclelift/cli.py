@@ -50,9 +50,10 @@ CYCLE_VERTEX_CAP = 200_000
 # Largest count of ball vertices that a tree sweep of `verify` visits, as
 # its registry entry in sweeps.SWEEPS counts them.  On one Xeon core,
 # local-compare at p = 11, --alpha-max 3 (425,144 vertices) takes about
-# 4.5 s and 185 MB peak RSS, and chart at p = 13, --count 2 --radius 5
-# (866,350) about 7.5 s and 470 MB; each further alpha or radius
-# multiplies the count by about p.
+# 1.4 s and 100 MB peak RSS, and chart at p = 13, --count 2 --radius 5
+# (866,350) about 1.7 s and 180 MB; each further alpha or radius
+# multiplies the count by about p.  The kinds that walk no tree carry
+# their own caps in sweeps.SWEEPS.
 VERIFY_VERTEX_CAP = 1_000_000
 
 # Radii above this are counted as this radius: even at p = 3 its ball
@@ -146,7 +147,7 @@ def _require_at_least(flag: str, value: int, least: int) -> None:
 def cmd_verify(args) -> int:
     for name, flag, least in _SWEEP_MINIMA:
         _require_at_least(flag, getattr(args, name), least)
-    runner, required, balls = sweeps.SWEEPS[args.kind]
+    runner, required, balls, checks = sweeps.SWEEPS[args.kind]
     for name in required:
         if getattr(args, name) is None:
             raise ValueError(f"verify {args.kind} requires --{name}")
@@ -154,22 +155,31 @@ def cmd_verify(args) -> int:
         # A bad p or Delta is refused first, as the sweep would refuse it.
         _refuse_balls(LocalContext(args.p, args.delta[0]), balls(args), VERIFY_VERTEX_CAP,
                       f"verify {args.kind} would visit {{}} ball vertices")
+    else:
+        unit, cap, count = checks
+        _refuse(count(args), cap, f"verify {args.kind} would check {{}} {unit}")
     return _report_exit(runner(args, random.Random(args.seed)), args)
 
 
+def _refuse(total: int, cap: int, claim: str, more: bool = False) -> None:
+    """Refuse work before it starts when its total is above cap.  The
+    message opens with claim.format(total), read as "more than" total
+    when more work would be added to it."""
+    if total > cap:
+        raise ValueError(claim.format(("more than " if more else "") + str(total))
+                         + f", above the cap of {cap}")
+
+
 def _refuse_balls(ctx: LocalContext, balls, cap: int, claim: str) -> None:
-    """Refuse work over tree balls at ctx.p, given as (radius, times)
-    pairs, before it starts when their vertices add up to more than cap.
-    The message opens with claim.format(count), the count read as "more
-    than" it when the pairs left or a clipped radius would add more."""
+    """`_refuse` for work over tree balls at ctx.p, given as (radius,
+    times) pairs, counted in vertices as far as it takes to pass cap; the
+    count is "more than" it when pairs are left or a radius was clipped."""
     balls = iter(balls)
     total = 0
     for radius, times in balls:
         total += times * bttree.ball_size(ctx.p, min(radius, _RADIUS_CLIP))
         if total > cap:
-            more = radius > _RADIUS_CLIP or next(balls, None) is not None
-            raise ValueError(claim.format(("more than " if more else "") + str(total))
-                             + f", above the cap of {cap}")
+            _refuse(total, cap, claim, radius > _RADIUS_CLIP or next(balls, None) is not None)
 
 
 def cmd_cycle(args) -> int:

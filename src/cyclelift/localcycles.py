@@ -120,7 +120,10 @@ class LocalCycle:
         return self.horizontal if lat == self.center else 0
 
 
-def _mult_from_depth(ord_qpm: int, d: int) -> int:
+def mult_from_depth(ord_qpm: int, d: int) -> int:
+    """The vertical multiplicity at a vertex that contains the vector, at
+    tree distance d from the central lattice: t - floor(d/2) or
+    t - floor((d+1)/2) by the parity of ord q^+-, t = ceil(ord q^+- / 2)."""
     t = -((-ord_qpm) // 2)
     if ord_qpm % 2 == 0:
         return t - d // 2
@@ -139,7 +142,7 @@ def multiplicity(hom: SpecialHom, lat: VertexLattice, depth: int | None = None) 
     if lat.r_invariant(hom.vec) < 0:
         return 0
     d = distance(lat, hom.central()) if depth is None else depth
-    m = _mult_from_depth(hom.ord_qpm, d)
+    m = mult_from_depth(hom.ord_qpm, d)
     if m < 0:
         raise AssertionError("negative multiplicity with membership; formula bug")
     return m
@@ -149,7 +152,7 @@ def unitary_cycle(hom: SpecialHom) -> LocalCycle:
     """Full decomposition of the unitary cycle: one horizontal
     component through the central lattice plus the vertical lines given
     by the multiplicity formula, positive out to distance ord_qpm - 1."""
-    profile = tuple(_mult_from_depth(hom.ord_qpm, d) for d in range(hom.ord_qpm))
+    profile = tuple(mult_from_depth(hom.ord_qpm, d) for d in range(hom.ord_qpm))
     return LocalCycle(center=hom.central(), profile=profile, horizontal=1)
 
 

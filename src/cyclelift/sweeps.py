@@ -2,12 +2,15 @@
 random generators, and the registry of `verify` kinds.
 
 Every sweep returns a VerificationReport.  SWEEPS maps each kind to
-(runner, required flags, balls): a runner takes the parsed `verify`
-arguments and a seeded random.Random; the required flags are the
-argument names (also the flag names without their leading "--") that
-the kind cannot run without; and balls, None for a kind that walks no
-tree, maps the arguments to the tree balls the sweep visits, as lazy
-(radius, times) pairs, so that its work is known before it starts.
+(runner, required flags, balls, checks): a runner takes the parsed
+`verify` arguments and a seeded random.Random; the required flags are
+the argument names (also the flag names without their leading "--")
+that the kind cannot run without.  The last two give the sweep's work
+before it starts.  balls, None for a kind that walks no tree, maps the
+arguments to the tree balls the sweep visits, as lazy (radius, times)
+pairs.  checks, None for a tree kind, is (unit, cap, count): count maps
+the arguments to the checks the report will count, in that unit, and
+cap is the most that the kind runs.
 """
 
 from __future__ import annotations
@@ -28,6 +31,14 @@ from cyclelift.quadfield import make_field, optimal_embedding_count, rho, rho_di
 
 # The fields that `verify rho` sweeps when no --delta is given.
 RHO_DELTAS = (-2, -6, -10, -14, -22, -26)
+
+# The most checks that each kind walking no tree runs.  At its cap, on one
+# Xeon core: rho at Delta = -2 takes about 7 s, hilbert about 8 s, and
+# remark-identity at Delta = -10, D_B = 51 about 6 s (main-identity about
+# 1 s); each grows at least linearly with the count.
+RHO_CHECK_CAP = 200_000
+HILBERT_CHECK_CAP = 100_000
+IDENTITY_CHECK_CAP = 10_000
 
 
 # -- randomized generators -----------------------------------------------------
@@ -155,19 +166,29 @@ def sweep_r_formula(
                 mismatches.append(
                     Mismatch(m=checked, lhs=r, rhs=expected)
                 )
-        lat, last = center, 0
-        for d in range(radius + 1):
-            if d:
-                lat = lat.neighbors()[-1]
-                last += (p + 1) * p ** (d - 1)
-            direct = lat.r_invariant(vec)
-            if direct != rs[last][0]:
-                mismatches.append(Mismatch(m=first + last, lhs=direct, rhs=rs[last][0]))
+        for last, direct in _geodesic_disagreements(center, vec, rs):
+            mismatches.append(Mismatch(m=first + last, lhs=direct, rhs=rs[last][0]))
     return VerificationReport(
         params={"p": p, "delta": delta, "count": count, "radius": radius},
         checked=checked,
         mismatches=mismatches,
     )
+
+
+def _geodesic_disagreements(center, vec, rs) -> list[tuple[int, int]]:
+    """(index, r_invariant) wherever direct membership disagrees with the
+    descent's r in `rs` (ball_r_invariants around center) on one
+    geodesic: the last vertex of each sphere."""
+    p = center.ctx.p
+    lat, last, out = center, 0, []
+    for d in range(rs[-1][1] + 1):
+        if d:
+            lat = lat.neighbors()[-1]
+            last += (p + 1) * p ** (d - 1)
+        direct = lat.r_invariant(vec)
+        if direct != rs[last][0]:
+            out.append((last, direct))
+    return out
 
 
 def sweep_local_compare(
@@ -180,7 +201,11 @@ def sweep_local_compare(
     Frobenius type, the split pair's multiplicities must sum to
     max(alpha - d, 0) on the radius-(alpha+2) ball, the horizontal
     counts must be 1 + 1 = 2 at the shared central lattice, and the
-    residue horizontal polynomials must match up to a unit."""
+    residue horizontal polynomials must match up to a unit.
+
+    Membership on the ball comes by coordinate descent, so the ball is
+    never built; `multiplicity`, with its own `r_invariant` and tree
+    distance, re-checks a spot sample of vertices built by index."""
     ctx = LocalContext(p=p, delta_sq=delta)
     mismatches = []
     checked = 0
@@ -196,18 +221,26 @@ def sweep_local_compare(
                     Mismatch(m=alpha, lhs=sorted(norms), rhs=sorted(expected_norms))
                 )
             center = j.central()
-            ball = bttree.tree_ball(center, alpha + 2)
-            for lat, d in ball:
+            radius = alpha + 2
+            rs_p = bttree.ball_r_invariants(center, hp.vec, radius)
+            rs_m = bttree.ball_r_invariants(center, hm.vec, radius)
+            mult_p = [localcycles.mult_from_depth(hp.ord_qpm, d) for d in range(radius + 1)]
+            mult_m = [localcycles.mult_from_depth(hm.ord_qpm, d) for d in range(radius + 1)]
+            expected = [max(alpha - d, 0) for d in range(radius + 1)]
+            for (rp, d), (rm, _) in zip(rs_p, rs_m):
                 checked += 1
-                total = localcycles.multiplicity(hp, lat, d) + localcycles.multiplicity(
-                    hm, lat, d
-                )
-                expected = max(alpha - d, 0)
-                if total != expected:
-                    mismatches.append(Mismatch(m=d, lhs=total, rhs=expected))
-            # Exercise the multiplicity op with its own tree distance on
-            # a spot sample.
-            for lat, d in rng.sample(ball, min(_SPOT_CHECKS, len(ball))):
+                total = (mult_p[d] if rp >= 0 else 0) + (mult_m[d] if rm >= 0 else 0)
+                if total != expected[d]:
+                    mismatches.append(Mismatch(m=d, lhs=total, rhs=expected[d]))
+            # Direct membership cross-checks the descent on one geodesic
+            # per ball; those checks are not counted.
+            for hom, rs in ((hp, rs_p), (hm, rs_m)):
+                for i, direct in _geodesic_disagreements(center, hom.vec, rs):
+                    mismatches.append(Mismatch(m=rs[i][1], lhs=direct, rhs=rs[i][0]))
+            # Exercise the multiplicity op, with its own membership test and
+            # tree distance, on a spot sample of vertices built by index.
+            for i in rng.sample(range(len(rs_p)), min(_SPOT_CHECKS, len(rs_p))):
+                lat, d = bttree.ball_vertex(center, i)
                 checked += 1
                 total = localcycles.multiplicity(hp, lat) + localcycles.multiplicity(
                     hm, lat
@@ -272,18 +305,24 @@ def sweep_chart_consistency(
     factor must be a unit exactly away from the central lattice, and
     the superspecial exponents at every tree edge touching the cycle
     support must reproduce the multiplicities of both components (a
-    sample of empty edges is checked for the trivial (0, 0) case)."""
+    sample of empty edges is checked for the trivial (0, 0) case).
+
+    The support comes by coordinate descent over the radius ball, and
+    lattices are built only out to the support's deepest vertex."""
     ctx = LocalContext(p=p, delta_sq=delta)
     mismatches = []
     checked = 0
     for _ in range(count):
         hom = random_special_hom(ctx, rng, _CHART_ORD_MAX)
         center = hom.central()
-        ball = bttree.tree_ball(center, radius)
+        rs = bttree.ball_r_invariants(center, hom.vec, radius)
+        # The support is a ball around the centre, and tree_ball's order
+        # is breadth first: build lattices out to its deepest vertex only.
+        reach = max((d for r, d in rs if r >= 0), default=0)
+        ball = bttree.tree_ball(center, reach)
         depth = {lat.key: d for lat, d in ball}
         supported = []
-        for lat, d in ball:
-            r = lat.r_invariant(hom.vec)
+        for (lat, d), (r, _) in zip(ball, rs):
             if r < 0:
                 continue
             supported.append((lat, d))
@@ -297,15 +336,25 @@ def sweep_chart_consistency(
                 mismatches.append(Mismatch(m=d, lhs="residual-unit", rhs=is_center))
         # Superspecial pairs: every edge with an endpoint in the
         # support, plus a sample of edges well outside it.
-        edge_nodes = supported + rng.sample(ball, min(6, len(ball)))
+        sample = rng.sample(range(len(rs)), min(6, len(rs)))
+        edge_nodes = supported + [
+            ball[i] if i < len(ball) else bttree.ball_vertex(center, i) for i in sample
+        ]
         for lat, d in edge_nodes:
             for nb in lat.neighbors():
-                if depth.get(nb.key) is None:
-                    continue
-                lat0, lat2 = (lat, nb) if lat.vtype == 0 else (nb, lat)
+                # A neighbour is one step nearer the centre or one further.
+                # Out to reach + 1 the nearer one is in `depth`, so a
+                # missing key is a step out; past that, ask `distance`.
+                dn = depth.get(nb.key)
+                if dn is None:
+                    dn = d + 1 if d <= reach + 1 else bttree.distance(nb, center)
+                    if dn > radius:
+                        continue
+                (lat0, d0), (lat2, d2) = ((lat, d), (nb, dn)) if lat.vtype == 0 else \
+                    ((nb, dn), (lat, d))
                 e0, e1 = localcycles.superspecial_exponents(hom, lat0, lat2)
-                m0 = localcycles.multiplicity(hom, lat0, depth[lat0.key])
-                m2 = localcycles.multiplicity(hom, lat2, depth[lat2.key])
+                m0 = localcycles.multiplicity(hom, lat0, d0)
+                m2 = localcycles.multiplicity(hom, lat2, d2)
                 checked += 1
                 if (e0, e1) != (m2, m0):
                     mismatches.append(Mismatch(m=d, lhs=[e0, e1], rhs=[m2, m0]))
@@ -330,21 +379,26 @@ _IDENTITY = ("delta", "db")
 
 # The runners look the sweeps up by module-level name on every call, so
 # that a wrapper installed over a name (a profiler's, say) is the one run.
-# local-compare visits the radius-(alpha + 2) ball twice for each alpha.
+# local-compare visits the radius-(alpha + 2) ball twice for each alpha;
+# the identity verifiers check the coefficients of q^0 ... q^mmax.
+_COEFFICIENTS = ("series coefficients", IDENTITY_CHECK_CAP, lambda a: a.mmax + 1)
+
 SWEEPS = {
-    "rho": (lambda a, rng: sweep_rho(a.delta or RHO_DELTAS, a.max), (), None),
+    "rho": (lambda a, rng: sweep_rho(a.delta or RHO_DELTAS, a.max), (), None,
+            ("values of N", RHO_CHECK_CAP, lambda a: len(a.delta or RHO_DELTAS) * a.max)),
     "r-formula": (
         lambda a, rng: sweep_r_formula(a.p, a.delta[0], a.count, a.radius, rng), _TREE,
-        lambda a: ((a.radius, a.count),)),
+        lambda a: ((a.radius, a.count),), None),
     "local-compare": (
         lambda a, rng: sweep_local_compare(a.p, a.delta[0], a.alpha_max, rng), _TREE,
-        lambda a: ((alpha + 2, 2) for alpha in range(a.alpha_max + 1))),
+        lambda a: ((alpha + 2, 2) for alpha in range(a.alpha_max + 1)), None),
     "chart": (
         lambda a, rng: sweep_chart_consistency(a.p, a.delta[0], a.count, a.radius, rng),
-        _TREE, lambda a: ((a.radius, a.count),)),
+        _TREE, lambda a: ((a.radius, a.count),), None),
     "main-identity": (
         lambda a, rng: verify_main_theorem(make_field(a.delta[0]), a.db, a.mmax), _IDENTITY,
-        None),
-    "remark-identity": (_remark_identity, _IDENTITY, None),
-    "hilbert": (lambda a, rng: sweep_hilbert(a.count, rng), (), None),
+        None, _COEFFICIENTS),
+    "remark-identity": (_remark_identity, _IDENTITY, None, _COEFFICIENTS),
+    "hilbert": (lambda a, rng: sweep_hilbert(a.count, rng), (), None,
+                ("sample pairs", HILBERT_CHECK_CAP, lambda a: a.count)),
 }

@@ -2,9 +2,10 @@
 solvability for Hilbert symbols, ideal-class enumeration for class
 numbers, residue-square tables, a truncated p-adic ring and the
 object-path Bruhat-Tits tree core on it, breadth-first searches for
-tree distance and path-word labels, the whole-file series reader, and
-the L-value at s = 1 by Gauss sums (numerically) and by the
-2^(number of prime factors) rational.
+tree distance and path-word labels, the whole-file series reader, the
+L-value at s = 1 by Gauss sums (numerically) and by the
+2^(number of prime factors) rational, and the local-compare and chart
+sweeps that build every ball vertex and test its membership directly.
 
 These deliberately avoid the code paths they check.
 """
@@ -15,9 +16,12 @@ from math import gcd, isqrt
 
 from dataclasses import dataclass
 
+from cyclelift import localcycles, sweeps
 from cyclelift.errors import CycleLiftError, DegenerateVectorError
+from cyclelift.identity import Mismatch, VerificationReport
 from cyclelift.numth import is_prime, kronecker
 from cyclelift.qseries import FormalSeries, ShimuraParams, chi_t
+from cyclelift.padic import LocalContext
 from cyclelift.quadfield import QuadField, check_discriminant_hypotheses
 
 
@@ -1047,3 +1051,100 @@ def lvalue_series_rational(field: QuadField, d_b: int) -> Fraction:
     the value the Cesaro-averaged partial sums converge to."""
     primes = check_discriminant_hypotheses(field, d_b)
     return Fraction(-field.class_number * 2 ** len(primes), field.unit_order)
+
+
+# -- the ball-walking sweeps --------------------------------------------------
+# sweeps.sweep_local_compare and sweeps.sweep_chart_consistency as they were
+# before coordinate descent: the same draws, checks and report, with every
+# vertex of the ball built (by the key-deduplicating tree_ball above, so no
+# child is found by index) and its membership taken from its own
+# r_invariant.  SPOT_CHECKS and CHART_ORD_MAX are the sweeps' sample sizes.
+
+SPOT_CHECKS = 12
+CHART_ORD_MAX = 4
+
+
+def local_compare_by_ball(p: int, delta: int, alpha_max: int, rng) -> VerificationReport:
+    ctx = LocalContext(p=p, delta_sq=delta)
+    mismatches = []
+    checked = 0
+    for alpha in range(alpha_max + 1):
+        for odd_norm in (True, False):
+            vec = sweeps.random_eigenvector(ctx, rng, odd_norm)
+            j = localcycles.OrthEndo.from_eigenvector(alpha, vec)
+            hp, hm = localcycles.split_pair(j)
+            norms = {hp.ord_qpm, hm.ord_qpm}
+            expected_norms = {alpha, alpha - 1} if alpha >= 1 else {0}
+            if norms != expected_norms:
+                mismatches.append(
+                    Mismatch(m=alpha, lhs=sorted(norms), rhs=sorted(expected_norms))
+                )
+            center = j.central()
+            ball = tree_ball(center, alpha + 2)
+            for lat, d in ball:
+                checked += 1
+                total = localcycles.multiplicity(hp, lat, d) + localcycles.multiplicity(
+                    hm, lat, d
+                )
+                expected = max(alpha - d, 0)
+                if total != expected:
+                    mismatches.append(Mismatch(m=d, lhs=total, rhs=expected))
+            for lat, d in rng.sample(ball, min(SPOT_CHECKS, len(ball))):
+                checked += 1
+                total = localcycles.multiplicity(hp, lat) + localcycles.multiplicity(hm, lat)
+                if total != max(alpha - d, 0):
+                    mismatches.append(Mismatch(m=d, lhs=total, rhs="spot"))
+            ocyc = localcycles.orthogonal_cycle(j)
+            ccount = localcycles.unitary_cycle(hp).horizontal_count(center) + \
+                localcycles.unitary_cycle(hm).horizontal_count(center)
+            checked += 1
+            if ccount != ocyc.horizontal_count(center):
+                mismatches.append(Mismatch(m=alpha, lhs=ccount, rhs=2))
+            checked += 1
+            if not sweeps.horizontal_polynomials_match(j, hp, hm):
+                mismatches.append(Mismatch(m=alpha, lhs="horizontal-poly", rhs="mismatch"))
+    return VerificationReport(
+        params={"p": p, "delta": delta, "alpha_max": alpha_max},
+        checked=checked,
+        mismatches=mismatches,
+    )
+
+
+def chart_by_ball(p: int, delta: int, count: int, radius: int, rng) -> VerificationReport:
+    ctx = LocalContext(p=p, delta_sq=delta)
+    mismatches = []
+    checked = 0
+    for _ in range(count):
+        hom = sweeps.random_special_hom(ctx, rng, CHART_ORD_MAX)
+        center = hom.central()
+        ball = tree_ball(center, radius)
+        depth = {lat.key: d for lat, d in ball}
+        supported = []
+        for lat, d in ball:
+            if lat.r_invariant(hom.vec) < 0:
+                continue
+            supported.append((lat, d))
+            checked += 1
+            eq = localcycles.ordinary_equation(hom, lat)
+            m = localcycles.multiplicity(hom, lat, d)
+            if eq.p_exp != m:
+                mismatches.append(Mismatch(m=d, lhs=eq.p_exp, rhs=m))
+            is_center = lat.key == center.key
+            if eq.residual_is_unit() == is_center:
+                mismatches.append(Mismatch(m=d, lhs="residual-unit", rhs=is_center))
+        for lat, d in supported + rng.sample(ball, min(6, len(ball))):
+            for nb in lat.neighbors():
+                if depth.get(nb.key) is None:
+                    continue
+                lat0, lat2 = (lat, nb) if lat.vtype == 0 else (nb, lat)
+                e0, e1 = localcycles.superspecial_exponents(hom, lat0, lat2)
+                m0 = localcycles.multiplicity(hom, lat0, depth[lat0.key])
+                m2 = localcycles.multiplicity(hom, lat2, depth[lat2.key])
+                checked += 1
+                if (e0, e1) != (m2, m0):
+                    mismatches.append(Mismatch(m=d, lhs=[e0, e1], rhs=[m2, m0]))
+    return VerificationReport(
+        params={"p": p, "delta": delta, "count": count, "radius": radius},
+        checked=checked,
+        mismatches=mismatches,
+    )

@@ -6,6 +6,7 @@ import pytest
 from cyclelift.bttree import (
     VertexLattice,
     ball_r_invariants,
+    ball_vertex,
     central_lattice,
     distance,
     standard_lattices,
@@ -407,6 +408,29 @@ class TestDistanceAndBall:
                 keys = [(lat.key, d) for lat, d in tree_ball(center, radius)]
                 ref = [(lat.key, d) for lat, d in oracles.tree_ball(center, radius)]
                 assert keys == ref, (p, center.key)
+
+
+class TestBallVertex:
+    @pytest.mark.parametrize("p, delta", [(3, -1), (5, -2), (7, -1), (11, -1), (13, -2)])
+    def test_every_index_is_the_ball_entry(self, p, delta):
+        # Lambda0, Lambda0', central lattices of both types (canonical
+        # bases) and a ball vertex (an inherited basis) as centres: each
+        # index gives the ball's vertex, with its depth and the basis it
+        # inherits along the path.
+        ctx = LocalContext(p=p, delta_sq=delta)
+        radius = {3: 4, 5: 3}.get(p, 2)
+        rng = random.Random(p)
+        centrals = list(itertools.islice(central_lattices(ctx), 0, None, 4))
+        while {c.vtype for c in centrals} != {0, 2}:
+            centrals.append(central_lattice(random_vector(ctx, rng)))
+        inherited = tree_ball(centrals[-1], 2)[-1][0]
+        for center in [*standard_lattices(ctx), *centrals, inherited]:
+            for i, (lat, d) in enumerate(tree_ball(center, radius)):
+                got, depth = ball_vertex(center, i)
+                assert (got.key, depth) == (lat.key, d), (p, center.key, i)
+                assert [repr(u) for u in got.hyperbolic_basis()] == [
+                    repr(u) for u in lat.hyperbolic_basis()
+                ], (p, center.key, i)
 
 
 def random_vector(ctx, rng, digits=6):

@@ -16,7 +16,7 @@ from cyclelift.cli import (
     parse_coordinate,
     parse_vector,
 )
-from cyclelift.sweeps import RHO_DELTAS
+from cyclelift.sweeps import HILBERT_CHECK_CAP, IDENTITY_CHECK_CAP, RHO_CHECK_CAP, RHO_DELTAS
 
 
 # An orthogonal cycle whose centre lies at tree distance 20 from Lambda0.
@@ -47,6 +47,17 @@ README_VERIFY = [
      "90312e0257067393095b8f70a6e207caaa6cfc6fef02fb8554d667aa07565b7e"),
     ("remark-identity --delta -10 --db 51 --mmax 200",
      "ace7b0479aec21cb2a8e526a0b4fdfd561906cf187ca7f497642c4776382886c"),
+]
+
+# Larger tree sweeps, pinned at the bytes they gave when every ball vertex
+# was built and tested with its own r_invariant.
+TREE_VERIFY = [
+    ("local-compare --p 11 --delta -1 --alpha-max 3",
+     "71b618a273694705294f88cc433dc7199beffe40ca318a1368a806f6f19beb25"),
+    ("local-compare --p 7 --delta -2 --alpha-max 3 --seed 5",
+     "b275bdb08aab70e5823f9f4722942d0988d3266663c5f1df533f947c080953c2"),
+    ("chart --p 5 --delta -2 --count 6 --radius 6 --seed 3",
+     "b7f14c3f6ca90a4a16bbed1a92fc9bd995d43cc95ad9406c0159bad17d526972"),
 ]
 
 
@@ -173,6 +184,13 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("argv, digest", TREE_VERIFY,
+                             ids=["local-compare-11", "local-compare-7", "chart-5"])
+    def test_pinned_tree_sweep_stdout(self, capsys, argv, digest):
+        code, out, _ = run(capsys, "verify", *argv.split())
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_tree_sweeps_smoke(self, capsys):
         code, out, _ = run(
             capsys, "verify", "r-formula", "--p", "3", "--delta", "-10",
@@ -221,6 +239,34 @@ class TestVerifyCommand:
             assert f"verify {argv[0]} would visit {count} ball vertices" in err
             assert str(VERIFY_VERTEX_CAP) in err
             assert len(err.strip().splitlines()) == 1
+
+    # The kinds that walk no tree are refused above their caps, counted in
+    # the checks their reports would count: values of N over every field,
+    # sample pairs, and the coefficients of q^0 ... q^mmax.
+    @pytest.mark.parametrize("argv, count, cap", [
+        (("rho", "--delta", "-2", "--max", str(10**8)), f"{10**8} values of N",
+         RHO_CHECK_CAP),
+        (("rho", "--max", str(RHO_CHECK_CAP // 6 + 1)),
+         f"{6 * (RHO_CHECK_CAP // 6 + 1)} values of N", RHO_CHECK_CAP),
+        (("hilbert", "--count", str(10**8)), f"{10**8} sample pairs", HILBERT_CHECK_CAP),
+        (("hilbert", "--count", str(HILBERT_CHECK_CAP + 1)),
+         f"{HILBERT_CHECK_CAP + 1} sample pairs", HILBERT_CHECK_CAP),
+        (("main-identity", "--delta", "-2", "--db", "35", "--mmax", str(10**8)),
+         f"{10**8 + 1} series coefficients", IDENTITY_CHECK_CAP),
+        (("remark-identity", "--delta", "-2", "--db", "35", "--mmax", str(10**8)),
+         f"{10**8 + 1} series coefficients", IDENTITY_CHECK_CAP),
+        (("remark-identity", "--delta", "-10", "--db", "51",
+          "--mmax", str(IDENTITY_CHECK_CAP)),
+         f"{IDENTITY_CHECK_CAP + 1} series coefficients", IDENTITY_CHECK_CAP),
+    ], ids=["rho", "rho-fields", "hilbert", "hilbert-cap", "main-identity",
+            "remark-identity", "remark-identity-cap"])
+    def test_checks_are_bounded_before_they_start(self, capsys, argv, count, cap):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (EXIT_HYPOTHESIS, "")
+        assert f"verify {argv[0]} would check {count}, above the cap of {cap}" in err
+        assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("p", ["1", "4"])
     @pytest.mark.parametrize("sweep", [
