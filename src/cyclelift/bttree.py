@@ -109,14 +109,6 @@ class VertexLattice:
     def key(self) -> tuple:
         return (self.denom_exp, self.piv0, self.piv1, self.off)
 
-    def describe(self) -> dict:
-        """Canonical-form data in JSON-friendly shape."""
-        return {
-            "denom_exp": self.denom_exp,
-            "pivots": [self.piv0, self.piv1],
-            "off": list(self.off),
-        }
-
     def __eq__(self, other):
         if not isinstance(other, VertexLattice):
             return NotImplemented

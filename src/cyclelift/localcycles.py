@@ -14,8 +14,10 @@ depend only on valuations and on the line spanned by the vector.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 
 from cyclelift.bttree import (
     VertexLattice,
@@ -339,17 +341,41 @@ def path_words(center: VertexLattice, profile) -> dict:
     return labels
 
 
-def cycle_to_json_dict(cycle: LocalCycle) -> dict:
-    """JSON form with path-word vertex labels and a table of the
-    vertices' canonical-form pivot data; deterministic ordering."""
+def cycle_json_chunks(cycle: LocalCycle):
+    """The cycle's JSON text, in chunks: the horizontal component, the
+    vertical multiplicities and each vertex's canonical-form data
+    (denom_exp, off, pivots), laid out as json.dumps(..., sort_keys=True,
+    indent=2) + "\\n" would lay them out.  Both lists follow the path
+    words' order, sorted once, and every entry is one f-string formatted
+    straight from its vertex, so the whole text is never held at once.
+    path_words labels the ball of radius len(profile) - 1, so every label
+    carries a vertical line unless the profile is empty."""
     labels = path_words(cycle.center, cycle.profile)
     profile = cycle.profile
-    vertical = sorted(
-        ({"vertex": w, "mult": profile[d]} for w, d in labels.values() if d < len(profile)),
-        key=lambda v: v["vertex"],
-    )
-    return {
-        "horizontal": [{"vertex": labels[cycle.center][0], "count": cycle.horizontal}],
-        "vertical": vertical,
-        "vertices": {w: lat.describe() for lat, (w, _) in labels.items()},
-    }
+    entries = [(encode_basestring_ascii(word), d, lat)
+               for lat, (word, d) in sorted(labels.items(), key=lambda item: item[1][0])]
+    yield (f'{{\n  "horizontal": [\n    {{\n      "count": {cycle.horizontal},\n'
+           f'      "vertex": {encode_basestring_ascii(labels[cycle.center][0])}\n'
+           '    }\n  ],\n  "vertical": [')
+    if profile:
+        sep = "\n"
+        for word, d, _ in entries:
+            yield f'{sep}    {{\n      "mult": {profile[d]},\n      "vertex": {word}\n    }}'
+            sep = ",\n"
+        yield "\n  "
+    yield '],\n  "vertices": {'
+    sep = "\n"
+    for word, _, lat in entries:
+        off0, off1 = lat.off
+        yield (f'{sep}    {word}: {{\n      "denom_exp": {lat.denom_exp},\n      "off": [\n'
+               f'        {off0},\n        {off1}\n      ],\n      "pivots": [\n'
+               f'        {lat.piv0},\n        {lat.piv1}\n      ]\n    }}')
+        sep = ",\n"
+    yield "\n  }\n}\n"
+
+
+# The writer's own text parsed back, so the format has one source;
+# perfbench/tracing.py wraps this name, so it stays public.
+def cycle_to_json_dict(cycle: LocalCycle) -> dict:
+    """The cycle's JSON form, as `cycle_json_chunks` writes it."""
+    return json.loads("".join(cycle_json_chunks(cycle)))

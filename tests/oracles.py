@@ -2,15 +2,17 @@
 solvability for Hilbert symbols, ideal-class enumeration for class
 numbers, residue-square tables, a truncated p-adic ring and the
 object-path Bruhat-Tits tree core on it, breadth-first searches for
-tree distance and path-word labels, the whole-file series reader, the
-L-value at s = 1 by Gauss sums (numerically) and by the
-2^(number of prime factors) rational, and the local-compare and chart
-sweeps that build every ball vertex and test its membership directly.
+tree distance and path-word labels, the `cycle` output rendered by the
+json encoder, the whole-file series reader, the L-value at s = 1 by
+Gauss sums (numerically) and by the 2^(number of prime factors)
+rational, and the local-compare and chart sweeps that build every ball
+vertex and test its membership directly.
 
 These deliberately avoid the code paths they check.
 """
 
 import cmath
+import json
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -951,6 +953,28 @@ def path_words_bfs(root, keys: set, radius_cap: int) -> dict:
             f"{len(missing)} vertices beyond labelling radius {radius_cap}"
         )
     return {k: words[k] for k in keys}
+
+
+def cycle_json_text(cycle) -> str:
+    """Reference `cycle` output: the cycle as a dict of path-word
+    labels and the vertices' canonical-form data, rendered by
+    json.dumps(sort_keys=True, indent=2), the encoder that the direct
+    writer `localcycles.cycle_json_chunks` replaces."""
+    labels = localcycles.path_words(cycle.center, cycle.profile)
+    profile = cycle.profile
+    vertical = sorted(
+        ({"vertex": w, "mult": profile[d]} for w, d in labels.values() if d < len(profile)),
+        key=lambda v: v["vertex"],
+    )
+    data = {
+        "horizontal": [{"vertex": labels[cycle.center][0], "count": cycle.horizontal}],
+        "vertical": vertical,
+        "vertices": {
+            w: {"denom_exp": lat.denom_exp, "pivots": [lat.piv0, lat.piv1], "off": list(lat.off)}
+            for lat, (w, _) in labels.items()
+        },
+    }
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
 def tree_ball(center: ObjectLattice, radius: int) -> list[tuple[ObjectLattice, int]]:

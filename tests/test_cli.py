@@ -49,6 +49,14 @@ README_VERIFY = [
      "ace7b0479aec21cb2a8e526a0b4fdfd561906cf187ca7f497642c4776382886c"),
 ]
 
+# The README `cycle` commands and the SHA-256 of their output.
+README_CYCLE = [
+    (("--p", "5", "--delta", "-2", "--sign", "minus", "--b", "0+5d,5+0d"),
+     "5990fe685edd7c6e9d0fe5bfb5a41709e77aed7acaf7e47d62c8a770800705a6"),
+    (("--p", "5", "--delta", "-2", "--ortho", "--alpha", "2", "--b", "0+1d,1+0d"),
+     "2858bcb4b51f3125c8c12de2e0924925ae3476af87ae0a0aaeab420bc8c47f6a"),
+]
+
 # Larger tree sweeps, pinned at the bytes they gave when every ball vertex
 # was built and tested with its own r_invariant.
 TREE_VERIFY = [
@@ -368,6 +376,13 @@ class TestCycleCommand:
         assert len(json.loads(out)["vertical"]) == vertical
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("argv, digest", README_CYCLE)
+    def test_out_writes_the_pinned_bytes(self, tmp_path, capsys, argv, digest):
+        dst = tmp_path / "cycle.json"
+        code, out, err = run(capsys, "cycle", *argv, "--out", str(dst))
+        assert (code, out, err) == (EXIT_OK, "", "")
+        assert hashlib.sha256(dst.read_bytes()).hexdigest() == digest
+
     def test_isotropic_exits_2(self, capsys):
         code, _, err = run(
             capsys, "cycle", "--p", "5", "--delta", "-2", "--sign", "minus",
@@ -454,6 +469,25 @@ class TestCycleCommand:
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (EXIT_HYPOTHESIS, "")
         assert f"holds {count} vertices" in err and str(CYCLE_VERTEX_CAP) in err
+
+
+# One small job of each subcommand; lift reads a series file it is given.
+OUT_JOBS = {
+    "cycle": lambda series: ["cycle", *README_CYCLE[0][0]],
+    "verify": lambda series: ["verify", "rho", "--delta", "-2", "--max", "50"],
+    "lift": lambda series: ["lift", "--level", "35", "--t", "2", "--in", series],
+}
+
+
+@pytest.mark.parametrize("command", OUT_JOBS)
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_out_exits_2(tmp_path, capsys, command, where):
+    series = tmp_path / "in.json"
+    series.write_text(json.dumps({"max_exponent": 40, "coeffs": [{"n": 2, "c": "1/1"}]}))
+    dst = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
+    code, out, err = run(capsys, *OUT_JOBS[command](str(series)), "--out", str(dst))
+    assert (code, out) == (EXIT_HYPOTHESIS, "")
+    assert err.count("\n") == 1 and f"cannot write {dst}: " in err
 
 
 class TestLiftCommand:

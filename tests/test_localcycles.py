@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from cyclelift.bttree import VertexLattice, distance, standard_lattices, tree_ball
+from cyclelift.bttree import VertexLattice, ball_size, distance, standard_lattices, tree_ball
 from cyclelift.errors import (
     CycleLiftError,
     DegenerateVectorError,
@@ -18,6 +18,7 @@ from cyclelift.localcycles import (
     FiberKind,
     OrthEndo,
     SpecialHom,
+    cycle_json_chunks,
     cycle_to_json_dict,
     fiber_points,
     multiplicity,
@@ -569,3 +570,61 @@ def test_path_words_match_bfs_reference(p, kind, seed):
     words = {lat.key: word for lat, (word, _) in labels.items()}
     assert words == oracles.path_words_bfs(lam0, keys, radius_cap=depth)
     assert all(d == distance(lat, cycle.center) for lat, (_, d) in labels.items())
+
+
+# The largest support, in vertices, of a cycle drawn for the writer test.
+WRITER_SUPPORT_CAP = 200
+
+
+def random_writer_cycle(rng):
+    """A random unitary (either sign) or orthogonal cycle at p in
+    LABEL_CASES with at most WRITER_SUPPORT_CAP support vertices, and
+    what it covers: (p, kind, whether the vector has a /p^e
+    denominator, whether the profile is empty)."""
+    while True:
+        p = rng.choice(sorted(LABEL_CASES))
+        ctx = LocalContext(p=p, delta_sq=rng.choice(LABEL_CASES[p][0]))
+        if rng.random() < 0.5:
+            bound = p ** rng.randrange(1, 9)
+            coords = [rng.randrange(-bound, bound + 1) for _ in range(4)]
+        else:  # a centre at distance k from Lambda0
+            base = vector_with_ord(ctx, rng, rng.randrange(7))
+            coords = [base.a0.x, base.a0.y, base.a1.x, base.a1.y]
+        scale, denom = p ** rng.randrange(3), rng.choice((0, 0, 1, 2))
+        x0, y0, x1, y1 = (c * scale for c in coords)
+        vec = ctx.vector_from_ints((x0, y0), (x1, y1), denom)
+        kind = rng.choice((MINUS, PLUS, "ortho"))
+        try:
+            if kind == "ortho":
+                special = OrthEndo.from_eigenvector(rng.randrange(4), vec)
+                radius, build = special.alpha - 1, orthogonal_cycle
+            else:
+                special = SpecialHom.from_vector(kind, vec)
+                radius, build = special.ord_qpm - 1, unitary_cycle
+        except (DegenerateVectorError, ValueError):
+            continue  # isotropic, or a norm that is not integral
+        if ball_size(p, radius) <= WRITER_SUPPORT_CAP:
+            cycle = build(special)
+            return cycle, (p, kind, denom > 0, not cycle.profile)
+
+
+def test_writer_matches_the_json_encoder():
+    """The direct writer's text against json.dumps(sort_keys=True,
+    indent=2) of the dict it replaced, on 320 seeded random cycles at
+    p = 3, 5, 7, 11 (both signs and orthogonal, with and without /p^e
+    denominators, empty profiles among them), the deep-centre cycle and
+    an orthogonal cycle of alpha 0."""
+    rng = random.Random(19)
+    covered = set()
+    for _ in range(320):
+        cycle, cover = random_writer_cycle(rng)
+        covered.add(cover)
+        assert "".join(cycle_json_chunks(cycle)) == oracles.cycle_json_text(cycle)
+    assert {c[:2] for c in covered} == {(p, k) for p in LABEL_CASES for k in (MINUS, PLUS, "ortho")}
+    assert {c[2] for c in covered} == {c[3] for c in covered} == {False, True}
+    deep = OrthEndo.from_eigenvector(2, CTX3.vector_from_ints((1, 0), (0, 3**20)))
+    empty = OrthEndo.from_eigenvector(0, UNIT_VEC)
+    for cycle in (orthogonal_cycle(deep), orthogonal_cycle(empty)):
+        assert "".join(cycle_json_chunks(cycle)) == oracles.cycle_json_text(cycle)
+    assert distance(standard_lattices(CTX3)[0], orthogonal_cycle(deep).center) == 20
+    assert '"vertical": [],' in oracles.cycle_json_text(orthogonal_cycle(empty))
