@@ -43,20 +43,29 @@ class SymbolicDivisor:
     Symbols are tuples: ("K",) for the fixed canonical-class divisor,
     ("Zo", n) for orthogonal cycles, ("Zp", m, i) for the unitary cycle
     of index m attached to embedding class i.  Zero-weight entries are
-    pruned; equality is map equality.  Weights become Fractions once, in
-    the constructor; `+` (with the integer 0 as identity), `*` by an int
-    or Fraction scalar and `-` build pruned maps without re-wrapping.
+    pruned; equality is map equality.
+
+    Each weight has one representation: an int when it is integral, a
+    Fraction (denominator > 1) otherwise.  The constructor brings any
+    rational weight to that form; `+` (with the integer 0 as identity),
+    `*` by an int or Fraction scalar and `-` keep it without
+    re-wrapping, so sums and int multiples of integral weights never
+    touch Fraction.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict):
-        weights = {sym: Fraction(w) for sym, w in terms.items()}
-        self.terms = {sym: w for sym, w in weights.items() if w}
+        self.terms = {}
+        for sym, w in terms.items():
+            if type(w) is not int:
+                w = _normal(Fraction(w))
+            if w:
+                self.terms[sym] = w
 
     @classmethod
     def _of(cls, terms: dict) -> "SymbolicDivisor":
-        """Wrap a map that already holds nonzero Fraction weights."""
+        """Wrap a map that already holds nonzero weights in normal form."""
         out = object.__new__(cls)
         out.terms = terms
         return out
@@ -90,7 +99,7 @@ class SymbolicDivisor:
         for sym, w in other.terms.items():
             total = out.pop(sym, 0) + w
             if total:
-                out[sym] = total
+                out[sym] = total if type(total) is int else _normal(total)
         return SymbolicDivisor._of(out)
 
     __radd__ = __add__
@@ -100,7 +109,11 @@ class SymbolicDivisor:
             return NotImplemented
         if not scalar:
             return SymbolicDivisor._of({})
-        return SymbolicDivisor._of({sym: w * scalar for sym, w in self.terms.items()})
+        out = {sym: w * scalar for sym, w in self.terms.items()}
+        for sym, w in out.items():
+            if type(w) is not int:
+                out[sym] = _normal(w)
+        return SymbolicDivisor._of(out)
 
     __rmul__ = __mul__
 
@@ -131,6 +144,11 @@ class SymbolicDivisor:
         ]
 
 
+def _normal(w: Fraction):
+    """A rational weight in normal form: its numerator when integral."""
+    return w.numerator if w.denominator == 1 else w
+
+
 def _sym_name(sym: tuple) -> str:
     if sym[0] == "K":
         return "K"
@@ -144,7 +162,10 @@ def parse_symbolic_entries(entries) -> SymbolicDivisor:
     total = SymbolicDivisor.zero()
     for entry in entries:
         name = entry["sym"]
-        w = Fraction(entry["w"])
+        text = entry["w"]
+        if not isinstance(text, str):
+            raise ValueError(f"weight {text!r} of {name!r} is not a string")
+        w = Fraction(text)
         if name == "K":
             total += SymbolicDivisor.K(w)
         elif not isinstance(name, str):
@@ -316,6 +337,11 @@ def verify_remark_identity(
         Phi^u = C' + sum_i (2 + sum_{nonempty I} phi_I)(Phi^naive_i)
 
     coefficientwise, and that C' = 0.
+
+    Every naive coefficient carries the weight 1/(2h), so both sides are
+    built in units of 1/(2h), where every Zplus weight is an integer.
+    Reported mismatches are scaled back to true units; C' is checked in
+    true units.
     """
     expected_classes = optimal_embedding_count(field, d_b)
     if num_embedding_classes != expected_classes:
@@ -323,39 +349,43 @@ def verify_remark_identity(
             f"num_embedding_classes must be {expected_classes}, got {num_embedding_classes}"
         )
     primes = check_discriminant_hypotheses(field, d_b)
-    h = field.class_number
-    half_h_inv = Fraction(1, 2 * h)
+    two_h = 2 * field.class_number
     lrat = lvalue_closed_form(field, d_b)
     # The Remark's constant: C = (1/2) * lrat / #classes, as a K-multiple.
     c_naive = SymbolicDivisor.K(lrat / (2 * expected_classes))
     c_prime = SymbolicDivisor.K(lrat) + c_naive * (-2 * expected_classes)
 
-    # Left side: the definition of Phi^u in the free symbols.
-    lhs_coeffs: dict[int, SymbolicDivisor] = {0: SymbolicDivisor.K(lrat)}
+    # Left side: the definition of Phi^u in the free symbols, times 2h.
+    lhs_coeffs: dict[int, SymbolicDivisor] = {0: SymbolicDivisor.K(lrat * two_h)}
     for m in range(1, m_max + 1):
         acc = SymbolicDivisor.zero()
         mstar = m // gcd(m, d_b)
         for i in range(1, num_embedding_classes + 1):
             acc += SymbolicDivisor.Zplus(m, i) + SymbolicDivisor.Zplus(mstar, i)
-        lhs_coeffs[m] = acc * half_h_inv
+        lhs_coeffs[m] = acc
     lhs = FormalSeries(lhs_coeffs, m_max)
 
-    # Right side: operator expansion of the naive series.
+    # Right side: operator expansion of the naive series, times 2h.
     subsets = []
     for mask in range(1, 2 ** len(primes)):
         subsets.append([p for k, p in enumerate(primes) if mask >> k & 1])
-    rhs = FormalSeries({0: c_prime}, m_max)
+    rhs = FormalSeries({0: c_prime * two_h}, m_max)
     for i in range(1, num_embedding_classes + 1):
-        naive_coeffs: dict[int, SymbolicDivisor] = {0: c_naive}
+        naive_coeffs: dict[int, SymbolicDivisor] = {0: c_naive * two_h}
         for n in range(1, m_max + 1):
-            naive_coeffs[n] = SymbolicDivisor.Zplus(n, i, half_h_inv)
+            naive_coeffs[n] = SymbolicDivisor.Zplus(n, i)
         naive = FormalSeries(naive_coeffs, m_max)
         rhs = rhs.add(naive.scale(2))
         for subset in subsets:
             rhs = rhs.add(op_phi_set(subset, naive))
 
+    unit = Fraction(1, two_h)
     mismatches = [
-        Mismatch(m, _as_divisor(lhs.coefficient(m)), _as_divisor(rhs.coefficient(m)))
+        Mismatch(
+            m,
+            _as_divisor(lhs.coefficient(m)) * unit,
+            _as_divisor(rhs.coefficient(m)) * unit,
+        )
         for m in series_difference_support(lhs, rhs)
     ]
     if c_prime:

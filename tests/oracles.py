@@ -5,8 +5,9 @@ object-path Bruhat-Tits tree core on it, breadth-first searches for
 tree distance and path-word labels, the `cycle` output rendered by the
 json encoder, the whole-file series reader, the L-value at s = 1 by
 Gauss sums (numerically) and by the 2^(number of prime factors)
-rational, and the local-compare and chart sweeps that build every ball
-vertex and test its membership directly.
+rational, the local-compare and chart sweeps that build every ball
+vertex and test its membership directly, and the remark-identity
+verifier with every weight a Fraction in true units.
 
 These deliberately avoid the code paths they check.
 """
@@ -19,12 +20,23 @@ from math import gcd, isqrt
 from dataclasses import dataclass
 
 from cyclelift import localcycles, sweeps
-from cyclelift.errors import CycleLiftError, DegenerateVectorError
-from cyclelift.identity import Mismatch, VerificationReport
+from cyclelift.errors import CycleLiftError, DegenerateVectorError, HypothesisError
+from cyclelift.identity import Mismatch, SymbolicDivisor, VerificationReport
 from cyclelift.numth import is_prime, kronecker
-from cyclelift.qseries import FormalSeries, ShimuraParams, chi_t
+from cyclelift.qseries import (
+    FormalSeries,
+    ShimuraParams,
+    chi_t,
+    op_phi_set,
+    series_difference_support,
+)
 from cyclelift.padic import LocalContext
-from cyclelift.quadfield import QuadField, check_discriminant_hypotheses
+from cyclelift.quadfield import (
+    QuadField,
+    check_discriminant_hypotheses,
+    lvalue_closed_form,
+    optimal_embedding_count,
+)
 
 
 def squares_mod(n: int) -> set:
@@ -1170,5 +1182,73 @@ def chart_by_ball(p: int, delta: int, count: int, radius: int, rng) -> Verificat
     return VerificationReport(
         params={"p": p, "delta": delta, "count": count, "radius": radius},
         checked=checked,
+        mismatches=mismatches,
+    )
+
+
+# -- the remark identity in true units ------------------------------------------
+
+
+def _as_divisor(c) -> SymbolicDivisor:
+    return c if isinstance(c, SymbolicDivisor) else SymbolicDivisor.zero()
+
+
+def verify_remark_identity(
+    field: QuadField, d_b: int, m_max: int, num_embedding_classes: int
+) -> VerificationReport:
+    """cyclelift.identity.verify_remark_identity as it was before it
+    counted in units of 1/(2h): every naive coefficient carries the
+    Fraction weight 1/(2h), and both sides are built in true units."""
+    expected_classes = optimal_embedding_count(field, d_b)
+    if num_embedding_classes != expected_classes:
+        raise HypothesisError(
+            f"num_embedding_classes must be {expected_classes}, got {num_embedding_classes}"
+        )
+    primes = check_discriminant_hypotheses(field, d_b)
+    h = field.class_number
+    half_h_inv = Fraction(1, 2 * h)
+    lrat = lvalue_closed_form(field, d_b)
+    # The Remark's constant: C = (1/2) * lrat / #classes, as a K-multiple.
+    c_naive = SymbolicDivisor.K(lrat / (2 * expected_classes))
+    c_prime = SymbolicDivisor.K(lrat) + c_naive * (-2 * expected_classes)
+
+    # Left side: the definition of Phi^u in the free symbols.
+    lhs_coeffs: dict[int, SymbolicDivisor] = {0: SymbolicDivisor.K(lrat)}
+    for m in range(1, m_max + 1):
+        acc = SymbolicDivisor.zero()
+        mstar = m // gcd(m, d_b)
+        for i in range(1, num_embedding_classes + 1):
+            acc += SymbolicDivisor.Zplus(m, i) + SymbolicDivisor.Zplus(mstar, i)
+        lhs_coeffs[m] = acc * half_h_inv
+    lhs = FormalSeries(lhs_coeffs, m_max)
+
+    # Right side: operator expansion of the naive series.
+    subsets = []
+    for mask in range(1, 2 ** len(primes)):
+        subsets.append([p for k, p in enumerate(primes) if mask >> k & 1])
+    rhs = FormalSeries({0: c_prime}, m_max)
+    for i in range(1, num_embedding_classes + 1):
+        naive_coeffs: dict[int, SymbolicDivisor] = {0: c_naive}
+        for n in range(1, m_max + 1):
+            naive_coeffs[n] = SymbolicDivisor.Zplus(n, i, half_h_inv)
+        naive = FormalSeries(naive_coeffs, m_max)
+        rhs = rhs.add(naive.scale(2))
+        for subset in subsets:
+            rhs = rhs.add(op_phi_set(subset, naive))
+
+    mismatches = [
+        Mismatch(m, _as_divisor(lhs.coefficient(m)), _as_divisor(rhs.coefficient(m)))
+        for m in series_difference_support(lhs, rhs)
+    ]
+    if c_prime:
+        mismatches.insert(0, Mismatch(m=-1, lhs=c_prime, rhs=SymbolicDivisor.zero()))
+    return VerificationReport(
+        params={
+            "delta": field.delta,
+            "d_b": d_b,
+            "m_max": m_max,
+            "classes": num_embedding_classes,
+        },
+        checked=m_max + 1,
         mismatches=mismatches,
     )

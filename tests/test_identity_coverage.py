@@ -1,11 +1,13 @@
 """The identity verifiers beyond the three grid pairs: both verifiers on
 fields with class number up to 10, and both taken down their mismatch
 path by a deliberately wrong side, so a passing run is known to be able
-to fail."""
+to fail.  The remark verifier, which counts in units of 1/(2h), is held
+to the true-units reference in oracles.py, passing and failing."""
 
 import pytest
 
 import cyclelift.identity as identity
+import oracles
 from cyclelift.qseries import FormalSeries
 from cyclelift.quadfield import make_field, optimal_embedding_count
 
@@ -67,21 +69,29 @@ def test_main_theorem_reports_a_wrong_unitary_side(monkeypatch):
     ]
 
 
-def test_remark_identity_reports_a_missing_coefficient(monkeypatch):
-    # Make phi_{5} cancel the 2 * naive term at q^3, where no phi_I
-    # reaches (3 is prime to D_B = 35): the right side has no q^3
-    # coefficient at all, and the left side has 2/(2h) sum_i Zplus(3, i).
+def cancel_twice_naive(exponent, hit):
+    """An op_phi_set whose phi_I for I = hit also subtracts 2 * naive at
+    q^exponent.  At an exponent prime to D_B no phi_I reaches, so the
+    right side loses its whole coefficient there."""
     real_phi_set = identity.op_phi_set
 
-    def cancel_q3(primes, series):
+    def faulty(primes, series):
         out = real_phi_set(primes, series)
-        if list(primes) == [5]:
-            cancel = FormalSeries({3: series.coefficient(3) * -2}, series.max_exponent)
+        if list(primes) == hit:
+            cancel = FormalSeries(
+                {exponent: series.coefficient(exponent) * -2}, series.max_exponent
+            )
             out = out.add(cancel)
         return out
 
+    return faulty
+
+
+def test_remark_identity_reports_a_missing_coefficient(monkeypatch):
+    # Cancel the 2 * naive term at q^3 (3 is prime to D_B = 35): the
+    # left side has 2/(2h) sum_i Zplus(3, i) there, with h = 1.
     classes = optimal_embedding_count(F2, 35)
-    monkeypatch.setattr(identity, "op_phi_set", cancel_q3)
+    monkeypatch.setattr(identity, "op_phi_set", cancel_twice_naive(3, [5]))
     report = identity.verify_remark_identity(F2, 35, 30, classes)
     assert not report.ok
     assert [mm.m for mm in report.mismatches] == [3]
@@ -91,3 +101,42 @@ def test_remark_identity_reports_a_missing_coefficient(monkeypatch):
         {"sym": f"Zplus(3,{i})", "w": "1/1"} for i in range(1, classes + 1)
     ]
     assert entry["rhs"] == []
+
+
+def test_remark_mismatch_is_scaled_back_at_class_number_2(monkeypatch):
+    # At h = 2 the left side's 2/(2h) sum_i Zplus(5, i) reads 1/2 per
+    # class: a mismatch reported in units of 1/(2h) would read 1/1 or 2/1.
+    field = make_field(-10)
+    assert field.class_number == 2
+    classes = optimal_embedding_count(field, 51)
+    assert classes == 8
+    monkeypatch.setattr(identity, "op_phi_set", cancel_twice_naive(5, [17]))
+    report = identity.verify_remark_identity(field, 51, 30, classes)
+    (entry,) = _mismatch_json(report)
+    assert entry == {
+        "m": 5,
+        "lhs": [{"sym": f"Zplus(5,{i})", "w": "1/2"} for i in range(1, 9)],
+        "rhs": [],
+    }
+
+
+@pytest.mark.parametrize("delta, d_b, h", GRID)
+def test_remark_identity_matches_the_true_units_reference(delta, d_b, h):
+    field = make_field(delta)
+    classes = optimal_embedding_count(field, d_b)
+    got = identity.verify_remark_identity(field, d_b, 150, classes)
+    want = oracles.verify_remark_identity(field, d_b, 150, classes)
+    assert got.to_json_dict() == want.to_json_dict()
+
+
+@pytest.mark.parametrize("delta, d_b, exponent, hit", [(-2, 35, 3, [5]), (-10, 51, 5, [17])])
+def test_faulty_remark_identity_matches_the_reference(monkeypatch, delta, d_b, exponent, hit):
+    field = make_field(delta)
+    classes = optimal_embedding_count(field, d_b)
+    faulty = cancel_twice_naive(exponent, hit)
+    monkeypatch.setattr(identity, "op_phi_set", faulty)
+    monkeypatch.setattr(oracles, "op_phi_set", faulty)
+    got = identity.verify_remark_identity(field, d_b, 30, classes).to_json_dict()
+    want = oracles.verify_remark_identity(field, d_b, 30, classes).to_json_dict()
+    assert got["mismatches"]
+    assert got == want

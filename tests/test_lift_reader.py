@@ -64,6 +64,13 @@ CASES = [
     ("Zo index not positive", series((2, [{"sym": "Zo(-3)", "w": "1/1"}])), [], 2),
     ("Zplus index not positive", series((2, [{"sym": "Zplus(0,1)", "w": "1/1"}])), [], 2),
     ("bad symbol weight kept", series((2, [{"sym": "K", "w": "1/0"}])), [], 2),
+    # A weight is text, as a rational "c" is: JSON numbers and true are refused.
+    ("symbol weight 1e400", '{"max_exponent": 50, "coeffs": '
+                            '[{"n": 2, "c": [{"sym": "K", "w": 1e400}]}]}', [], 2),
+    ("symbol weight Infinity", '{"max_exponent": 50, "coeffs": '
+                               '[{"n": 2, "c": [{"sym": "K", "w": Infinity}]}]}', [], 2),
+    ("symbol weight float", series((2, [{"sym": "K", "w": 0.5}])), [], 2),
+    ("symbol weight true", series((2, [{"sym": "K", "w": True}])), [], 2),
     ("symbolic not a list", series((3, 5)), [], 2),
     ("missing c", {"max_exponent": 50, "coeffs": [{"n": 2, "c": "1/1"}, {"n": 3}]}, [], 2),
     ("missing n", {"max_exponent": 50, "coeffs": [{"c": "1/1"}]}, [], 2),

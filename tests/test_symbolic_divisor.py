@@ -1,7 +1,7 @@
 """Algebra of SymbolicDivisor.  `+`, `*` and `-` build their weight maps
 without going through the normalising constructor, so each law is
 checked on random divisors, and each result against the constructor's
-own normal form."""
+own normal form: an int for an integral weight, else a Fraction."""
 
 from fractions import Fraction
 
@@ -17,15 +17,19 @@ symbols = st.one_of(
     st.tuples(st.just("Zo"), st.integers(1, 12)),
     st.tuples(st.just("Zp"), st.integers(1, 12), st.integers(1, 3)),
 )
-weights = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+int_weights = st.integers(-4, 4)
+weights = st.one_of(int_weights, st.fractions(min_value=-4, max_value=4, max_denominator=6))
 scalars = st.one_of(st.integers(-3, 3), weights)
 divisors = st.dictionaries(symbols, weights, max_size=5).map(SymbolicDivisor)
+int_divisors = st.dictionaries(symbols, int_weights, max_size=5).map(SymbolicDivisor)
 
 
 def assert_normal(x):
-    """Every weight is a nonzero Fraction, as the constructor leaves it."""
+    """Every weight is nonzero and has the one representation the
+    constructor leaves: an int, or a Fraction that is not integral."""
     for w in x.terms.values():
-        assert type(w) is Fraction and w != 0
+        assert w != 0
+        assert type(w) is int or (type(w) is Fraction and w.denominator != 1)
     assert x == SymbolicDivisor(x.terms)
 
 
@@ -57,7 +61,24 @@ def test_scaling_distributes(x, y, s, r):
 
 
 @SUITE
-@given(st.dictionaries(symbols, st.sampled_from([0, Fraction(0), 1, Fraction(-2, 3)])))
+@given(int_divisors, int_divisors, st.integers(-3, 3))
+def test_int_weights_stay_ints(x, y, s):
+    for result in (x, -x, x + y, x * s, s * (x + y) + -y):
+        assert all(type(w) is int for w in result.terms.values())
+
+
+@SUITE
+@given(int_divisors, st.integers(2, 6))
+def test_fraction_arithmetic_lands_back_on_ints(x, d):
+    part = x * Fraction(1, d)
+    assert_normal(part)
+    for result in (part * d, sum([part] * d), part + part * (d - 1)):
+        assert result == x
+        assert all(type(w) is int for w in result.terms.values())
+
+
+@SUITE
+@given(st.dictionaries(symbols, st.sampled_from([0, Fraction(0), 1, Fraction(-2, 3), Fraction(4, 2)])))
 def test_zero_weights_pruned(terms):
     x = SymbolicDivisor(terms)
     assert set(x.terms) == {s for s, w in terms.items() if w}
