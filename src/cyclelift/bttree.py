@@ -33,7 +33,7 @@ against the canonical form, cross-checks the r that `coordinates` and
 the descent below give, and `hyperbolic_basis` hands the exact basis
 out as padic.VectorC.
 
-`ball_r_invariants` gives b's r-invariant at every vertex of a ball
+`ball_r_invariants` streams b's r-invariant at every vertex of a ball
 without building the ball: the two numerators move to a child's by one
 integer step each (coordinate descent), and each carries its
 valuation, which p N raises by one and N0 - alpha N1 keeps unless
@@ -43,6 +43,8 @@ out, so a sweep that samples a ball by index needs no ball.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from cyclelift.errors import DegenerateVectorError
 from cyclelift.padic import LocalContext, QuadLocalElem, VectorC, epsilon, pval, qform
@@ -399,10 +401,11 @@ def ball_size(p: int, radius: int) -> int:
 
 def ball_r_invariants(
     center: VertexLattice, b: VectorC, radius: int
-) -> list[tuple[int, int]]:
-    """[(lat.r_invariant(b), d) for lat, d in tree_ball(center, radius)]
-    by coordinate descent from the centre's exact basis, with no
-    lattice built past the centre.
+) -> Iterator[tuple[int, int]]:
+    """(lat.r_invariant(b), d) for each (lat, d) of tree_ball(center,
+    radius), in its order, by coordinate descent from the centre's exact
+    basis, with no lattice built past the centre.  A bad centre or a zero
+    b raises here, before the first (r, d).
 
     With the basis (k; a, c, bb, dd) and b = p^-e (b0 v0 + b1 v1), the
     numerators N0 = dd b0 - bb b1 and N1 = a b1 - c b0 give
@@ -411,16 +414,19 @@ def ball_r_invariants(
     each child has v(det) + 1, and k + 1 under a type-0 parent.
     """
     vt = center.require_vertex()
-    p = center.ctx.p
     shift, n0, n1 = _numerators(center, b)
-    out = [(shift + min(n0[2], n1[2]), 0)]
+    return _descend(center.ctx.p, vt, shift, n0, n1, radius)
+
+
+def _descend(p: int, ptype: int, shift: int, n0, n1, radius: int) -> Iterator[tuple[int, int]]:
+    """ball_r_invariants past its checks: no frontier past the last sphere."""
+    yield shift + min(n0[2], n1[2]), 0
     frontier = [(n0, n1, None)]
-    ptype = vt
     for depth in range(1, radius + 1):
         if ptype == 2:
             shift -= 1
         ptype = 2 - ptype
-        nxt = []
+        nxt = [] if depth < radius else None
         for n0, n1, parent in frontier:
             x0, y0, v0 = n0
             x1, y1, v1 = n1
@@ -428,11 +434,13 @@ def ball_r_invariants(
             pn1 = (p * x1, p * y1, pv1)
             if parent != 0:
                 pv0 = v0 + 1
-                out.append((shift + (pv0 if pv0 < v1 else v1), depth))
-                nxt.append(((p * x0, p * y0, pv0), n1, 1))
+                yield shift + (pv0 if pv0 < v1 else v1), depth
+                if nxt is not None:
+                    nxt.append(((p * x0, p * y0, pv0), n1, 1))
             if parent != 1:  # alpha = 0 keeps N0
-                out.append((shift + (v0 if v0 < pv1 else pv1), depth))
-                nxt.append((n0, pn1, 0))
+                yield shift + (v0 if v0 < pv1 else pv1), depth
+                if nxt is not None:
+                    nxt.append((n0, pn1, 0))
             # N0 - alpha N1 for a unit alpha: its valuation is the
             # smaller one unless v(N0) = v(N1).
             low = v0 if v0 < v1 else v1
@@ -442,10 +450,10 @@ def ball_r_invariants(
                     low = pval(p, x, y)
                     if low is None:
                         low = _NO_VAL
-                out.append((shift + (low if low < pv1 else pv1), depth))
-                nxt.append(((x, y, low), pn1, 0))
+                yield shift + (low if low < pv1 else pv1), depth
+                if nxt is not None:
+                    nxt.append(((x, y, low), pn1, 0))
         frontier = nxt
-    return out
 
 
 def _numerators(lat: VertexLattice, b: VectorC) -> tuple:

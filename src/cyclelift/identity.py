@@ -11,6 +11,7 @@ not a tautology.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
@@ -157,8 +158,12 @@ def _sym_name(sym: tuple) -> str:
     return f"Zplus({sym[1]},{sym[2]})"
 
 
+# The names that _sym_name writes: indices in decimal, no sign or leading 0.
+_SYMBOL = re.compile(r"K|Zo\(([1-9][0-9]*)\)|Zplus\(([1-9][0-9]*),([1-9][0-9]*)\)")
+
+
 def parse_symbolic_entries(entries) -> SymbolicDivisor:
-    """Inverse of SymbolicDivisor.to_json_entries."""
+    """Inverse of SymbolicDivisor.to_json_entries: any other name is refused."""
     total = SymbolicDivisor.zero()
     for entry in entries:
         name = entry["sym"]
@@ -166,17 +171,12 @@ def parse_symbolic_entries(entries) -> SymbolicDivisor:
         if not isinstance(text, str):
             raise ValueError(f"weight {text!r} of {name!r} is not a string")
         w = Fraction(text)
-        if name == "K":
-            total += SymbolicDivisor.K(w)
-        elif not isinstance(name, str):
+        match = _SYMBOL.fullmatch(name) if isinstance(name, str) else None
+        if match is None:
             raise ValueError(f"unknown symbol {name!r}")
-        elif name.startswith("Zo(") and name.endswith(")"):
-            total += SymbolicDivisor.Zo(int(name[3:-1]), w)
-        elif name.startswith("Zplus(") and name.endswith(")"):
-            m, i = name[6:-1].split(",")
-            total += SymbolicDivisor.Zplus(int(m), int(i), w)
-        else:
-            raise ValueError(f"unknown symbol {name!r}")
+        n, m, i = match.groups()
+        sym = ("Zo", int(n)) if n else ("Zp", int(m), int(i)) if m else ("K",)
+        total += SymbolicDivisor({sym: w})
     return total
 
 

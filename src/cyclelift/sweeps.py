@@ -149,25 +149,19 @@ def sweep_r_formula(
     ctx = LocalContext(p=p, delta_sq=delta)
     mismatches = []
     checked = 0
-    for i in range(count):
+    for _ in range(count):
         vec = random_anisotropic_vector(ctx, rng)
         ordq = qform(vec).valuation
-        t = -((-ordq) // 2)
         center = bttree.central_lattice(vec)
-        rs = bttree.ball_r_invariants(center, vec, radius)
-        first = checked + 1
-        for r, d in rs:
+        expected = [localcycles.mult_from_depth(ordq, d) for d in range(radius + 1)]
+        geodesic, crossed = _geodesic(center, radius), []
+        for i, (r, d) in enumerate(bttree.ball_r_invariants(center, vec, radius)):
             checked += 1
-            if ordq % 2 == 0:
-                expected = t - d // 2
-            else:
-                expected = t - (d + 1) // 2
-            if r != expected:
-                mismatches.append(
-                    Mismatch(m=checked, lhs=r, rhs=expected)
-                )
-        for last, direct in _geodesic_disagreements(center, vec, rs):
-            mismatches.append(Mismatch(m=first + last, lhs=direct, rhs=rs[last][0]))
+            if r != expected[d]:
+                mismatches.append(Mismatch(m=checked, lhs=r, rhs=expected[d]))
+            if i in geodesic and (direct := geodesic[i].r_invariant(vec)) != r:
+                crossed.append(Mismatch(m=checked, lhs=direct, rhs=r))
+        mismatches += crossed
     return VerificationReport(
         params={"p": p, "delta": delta, "count": count, "radius": radius},
         checked=checked,
@@ -175,20 +169,13 @@ def sweep_r_formula(
     )
 
 
-def _geodesic_disagreements(center, vec, rs) -> list[tuple[int, int]]:
-    """(index, r_invariant) wherever direct membership disagrees with the
-    descent's r in `rs` (ball_r_invariants around center) on one
-    geodesic: the last vertex of each sphere."""
-    p = center.ctx.p
-    lat, last, out = center, 0, []
-    for d in range(rs[-1][1] + 1):
-        if d:
-            lat = lat.neighbors()[-1]
-            last += (p + 1) * p ** (d - 1)
-        direct = lat.r_invariant(vec)
-        if direct != rs[last][0]:
-            out.append((last, direct))
-    return out
+def _geodesic(center, radius: int) -> dict:
+    """The last vertex of each sphere of tree_ball(center, radius), a
+    geodesic from the centre, keyed by its index in that ball."""
+    lats = [center]
+    for _ in range(radius):
+        lats.append(lats[-1].neighbors()[-1])
+    return {bttree.ball_size(center.ctx.p, d) - 1: lat for d, lat in enumerate(lats)}
 
 
 def sweep_local_compare(
@@ -222,24 +209,28 @@ def sweep_local_compare(
                 )
             center = j.central()
             radius = alpha + 2
-            rs_p = bttree.ball_r_invariants(center, hp.vec, radius)
-            rs_m = bttree.ball_r_invariants(center, hm.vec, radius)
             mult_p = [localcycles.mult_from_depth(hp.ord_qpm, d) for d in range(radius + 1)]
             mult_m = [localcycles.mult_from_depth(hm.ord_qpm, d) for d in range(radius + 1)]
             expected = [max(alpha - d, 0) for d in range(radius + 1)]
-            for (rp, d), (rm, _) in zip(rs_p, rs_m):
+            # Direct membership cross-checks both descents on one geodesic
+            # per ball; those checks are not counted.
+            geodesic, crossed_p, crossed_m = _geodesic(center, radius), [], []
+            descents = zip(bttree.ball_r_invariants(center, hp.vec, radius),
+                           bttree.ball_r_invariants(center, hm.vec, radius))
+            for i, ((rp, d), (rm, _)) in enumerate(descents):
                 checked += 1
                 total = (mult_p[d] if rp >= 0 else 0) + (mult_m[d] if rm >= 0 else 0)
                 if total != expected[d]:
                     mismatches.append(Mismatch(m=d, lhs=total, rhs=expected[d]))
-            # Direct membership cross-checks the descent on one geodesic
-            # per ball; those checks are not counted.
-            for hom, rs in ((hp, rs_p), (hm, rs_m)):
-                for i, direct in _geodesic_disagreements(center, hom.vec, rs):
-                    mismatches.append(Mismatch(m=rs[i][1], lhs=direct, rhs=rs[i][0]))
+                if i in geodesic:
+                    for hom, r, crossed in ((hp, rp, crossed_p), (hm, rm, crossed_m)):
+                        if (direct := geodesic[i].r_invariant(hom.vec)) != r:
+                            crossed.append(Mismatch(m=d, lhs=direct, rhs=r))
+            mismatches += crossed_p + crossed_m
             # Exercise the multiplicity op, with its own membership test and
             # tree distance, on a spot sample of vertices built by index.
-            for i in rng.sample(range(len(rs_p)), min(_SPOT_CHECKS, len(rs_p))):
+            size = bttree.ball_size(p, radius)
+            for i in rng.sample(range(size), min(_SPOT_CHECKS, size)):
                 lat, d = bttree.ball_vertex(center, i)
                 checked += 1
                 total = localcycles.multiplicity(hp, lat) + localcycles.multiplicity(
@@ -315,17 +306,15 @@ def sweep_chart_consistency(
     for _ in range(count):
         hom = random_special_hom(ctx, rng, _CHART_ORD_MAX)
         center = hom.central()
-        rs = bttree.ball_r_invariants(center, hom.vec, radius)
+        descent = enumerate(bttree.ball_r_invariants(center, hom.vec, radius))
+        support = [(i, d) for i, (r, d) in descent if r >= 0]
         # The support is a ball around the centre, and tree_ball's order
         # is breadth first: build lattices out to its deepest vertex only.
-        reach = max((d for r, d in rs if r >= 0), default=0)
+        reach = max((d for _, d in support), default=0)
         ball = bttree.tree_ball(center, reach)
         depth = {lat.key: d for lat, d in ball}
-        supported = []
-        for (lat, d), (r, _) in zip(ball, rs):
-            if r < 0:
-                continue
-            supported.append((lat, d))
+        supported = [ball[i] for i, _ in support]
+        for lat, d in supported:
             checked += 1
             eq = localcycles.ordinary_equation(hom, lat)
             m = localcycles.multiplicity(hom, lat, d)
@@ -336,10 +325,9 @@ def sweep_chart_consistency(
                 mismatches.append(Mismatch(m=d, lhs="residual-unit", rhs=is_center))
         # Superspecial pairs: every edge with an endpoint in the
         # support, plus a sample of edges well outside it.
-        sample = rng.sample(range(len(rs)), min(6, len(rs)))
-        edge_nodes = supported + [
-            ball[i] if i < len(ball) else bttree.ball_vertex(center, i) for i in sample
-        ]
+        size = bttree.ball_size(p, radius)
+        sample = rng.sample(range(size), min(6, size))
+        edge_nodes = supported + [bttree.ball_vertex(center, i) for i in sample]
         for lat, d in edge_nodes:
             for nb in lat.neighbors():
                 # A neighbour is one step nearer the centre or one further.

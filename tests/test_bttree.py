@@ -1,11 +1,13 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
 from cyclelift.bttree import (
     VertexLattice,
     ball_r_invariants,
+    ball_size,
     ball_vertex,
     central_lattice,
     distance,
@@ -496,7 +498,7 @@ class TestBallRInvariants:
                 for lat in (center, inherited) + standard_lattices(ctx):
                     for b in (random_vector(ctx, rng), w.scale_p_power(rng.randrange(-3, 3))):
                         want = [(v.r_invariant(b), d) for v, d in tree_ball(lat, radius)]
-                        assert ball_r_invariants(lat, b, radius) == want, (p, lat.key)
+                        assert list(ball_r_invariants(lat, b, radius)) == want, (p, lat.key)
 
     def test_never_guesses(self):
         # Coordinates known to 1..precision digits: wherever the truncated
@@ -524,7 +526,7 @@ class TestBallRInvariants:
                         want = None
                     for _ in range(3):
                         b_exact = lift(ctx, b, rng)
-                        rs = ball_r_invariants(center, b_exact, radius)
+                        rs = list(ball_r_invariants(center, b_exact, radius))
                         assert rs == [(lat.r_invariant(b_exact), d) for lat, d in ball]
                         if want is not None:
                             assert rs == want
@@ -548,10 +550,27 @@ class TestBallRInvariants:
             )
         for x1, r in ((27, 1), (81, 2), (0, 2)):
             b = vec(ctx, (1, 0), (x1, 0))
-            assert ball_r_invariants(lat, b, 0) == [(r, 0)] == [(lat.r_invariant(b), 0)]
-            assert ball_r_invariants(lat, b, 2) == [
+            assert list(ball_r_invariants(lat, b, 0)) == [(r, 0)] == [(lat.r_invariant(b), 0)]
+            assert list(ball_r_invariants(lat, b, 2)) == [
                 (v.r_invariant(b), d) for v, d in tree_ball(lat, 2)
             ]
+
+    def test_the_descent_holds_no_ball(self):
+        # The descent streams its (r, d): over a radius-4 ball at p = 13
+        # (33,321 vertices) it keeps the numerators of the spheres before
+        # the last, about 0.5 MiB.  The ball as a list peaks near 8.6 MiB,
+        # and numerators kept for the last sphere too near 6.6 MiB.
+        ctx = LocalContext(p=13, delta_sq=-2)
+        b = random_vector(ctx, random.Random(13))
+        center = central_lattice(b)
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in ball_r_invariants(center, b, 4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == ball_size(13, 4) == 33_321
+        assert peak < 2 * 2**20, peak
 
 
 def assert_reproduces(lat, b, r, c0, c1):

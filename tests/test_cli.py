@@ -16,6 +16,8 @@ from cyclelift.cli import (
     parse_coordinate,
     parse_vector,
 )
+from cyclelift.numth import _MAX_FACTOR_INPUT
+from cyclelift.quadfield import MAX_ABS_DELTA
 from cyclelift.sweeps import HILBERT_CHECK_CAP, IDENTITY_CHECK_CAP, RHO_CHECK_CAP, RHO_DELTAS
 
 
@@ -488,6 +490,43 @@ def test_unwritable_out_exits_2(tmp_path, capsys, command, where):
     code, out, err = run(capsys, *OUT_JOBS[command](str(series)), "--out", str(dst))
     assert (code, out) == (EXIT_HYPOTHESIS, "")
     assert err.count("\n") == 1 and f"cannot write {dst}: " in err
+
+
+# A Mersenne prime, 2**61 - 1, above the cap on trial division.
+M61 = str(2**61 - 1)
+
+# One command per subcommand and per integer flag that trial division or
+# the class-number count would take minutes on; each value is refused
+# before the work starts.  The lift's closed-form constant term builds
+# the field of Delta = -t, so a nonzero a(0) needs it.
+LARGE_INTEGER_JOBS = {
+    "r-formula-p": (("verify", "r-formula", "--p", M61, "--delta", "-2", "--count", "1",
+                     "--radius", "1"), M61, _MAX_FACTOR_INPUT),
+    "cycle-p": (("cycle", "--p", M61, "--delta", "-2", "--sign", "minus",
+                 "--b", "1+0d,0+1d"), M61, _MAX_FACTOR_INPUT),
+    "rho-delta": (("verify", "rho", "--delta", "-4611686018427387906", "--max", "1"),
+                  "4611686018427387906", MAX_ABS_DELTA),
+    "main-identity-delta": (("verify", "main-identity", "--delta", "-4611686018427387906",
+                             "--db", "35", "--mmax", "1"), "4611686018427387906", MAX_ABS_DELTA),
+    "main-identity-db": (("verify", "main-identity", "--delta", "-2", "--db", M61,
+                          "--mmax", "1"), M61, _MAX_FACTOR_INPUT),
+    "lift-t": (("lift", "--level", "35", "--t", "20000000006"), "20000000006", MAX_ABS_DELTA),
+}
+
+
+@pytest.mark.parametrize("job", LARGE_INTEGER_JOBS)
+def test_large_integers_are_refused_at_once(tmp_path, capsys, job):
+    argv, value, bound = LARGE_INTEGER_JOBS[job]
+    if argv[0] == "lift":
+        series = tmp_path / "in.json"
+        series.write_text(json.dumps({"max_exponent": 40,
+                                      "coeffs": [{"n": 0, "c": "3/1"}, {"n": 2, "c": "1/1"}]}))
+        argv += ("--in", str(series))
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (EXIT_HYPOTHESIS, "")
+    assert err.count("\n") == 1 and value in err and f"cap of {bound}" in err
 
 
 class TestLiftCommand:

@@ -64,6 +64,17 @@ CASES = [
     ("Zo index not positive", series((2, [{"sym": "Zo(-3)", "w": "1/1"}])), [], 2),
     ("Zplus index not positive", series((2, [{"sym": "Zplus(0,1)", "w": "1/1"}])), [], 2),
     ("bad symbol weight kept", series((2, [{"sym": "K", "w": "1/0"}])), [], 2),
+    # Symbol names are taken only in the canonical form that the writer
+    # uses; any other spelling is refused, not renamed.
+    ("canonical symbol names", series((8, [{"sym": "Zo(8)", "w": "1/1"},
+                                           {"sym": "Zo(10)", "w": "1/1"},
+                                           {"sym": "Zplus(2,3)", "w": "1/1"}])), [], 0),
+    ("Zo index with a plus sign", series((8, [{"sym": "Zo(+8)", "w": "1/1"}])), [], 2),
+    ("Zo index with a leading zero", series((8, [{"sym": "Zo(08)", "w": "1/1"}])), [], 2),
+    ("Zo index with an underscore", series((8, [{"sym": "Zo(1_0)", "w": "1/1"}])), [], 2),
+    ("Zo index in Arabic-Indic digits", series((8, [{"sym": "Zo(\u0668)", "w": "1/1"}])),
+     [], 2),
+    ("Zplus indices with spaces", series((8, [{"sym": "Zplus( 2 , 3 )", "w": "1/1"}])), [], 2),
     # A weight is text, as a rational "c" is: JSON numbers and true are refused.
     ("symbol weight 1e400", '{"max_exponent": 50, "coeffs": '
                             '[{"n": 2, "c": [{"sym": "K", "w": 1e400}]}]}', [], 2),

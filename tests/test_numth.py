@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cyclelift.numth import (
     INFINITY,
+    _MAX_FACTOR_INPUT,
     Factorization,
     divisors,
     factorize,
@@ -34,6 +35,15 @@ class TestFactorize:
             factorize(0)
         with pytest.raises(ValueError):
             factorize(-12)
+
+    def test_trial_division_is_bounded(self):
+        # factorize and is_prime share one bound: at it both run (the
+        # largest prime below 10**12 in about 0.05 s), past it both refuse.
+        assert factorize(_MAX_FACTOR_INPUT).factors == ((2, 12), (5, 12))
+        assert is_prime(999999999989)
+        for f in (factorize, is_prime):
+            with pytest.raises(ValueError, match=f"{_MAX_FACTOR_INPUT + 1} is above the cap"):
+                f(_MAX_FACTOR_INPUT + 1)
 
     @given(st.integers(min_value=1, max_value=10**6))
     @settings(max_examples=200, deadline=None)

@@ -5,6 +5,7 @@ import pytest
 from cyclelift.errors import HypothesisError, SearchBoundExhaustedError
 from cyclelift.numth import factorize, hilbert_symbol, is_prime
 from cyclelift.quadfield import (
+    MAX_ABS_DELTA,
     auxiliary_prime_profile_ok,
     auxiliary_split_prime,
     chi_k,
@@ -48,6 +49,13 @@ class TestMakeField:
             make_field(2)  # positive
         with pytest.raises(HypothesisError):
             make_field(-8)  # not squarefree
+
+    def test_delta_above_the_cap_is_bad_input(self):
+        # Refused as bad input, not a hypothesis, so that a caller that
+        # drops a field on HypothesisError cannot drop this one silently.
+        with pytest.raises(ValueError, match=f"above the cap of {MAX_ABS_DELTA}"):
+            make_field(-MAX_ABS_DELTA - 2)
+        assert make_field(-999994).class_number > 0  # squarefree, just under the cap
 
     def test_class_number_against_ideal_enumeration(self):
         for d, f in FIELDS.items():
