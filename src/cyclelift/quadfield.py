@@ -1,14 +1,18 @@
 """Invariants of the imaginary quadratic field k = Q(sqrt(Delta)) for
 squarefree even Delta < 0: class number by reduced-form enumeration,
-the splitting character, ideal-norm counts, embedding counts, the
-exact L-value rational, and the auxiliary split prime.
+the splitting character, ideal-norm counts rho (per N, and as two
+whole-range tables: a multiplicative sieve and a divisor-sum sieve),
+embedding counts, the exact L-value rational, and the auxiliary split
+prime.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from itertools import cycle, repeat
+from math import isqrt, prod
+from operator import add
 
 from cyclelift.errors import HypothesisError, SearchBoundExhaustedError
 from cyclelift.numth import (
@@ -93,22 +97,22 @@ def chi_k(field: QuadField, n: int) -> int:
     return kronecker(field.disc, n)
 
 
+def _local_factor(chi: int, e: int) -> int:
+    """Ideals of norm p^e above a prime p with chi_k(p) = chi: e+1 split,
+    1 for even e and 0 for odd e inert, 1 ramified."""
+    if chi == 1:
+        return e + 1
+    if chi == -1:
+        return 1 - e % 2
+    return 1
+
+
 def rho(field: QuadField, n: int) -> int:
-    """Number of integral ideals of k of norm n, by local factors:
-    split p^e contributes e+1, inert contributes 1 for even e and 0 for
-    odd e, ramified contributes 1."""
+    """Number of integral ideals of k of norm n >= 1, the product of the
+    local factors of the prime powers of n."""
     if n <= 0:
         raise ValueError(f"rho requires n >= 1, got {n}")
-    count = 1
-    for p, e in factorize(n):
-        chi = chi_k(field, p)
-        if chi == 1:
-            count *= e + 1
-        elif chi == -1:
-            if e % 2 == 1:
-                return 0
-        # ramified: factor 1
-    return count
+    return prod(_local_factor(chi_k(field, p), e) for p, e in factorize(n))
 
 
 def rho_divisor_sum(field: QuadField, n: int) -> int:
@@ -117,6 +121,62 @@ def rho_divisor_sum(field: QuadField, n: int) -> int:
     if n <= 0:
         raise ValueError(f"rho_divisor_sum requires n >= 1, got {n}")
     return sum(chi_k(field, a) for a in divisors(n))
+
+
+def _smallest_prime_factors(n_max: int) -> list[int]:
+    """spf[n] is the smallest prime factor of each composite n <= n_max,
+    and 0 at 0, 1 and the primes.  Each p <= sqrt(n_max), largest first,
+    writes p over its multiples from p^2 on, so the smallest prime
+    dividing n writes last; what a composite p writes, its own smallest
+    prime overwrites."""
+    spf = [0] * (n_max + 1)
+    for p in range(isqrt(n_max), 1, -1):
+        spf[p * p :: p] = [p] * len(range(p * p, n_max + 1, p))
+    return spf
+
+
+def rho_table(field: QuadField, n_max: int) -> list[int]:
+    """[0, rho(1), ..., rho(n_max)] by the multiplicative sieve over
+    smallest prime factors (the recurrence of the linear sieve of Gries
+    and Misra, CACM 21, 1978): n = p^e * r with p its smallest prime and
+    p not dividing r gives rho(n) = rho(r) times the local factor of
+    p^e.  chi_k is read at the primes only."""
+    if n_max <= 0:
+        raise ValueError(f"rho_table requires n_max >= 1, got {n_max}")
+    spf = _smallest_prime_factors(n_max)
+    table = [0] * (n_max + 1)
+    table[1] = 1
+    rest = [0] * (n_max + 1)  # n without its smallest prime's power
+    power = [0] * (n_max + 1)  # the exponent of that power
+    chi = {}
+    for n in range(2, n_max + 1):
+        p = spf[n]
+        if not p:
+            p = spf[n] = n
+            chi[n] = chi_k(field, n)
+        m = n // p
+        if spf[m] == p:
+            e, r = power[m] + 1, rest[m]
+        else:
+            e, r = 1, m
+        power[n], rest[n] = e, r
+        table[n] = table[r] * _local_factor(chi[p], e)
+    return table
+
+
+def rho_divisor_sum_table(field: QuadField, n_max: int) -> list[int]:
+    """[0, rho_divisor_sum(1), ..., rho_divisor_sum(n_max)] by the
+    additive Dirichlet-convolution sieve: chi_k(a) is added to every
+    multiple of a.  chi_k has period |disc|, so it is read on one
+    period at most."""
+    if n_max <= 0:
+        raise ValueError(f"rho_divisor_sum_table requires n_max >= 1, got {n_max}")
+    chi = [chi_k(field, a) for a in range(1, min(-field.disc, n_max) + 1)]
+    sums = [0] * (n_max + 1)
+    for a, c in zip(range(1, n_max + 1), cycle(chi)):
+        if c:
+            sums[a::a] = map(add, sums[a::a], repeat(c))
+    return sums
 
 
 def check_discriminant_hypotheses(field: QuadField, d_b: int) -> tuple[int, ...]:

@@ -27,15 +27,20 @@ from cyclelift.identity import (
 )
 from cyclelift.numth import hilbert_places, hilbert_symbol
 from cyclelift.padic import LocalContext, qform
-from cyclelift.quadfield import make_field, optimal_embedding_count, rho, rho_divisor_sum
+from cyclelift.quadfield import (
+    make_field,
+    optimal_embedding_count,
+    rho_divisor_sum_table,
+    rho_table,
+)
 
 # The fields that `verify rho` sweeps when no --delta is given.
 RHO_DELTAS = (-2, -6, -10, -14, -22, -26)
 
 # The most checks that each kind walking no tree runs.  At its cap, on one
-# Xeon core: rho at Delta = -2 takes about 7 s, hilbert about 8 s, and
-# remark-identity at Delta = -10, D_B = 51 about 6 s (main-identity about
-# 1 s); each grows at least linearly with the count.
+# Xeon core: rho at Delta = -2 takes about 0.2 s (its two tables), hilbert
+# about 8 s, and remark-identity at Delta = -10, D_B = 51 about 6 s
+# (main-identity about 1 s); each grows at least linearly with the count.
 RHO_CHECK_CAP = 200_000
 HILBERT_CHECK_CAP = 100_000
 IDENTITY_CHECK_CAP = 10_000
@@ -104,20 +109,18 @@ def random_special_hom(ctx: LocalContext, rng: random.Random, ord_max: int):
 
 
 def sweep_rho(deltas, n_max: int) -> VerificationReport:
-    """rho vs the divisor-sum expression, exact, over all N <= n_max."""
+    """rho vs the divisor-sum expression, exact, over all N <= n_max: each
+    side is one whole-range table per field.  Mismatches come field by
+    field, in the order of deltas, then N ascending."""
     mismatches = []
-    checked = 0
     for delta in deltas:
         field = make_field(delta)
-        for n in range(1, n_max + 1):
-            checked += 1
-            a = rho(field, n)
-            b = rho_divisor_sum(field, n)
-            if a != b:
-                mismatches.append(Mismatch(m=n, lhs=a, rhs=b))
+        lhs, rhs = rho_table(field, n_max), rho_divisor_sum_table(field, n_max)
+        mismatches += [Mismatch(m=n, lhs=lhs[n], rhs=rhs[n])
+                       for n in range(1, n_max + 1) if lhs[n] != rhs[n]]
     return VerificationReport(
         params={"deltas": list(deltas), "max": n_max},
-        checked=checked,
+        checked=len(deltas) * n_max,
         mismatches=mismatches,
     )
 

@@ -5,9 +5,11 @@ import time
 import pytest
 
 import oracles
+from cyclelift import sweeps
 from cyclelift.cli import (
     CYCLE_VERTEX_CAP,
     EXIT_HYPOTHESIS,
+    EXIT_MISMATCH,
     EXIT_OK,
     EXIT_TRUNCATION,
     LIFT_M_CAP,
@@ -16,8 +18,9 @@ from cyclelift.cli import (
     parse_coordinate,
     parse_vector,
 )
+from cyclelift.identity import Mismatch
 from cyclelift.numth import _MAX_FACTOR_INPUT
-from cyclelift.quadfield import MAX_ABS_DELTA
+from cyclelift.quadfield import MAX_ABS_DELTA, make_field, rho, rho_divisor_sum
 from cyclelift.sweeps import HILBERT_CHECK_CAP, IDENTITY_CHECK_CAP, RHO_CHECK_CAP, RHO_DELTAS
 
 
@@ -50,6 +53,11 @@ README_VERIFY = [
     ("remark-identity --delta -10 --db 51 --mmax 200",
      "ace7b0479aec21cb2a8e526a0b4fdfd561906cf187ca7f497642c4776382886c"),
 ]
+
+# `verify rho` over its six default fields, pinned at the bytes it gave
+# when each N called the per-N rho and rho_divisor_sum.
+RHO_DEFAULT_FIELDS = ("rho --max 5000",
+                      "2e536e857a70b48641400c064810d25cd9f0c1e30553e04f37e3146e865e5cf2")
 
 # The README `cycle` commands and the SHA-256 of their output.
 README_CYCLE = [
@@ -193,6 +201,41 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", *argv.split())
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_pinned_rho_default_fields(self, capsys):
+        argv, digest = RHO_DEFAULT_FIELDS
+        code, out, _ = run(capsys, "verify", *argv.split())
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_rho_mismatches_come_by_field_then_n(self, capsys, monkeypatch):
+        # One side of two fields made wrong at every N = 3 mod 7: the report
+        # lists the mismatches field by field in --delta order, then N
+        # ascending, with the m, lhs and rhs of the per-N functions.
+        def corrupt(table, delta):
+            def faulty(field, n_max):
+                values = table(field, n_max)
+                return [v + (field.delta == delta and n % 7 == 3)
+                        for n, v in enumerate(values)]
+            return faulty
+
+        monkeypatch.setattr(sweeps, "rho_table", corrupt(sweeps.rho_table, -22))
+        monkeypatch.setattr(sweeps, "rho_divisor_sum_table",
+                            corrupt(sweeps.rho_divisor_sum_table, -6))
+        code, out, _ = run(capsys, "verify", "rho", "--delta", "-22", "--delta", "-2",
+                           "--delta", "-6", "--max", "60")
+        expected = []
+        for delta in (-22, -2, -6):
+            f = make_field(delta)
+            for n in range(1, 61):
+                lhs = rho(f, n) + (delta == -22 and n % 7 == 3)
+                rhs = rho_divisor_sum(f, n) + (delta == -6 and n % 7 == 3)
+                if lhs != rhs:
+                    expected.append(Mismatch(m=n, lhs=lhs, rhs=rhs).to_json_dict())
+        data = json.loads(out)
+        assert code == EXIT_MISMATCH
+        assert data["checked"] == 180
+        assert len(expected) == 18 and data["mismatches"] == expected
 
     @pytest.mark.parametrize("argv, digest", TREE_VERIFY,
                              ids=["local-compare-11", "local-compare-7", "chart-5"])

@@ -14,8 +14,11 @@ from cyclelift.quadfield import (
     optimal_embedding_count,
     rho,
     rho_divisor_sum,
+    rho_divisor_sum_table,
+    rho_table,
     _reduced_forms,
 )
+from cyclelift.sweeps import RHO_DELTAS
 from oracles import (
     class_number_by_ideals,
     hilbert_bruteforce,
@@ -105,6 +108,31 @@ class TestRho:
             rho(FIELDS[-2], 0)
         with pytest.raises(ValueError):
             rho_divisor_sum(FIELDS[-2], -3)
+
+
+# The fields of `verify rho` by default, and two with more ramified primes:
+# -1002 = -2 * 3 * 167 and -30030 = -2 * 3 * 5 * 7 * 11 * 13.
+TABLE_DELTAS = (*RHO_DELTAS, -1002, -30030)
+
+
+class TestRhoTables:
+    @pytest.mark.parametrize("delta", TABLE_DELTAS)
+    def test_tables_match_the_per_n_functions(self, delta):
+        f = make_field(delta)
+        lhs, rhs = rho_table(f, 3000), rho_divisor_sum_table(f, 3000)
+        assert lhs == rhs and len(lhs) == 3001
+        for n in range(1, 3001):
+            assert (lhs[n], rhs[n]) == (rho(f, n), rho_divisor_sum(f, n)), n
+
+    def test_one_entry(self):
+        assert rho_table(FIELDS[-2], 1)[1:] == [1]
+        assert rho_divisor_sum_table(FIELDS[-2], 1)[1:] == [1]
+
+    @pytest.mark.parametrize("table", [rho_table, rho_divisor_sum_table])
+    @pytest.mark.parametrize("n_max", [0, -3])
+    def test_rejects_nonpositive(self, table, n_max):
+        with pytest.raises(ValueError):
+            table(FIELDS[-2], n_max)
 
 
 class TestEmbeddingCount:
