@@ -1197,8 +1197,10 @@ def verify_remark_identity(
     field: QuadField, d_b: int, m_max: int, num_embedding_classes: int
 ) -> VerificationReport:
     """cyclelift.identity.verify_remark_identity as it was before it
-    counted in units of 1/(2h): every naive coefficient carries the
-    Fraction weight 1/(2h), and both sides are built in true units."""
+    counted in units of 1/(2h) and summed the classes before the
+    operators act: one naive series per embedding class, each taken
+    through 2 + sum_I phi_I, every naive coefficient carrying the
+    Fraction weight 1/(2h), and both sides built in true units."""
     expected_classes = optimal_embedding_count(field, d_b)
     if num_embedding_classes != expected_classes:
         raise HypothesisError(

@@ -8,6 +8,7 @@ import pytest
 
 import cyclelift.identity as identity
 import oracles
+from cyclelift.identity import SymbolicDivisor
 from cyclelift.qseries import FormalSeries
 from cyclelift.quadfield import make_field, optimal_embedding_count
 
@@ -139,4 +140,63 @@ def test_faulty_remark_identity_matches_the_reference(monkeypatch, delta, d_b, e
     got = identity.verify_remark_identity(field, d_b, 30, classes).to_json_dict()
     want = oracles.verify_remark_identity(field, d_b, 30, classes).to_json_dict()
     assert got["mismatches"]
+    assert got == want
+
+
+def test_identities_hold_with_four_primes_in_d_b(monkeypatch):
+    # D_B = 1155 = 3 * 5 * 7 * 11: 15 operator subsets, 32 classes at h = 2.
+    field = make_field(-58)
+    assert field.class_number == 2
+    classes = optimal_embedding_count(field, 1155)
+    assert classes == 32
+    main = identity.verify_main_theorem(field, 1155, 60)
+    assert main.ok, main.to_json_dict()["mismatches"][:2]
+    got = identity.verify_remark_identity(field, 1155, 60, classes)
+    assert got.ok, got.to_json_dict()["mismatches"][:2]
+    want = oracles.verify_remark_identity(field, 1155, 60, classes)
+    assert got.to_json_dict() == want.to_json_dict()
+
+    faulty = cancel_twice_naive(2, [3, 5, 7, 11])
+    monkeypatch.setattr(identity, "op_phi_set", faulty)
+    monkeypatch.setattr(oracles, "op_phi_set", faulty)
+    got = identity.verify_remark_identity(field, 1155, 60, classes).to_json_dict()
+    want = oracles.verify_remark_identity(field, 1155, 60, classes).to_json_dict()
+    assert [entry["m"] for entry in got["mismatches"]] == [2]
+    assert got == want
+
+
+def drop_class(i):
+    """An op_phi_set that drops every Zplus(n, i) term from its output:
+    a defect in one embedding class, which summing the classes before
+    the operators act must not hide."""
+    real_phi_set = identity.op_phi_set
+
+    def in_class(sym):
+        return sym[0] == "Zp" and sym[2] == i
+
+    def faulty(primes, series):
+        out = real_phi_set(primes, series)
+        kept = {
+            n: SymbolicDivisor({s: w for s, w in c.terms.items() if not in_class(s)})
+            for n, c in out.coeffs.items()
+        }
+        return FormalSeries(kept, out.max_exponent)
+
+    return faulty
+
+
+@pytest.mark.parametrize("delta, d_b", [(-2, 35), (-10, 51)])
+def test_fault_in_one_class_matches_the_reference(monkeypatch, delta, d_b):
+    field = make_field(delta)
+    classes = optimal_embedding_count(field, d_b)
+    faulty = drop_class(3)
+    monkeypatch.setattr(identity, "op_phi_set", faulty)
+    monkeypatch.setattr(oracles, "op_phi_set", faulty)
+    got = identity.verify_remark_identity(field, d_b, 30, classes).to_json_dict()
+    want = oracles.verify_remark_identity(field, d_b, 30, classes).to_json_dict()
+    assert got["mismatches"]
+    for entry in got["mismatches"]:
+        lhs = {(e["sym"], e["w"]) for e in entry["lhs"]}
+        rhs = {(e["sym"], e["w"]) for e in entry["rhs"]}
+        assert all(sym.endswith(",3)") for sym, _ in lhs ^ rhs)
     assert got == want
