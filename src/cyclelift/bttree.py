@@ -85,12 +85,12 @@ class VertexLattice:
         m00's), the second is p^b with b = v(det) - a, and the offset
         w = m10 (m00 / p^a)^-1 is needed only mod p^b."""
         ctx = u.ctx
-        pw = ctx.pows
+        p = ctx.p
         e = max(u.denom_exp, v.denom_exp)
-        m00 = u.a0.mul_int(pw[e - u.denom_exp])
-        m10 = u.a1.mul_int(pw[e - u.denom_exp])
-        m01 = v.a0.mul_int(pw[e - v.denom_exp])
-        m11 = v.a1.mul_int(pw[e - v.denom_exp])
+        m00 = u.a0.mul_int(p ** (e - u.denom_exp))
+        m10 = u.a1.mul_int(p ** (e - u.denom_exp))
+        m01 = v.a0.mul_int(p ** (e - v.denom_exp))
+        m11 = v.a1.mul_int(p ** (e - v.denom_exp))
         vdet = m00.mul(m11).sub(m01.mul(m10)).valuation()
         if vdet is None:
             raise DegenerateVectorError("degenerate lattice (rank < 2)")
@@ -99,12 +99,12 @@ class VertexLattice:
             m00, m10, a = m01, m11, a1
         b = vdet - a
         w = m10.mul(m00.divide_p_power(a).unit_inverse(b))
-        m = pw[b]
+        m = p**b
         wx, wy = w.x % m, w.y % m
         # Extract content so that min(a, b, val(w)) = 0.
-        wv = pval(ctx.p, wx, wy)
+        wv = pval(p, wx, wy)
         t = min(a, b) if wv is None else min(a, b, wv)
-        pt = pw[t]
+        pt = p**t
         return cls(ctx, e - t, a - t, b - t, (wx // pt, wy // pt))
 
     @property
@@ -149,7 +149,7 @@ class VertexLattice:
         b = self.piv1
         return VertexLattice(
             self.ctx, self.piv0 + b - self.denom_exp, self.piv0, b,
-            (wx, -wy % self.ctx.pows[b]),
+            (wx, -wy % self.ctx.p**b),
         )
 
     @property
@@ -182,7 +182,7 @@ class VertexLattice:
         ctx = self.ctx
         p, d = ctx.p, ctx.delta_sq
         wx, wy = self.off
-        pa = ctx.pows[self.piv0]
+        pa = p**self.piv0
         v1 = pval(p, a0.x, a0.y)
         v2 = pval(
             p,
@@ -209,7 +209,7 @@ class VertexLattice:
         shift, n0, n1 = _numerators(self, b)
         m = min(n0[2], n1[2])
         ctx = self.ctx
-        pm = ctx.pows[m]
+        pm = ctx.p**m
         return shift + m, ctx.elem(n0[0] // pm, n0[1] // pm), ctx.elem(n1[0] // pm, n1[1] // pm)
 
     # -- hyperbolic basis and neighbours ------------------------------------
@@ -223,8 +223,8 @@ class VertexLattice:
         if self._hyperbolic is None:
             self.require_vertex()
             a, b = self.piv0, self.piv1
-            pw = self.ctx.pows
-            self._hyperbolic = (self.denom_exp, pw[a], self.off[0], 0, pw[b], a, _NO_VAL, a + b)
+            p = self.ctx.p
+            self._hyperbolic = (self.denom_exp, p**a, self.off[0], 0, p**b, a, _NO_VAL, a + b)
         return self._hyperbolic
 
     def hyperbolic_basis(self) -> tuple[VectorC, VectorC]:
@@ -287,16 +287,16 @@ def _child(ctx: LocalContext, basis: tuple) -> VertexLattice:
     else:
         A = va
     B = vdet - A
-    pw = ctx.pows
+    p = ctx.p
     t = A if A < B else B
     if B:
-        m = pw[B]
-        w = c * pow(a // pw[A], -1, m) % m
-        while t and w % pw[t]:
+        m = p**B
+        w = c * pow(a // p**A, -1, m) % m
+        while t and w % p**t:
             t -= 1
     else:
         w = 0
-    return VertexLattice(ctx, k - t, A - t, B - t, (w // pw[t], 0), basis)
+    return VertexLattice(ctx, k - t, A - t, B - t, (w // p**t, 0), basis)
 
 
 # -- standard lattices and tree operations ----------------------------------
@@ -317,9 +317,9 @@ def central_lattice(b: VectorC) -> VertexLattice:
     DegenerateVectorError for isotropic b.
     """
     q = qform(b)
-    if q.is_isotropic:
+    if q is None:
         raise DegenerateVectorError("central lattice of an isotropic vector")
-    t = -((-q.valuation) // 2)  # ceil(ord/2)
+    t = -(-q // 2)  # ceil(ord/2)
     b0 = b.scale_p_power(-t)
     return VertexLattice.from_vectors(b0, epsilon(b0))
 
@@ -338,9 +338,9 @@ def distance(lat: VertexLattice, other: VertexLattice) -> int:
     other.require_vertex()
     e, a, b, (w, _) = lat.key
     f, c, d, (x, _) = other.key
-    pw = lat.ctx.pows
+    p = lat.ctx.p
     low = b + c if b + c < a + d else a + d
-    vx = pval(lat.ctx.p, pw[a] * x - pw[c] * w, 0)
+    vx = pval(p, p**a * x - p**c * w, 0)
     if vx is not None and vx < low:
         low = vx
     dist = other.det_valuation() - lat.det_valuation() - 2 * (low + e - f - a - b)

@@ -252,10 +252,9 @@ class OrdinaryEquation:
 
     def residual_is_unit(self) -> bool:
         """Whether the linear factor is a unit of the ordinary chart,
-        detected by p | (c0 c1' - c0' c1)."""
+        detected by p | (c0 c1' - c0' c1) = 2 (x1 y0 - x0 y1) delta."""
         c0, c1 = self.c0, self.c1
-        v = c0.mul(c1.conj()).sub(c0.conj().mul(c1)).valuation()
-        return v is None or v >= 1
+        return (c1.x * c0.y - c0.x * c1.y) % c0.ctx.p == 0
 
 
 def ordinary_equation(hom: SpecialHom, lat: VertexLattice) -> OrdinaryEquation:

@@ -14,7 +14,9 @@ with h(v0, v1) = -h(v1, v0) = delta and h(v0, v0) = h(v1, v1) = 0, so
 
     h(u, w) = delta * (u0 * conj(w1) - u1 * conj(w0)),
 
-linear in u and conjugate-linear in w.
+linear in u and conjugate-linear in w.  So for b = p^-e (a0 v0 + a1 v1)
+with ai = xi + yi*delta, q(b) = h(b, b) = 2 Delta (x1 y0 - x0 y1) p^(-2e),
+and as p is odd and Delta a unit, `qform` reads ord q(b) off one integer.
 """
 
 from __future__ import annotations
@@ -37,22 +39,6 @@ def pval(p: int, x: int, y: int) -> int | None:
     return v
 
 
-class _Powers(dict):
-    """p**k by exponent k, each computed on first use: the one power
-    table of a context, shared by the element arithmetic below and the
-    integer tree core."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        super().__init__()
-        self.p = p
-
-    def __missing__(self, k: int) -> int:
-        value = self[k] = self.p**k
-        return value
-
-
 @dataclass(frozen=True)
 class LocalContext:
     """Odd inert prime p and the nonresidue Delta."""
@@ -68,7 +54,6 @@ class LocalContext:
                 f"Delta = {self.delta_sq} is not a nonresidue mod {self.p}"
                 " (p must be inert)"
             )
-        object.__setattr__(self, "pows", _Powers(self.p))
 
     def elem(self, x: int, y: int = 0) -> QuadLocalElem:
         return QuadLocalElem(self, x, y)
@@ -134,13 +119,13 @@ class QuadLocalElem:
         n = self.x * self.x - self.ctx.delta_sq * self.y * self.y
         if n % self.ctx.p == 0:
             raise ValueError("unit_inverse of a non-unit")
-        m = self.ctx.pows[k]
+        m = self.ctx.p**k
         ninv = pow(n, -1, m)
         return QuadLocalElem(self.ctx, self.x * ninv % m, -self.y * ninv % m)
 
     def divide_p_power(self, k: int) -> QuadLocalElem:
         """Exact division by p^k; requires valuation >= k."""
-        pk = self.ctx.pows[k]
+        pk = self.ctx.p**k
         if self.x % pk or self.y % pk:
             raise ValueError(f"element has valuation below {k}")
         return QuadLocalElem(self.ctx, self.x // pk, self.y // pk)
@@ -177,17 +162,6 @@ class VectorC:
         return VectorC(self.ctx, self.a0, self.a1, self.denom_exp - k)
 
 
-@dataclass(frozen=True)
-class QFormValue:
-    """ord_p q(b); valuation None means b is isotropic."""
-
-    valuation: int | None
-
-    @property
-    def is_isotropic(self) -> bool:
-        return self.valuation is None
-
-
 def herm(u: VectorC, w: VectorC) -> tuple[QuadLocalElem, int]:
     """Hermitian form h(u, w) = p^exp * value in the fixed basis;
     value = delta * (u0 * conj(w1) - u1 * conj(w0)), exp the combined
@@ -198,23 +172,20 @@ def herm(u: VectorC, w: VectorC) -> tuple[QuadLocalElem, int]:
     return u.ctx.delta().mul(inner), -(u.denom_exp + w.denom_exp)
 
 
-def qform(b: VectorC) -> QFormValue:
-    """The valuation of the quadratic form q(b) = h(b, b), a rational
-    p-adic number whose delta-component vanishes identically; None for
-    isotropic b."""
-    value, exp = herm(b, b)
-    if value.y:
-        raise AssertionError("q(b) acquired a delta-component; hermitian bug")
-    v = value.valuation()
-    return QFormValue(None if v is None else v + exp)
+def qform(b: VectorC) -> int | None:
+    """ord_p q(b), from q(b) = 2 Delta (x1 y0 - x0 y1) p^(-2e) (see the
+    module docstring); None for isotropic b."""
+    a0, a1 = b.a0, b.a1
+    v = pval(b.ctx.p, a1.x * a0.y - a0.x * a1.y, 0)
+    return None if v is None else v - 2 * b.denom_exp
 
 
 def ord_qform(b: VectorC) -> int:
     """Valuation of q(b); raises DegenerateVectorError on isotropic b."""
     q = qform(b)
-    if q.is_isotropic:
+    if q is None:
         raise DegenerateVectorError("isotropic vector where anisotropic required")
-    return q.valuation
+    return q
 
 
 def epsilon(b: VectorC) -> VectorC:

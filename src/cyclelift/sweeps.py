@@ -27,12 +27,7 @@ from cyclelift.identity import (
 )
 from cyclelift.numth import hilbert_places, hilbert_symbol
 from cyclelift.padic import LocalContext, qform
-from cyclelift.quadfield import (
-    make_field,
-    optimal_embedding_count,
-    rho_divisor_sum_table,
-    rho_table,
-)
+from cyclelift.quadfield import make_field, rho_divisor_sum_table, rho_table
 
 # The fields that `verify rho` sweeps when no --delta is given.
 RHO_DELTAS = (-2, -6, -10, -14, -22, -26)
@@ -77,10 +72,10 @@ def random_anisotropic_vector(ctx: LocalContext, rng: random.Random, ord_max: in
         a1 = (a1[0] * p**skew, a1[1] * p**skew)
         vec = ctx.vector_from_ints(a0, a1)
         q = qform(vec)
-        if q.is_isotropic or q.valuation > ord_max:
+        if q is None or q > ord_max:
             continue
         if rng.random() < 0.35:
-            t = -((-q.valuation) // 2)
+            t = -(-q // 2)
             vec = vec.scale_p_power(-t)  # ord q now 0 or -1
         return vec
 
@@ -90,8 +85,7 @@ def random_eigenvector(ctx: LocalContext, rng: random.Random, odd_norm: bool):
     parity (drives the two Frobenius types)."""
     while True:
         vec = random_anisotropic_vector(ctx, rng, ord_max=5)
-        q = qform(vec)
-        if q.valuation % 2 == (1 if odd_norm else 0):
+        if qform(vec) % 2 == (1 if odd_norm else 0):
             return vec
 
 
@@ -100,7 +94,7 @@ def random_special_hom(ctx: LocalContext, rng: random.Random, ord_max: int):
     at most ord_max."""
     while True:
         vec = random_anisotropic_vector(ctx, rng, ord_max=ord_max)
-        ordq = qform(vec).valuation
+        ordq = qform(vec)
         sign = localcycles.PLUS if rng.random() < 0.5 else localcycles.MINUS
         ord_qpm = ordq + 1 if sign == localcycles.PLUS else ordq
         if 0 <= ord_qpm <= ord_max:
@@ -156,7 +150,7 @@ def sweep_r_formula(
     checked = 0
     for _ in range(count):
         vec = random_anisotropic_vector(ctx, rng)
-        ordq = qform(vec).valuation
+        ordq = qform(vec)
         center = bttree.central_lattice(vec)
         expected = [localcycles.mult_from_depth(ordq, d) for d in range(radius + 1)]
         geodesic, crossed = _geodesic(center, radius), []
@@ -361,12 +355,6 @@ def sweep_chart_consistency(
 # -- the registry -----------------------------------------------------------------
 
 
-def _remark_identity(args, rng) -> VerificationReport:
-    field = make_field(args.delta[0])
-    classes = optimal_embedding_count(field, args.db)
-    return verify_remark_identity(field, args.db, args.mmax, classes)
-
-
 _TREE = ("p", "delta")
 _IDENTITY = ("delta", "db")
 
@@ -391,7 +379,9 @@ SWEEPS = {
     "main-identity": (
         lambda a, rng: verify_main_theorem(make_field(a.delta[0]), a.db, a.mmax), _IDENTITY,
         None, _COEFFICIENTS),
-    "remark-identity": (_remark_identity, _IDENTITY, None, _COEFFICIENTS),
+    "remark-identity": (
+        lambda a, rng: verify_remark_identity(make_field(a.delta[0]), a.db, a.mmax), _IDENTITY,
+        None, _COEFFICIENTS),
     "hilbert": (lambda a, rng: sweep_hilbert(a.count, rng), (), None,
                 ("sample pairs", HILBERT_CHECK_CAP, lambda a: a.count)),
 }

@@ -22,7 +22,6 @@ from cyclelift.quadfield import (
     chi_k,
     lvalue_closed_form,
     make_field,
-    optimal_embedding_count,
     rho_divisor_sum,
 )
 from cyclelift.identity import fiber_count, verify_main_theorem, verify_remark_identity
@@ -135,8 +134,7 @@ class TestAcceptance:
         bad = []
         for delta, db in ((-2, 35), (-10, 51), (-2, 65)):
             field = make_field(delta)
-            classes = optimal_embedding_count(field, db)
-            rep = verify_remark_identity(field, db, 200, classes)
+            rep = verify_remark_identity(field, db, 200)
             if not rep.ok:
                 bad.append((delta, db, len(rep.mismatches)))
         report(7, "remark-identity", not bad, f"grids=3 mmax=200 mismatches={bad}")

@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from cyclelift import sweeps
+from cyclelift.bttree import ball_size
 from cyclelift.cli import (
     CYCLE_VERTEX_CAP,
     EXIT_HYPOTHESIS,
@@ -19,7 +20,7 @@ from cyclelift.cli import (
     parse_vector,
 )
 from cyclelift.identity import Mismatch
-from cyclelift.numth import _MAX_FACTOR_INPUT
+from cyclelift.numth import _MAX_FACTOR_INPUT, kronecker
 from cyclelift.quadfield import MAX_ABS_DELTA, make_field, rho, rho_divisor_sum
 from cyclelift.sweeps import HILBERT_CHECK_CAP, IDENTITY_CHECK_CAP, RHO_CHECK_CAP, RHO_DELTAS
 
@@ -359,6 +360,29 @@ class TestVerifyCommand:
         code, out, err = run(
             capsys, "verify", sweep[0], "--p", str(p), "--delta", str(delta), *sweep[1:]
         )
+        assert code == EXIT_OK, err
+        data = json.loads(out)
+        assert data["checked"] > 0 and data["mismatches"] == []
+
+    # Primes beyond 13, each with the first of Delta = -1, -2, ..., -59 that
+    # is a nonresidue mod p, at the default seed.  r-formula and chart take
+    # two balls of the largest radius whose ball holds at most 20,000
+    # vertices; local-compare the largest alpha-max under 40,000 visited
+    # vertices (twice the radius-(alpha + 2) ball per alpha).  p = 23 is left
+    # out: its chart draws a deep vector and takes longer than all of these.
+    @pytest.mark.parametrize("p", [17, 19, 29, 31, 37, 41, 43])
+    @pytest.mark.parametrize("kind", ["r-formula", "chart", "local-compare"])
+    def test_tree_sweeps_beyond_13(self, capsys, p, kind):
+        delta = next(d for d in range(-1, -60, -1) if kronecker(d, p) == -1)
+        if kind == "local-compare":
+            alpha_max = max(a for a in range(8) if sum(
+                2 * ball_size(p, alpha + 2) for alpha in range(a + 1)) < 40_000)
+            flags = ("--alpha-max", str(alpha_max))
+        else:
+            radius = max(r for r in range(8) if ball_size(p, r) <= 20_000)
+            flags = ("--count", "2", "--radius", str(radius))
+        code, out, err = run(capsys, "verify", kind, "--p", str(p), "--delta", str(delta),
+                             *flags)
         assert code == EXIT_OK, err
         data = json.loads(out)
         assert data["checked"] > 0 and data["mismatches"] == []

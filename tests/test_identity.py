@@ -15,7 +15,6 @@ from cyclelift.identity import (
 from cyclelift.quadfield import (
     lvalue_closed_form,
     make_field,
-    optimal_embedding_count,
     rho_divisor_sum,
 )
 
@@ -154,22 +153,15 @@ class TestFiberCount:
 class TestRemarkIdentity:
     def test_parameter_grid(self):
         for field, db in ((F2, 35), (F10, 51), (F2, 65)):
-            classes = optimal_embedding_count(field, db)
-            report = verify_remark_identity(field, db, 80, classes)
+            report = verify_remark_identity(field, db, 80)
             assert report.ok, (field.delta, db, report.mismatches[:3])
 
     def test_coprime_coefficient_shape(self):
         # At m coprime to D_B both sides equal (1/2h) sum_i 2 Zplus(m, i).
         field, db = F2, 35
-        classes = optimal_embedding_count(field, db)
-        report = verify_remark_identity(field, db, 40, classes)
+        report = verify_remark_identity(field, db, 40)
         assert report.ok
 
-    def test_wrong_class_count_rejected(self):
-        with pytest.raises(HypothesisError):
-            verify_remark_identity(F2, 35, 10, 5)
-
     def test_degenerate_truncation(self):
-        classes = optimal_embedding_count(F2, 35)
-        report = verify_remark_identity(F2, 35, 0, classes)
+        report = verify_remark_identity(F2, 35, 0)
         assert report.ok  # constant identity C' = 0 alone

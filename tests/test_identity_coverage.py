@@ -32,9 +32,9 @@ def test_identities_hold_up_to_class_number_10(delta, d_b, h):
     assert field.class_number == h
     main = identity.verify_main_theorem(field, d_b, 150)
     assert main.ok, main.to_json_dict()["mismatches"][:2]
-    classes = optimal_embedding_count(field, d_b)
-    remark = identity.verify_remark_identity(field, d_b, 150, classes)
+    remark = identity.verify_remark_identity(field, d_b, 150)
     assert remark.ok, remark.to_json_dict()["mismatches"][:2]
+    assert remark.params["classes"] == optimal_embedding_count(field, d_b)
     assert main.checked == remark.checked == 151
 
 
@@ -93,7 +93,7 @@ def test_remark_identity_reports_a_missing_coefficient(monkeypatch):
     # left side has 2/(2h) sum_i Zplus(3, i) there, with h = 1.
     classes = optimal_embedding_count(F2, 35)
     monkeypatch.setattr(identity, "op_phi_set", cancel_twice_naive(3, [5]))
-    report = identity.verify_remark_identity(F2, 35, 30, classes)
+    report = identity.verify_remark_identity(F2, 35, 30)
     assert not report.ok
     assert [mm.m for mm in report.mismatches] == [3]
     (entry,) = _mismatch_json(report)
@@ -112,7 +112,7 @@ def test_remark_mismatch_is_scaled_back_at_class_number_2(monkeypatch):
     classes = optimal_embedding_count(field, 51)
     assert classes == 8
     monkeypatch.setattr(identity, "op_phi_set", cancel_twice_naive(5, [17]))
-    report = identity.verify_remark_identity(field, 51, 30, classes)
+    report = identity.verify_remark_identity(field, 51, 30)
     (entry,) = _mismatch_json(report)
     assert entry == {
         "m": 5,
@@ -125,7 +125,7 @@ def test_remark_mismatch_is_scaled_back_at_class_number_2(monkeypatch):
 def test_remark_identity_matches_the_true_units_reference(delta, d_b, h):
     field = make_field(delta)
     classes = optimal_embedding_count(field, d_b)
-    got = identity.verify_remark_identity(field, d_b, 150, classes)
+    got = identity.verify_remark_identity(field, d_b, 150)
     want = oracles.verify_remark_identity(field, d_b, 150, classes)
     assert got.to_json_dict() == want.to_json_dict()
 
@@ -137,7 +137,7 @@ def test_faulty_remark_identity_matches_the_reference(monkeypatch, delta, d_b, e
     faulty = cancel_twice_naive(exponent, hit)
     monkeypatch.setattr(identity, "op_phi_set", faulty)
     monkeypatch.setattr(oracles, "op_phi_set", faulty)
-    got = identity.verify_remark_identity(field, d_b, 30, classes).to_json_dict()
+    got = identity.verify_remark_identity(field, d_b, 30).to_json_dict()
     want = oracles.verify_remark_identity(field, d_b, 30, classes).to_json_dict()
     assert got["mismatches"]
     assert got == want
@@ -151,7 +151,7 @@ def test_identities_hold_with_four_primes_in_d_b(monkeypatch):
     assert classes == 32
     main = identity.verify_main_theorem(field, 1155, 60)
     assert main.ok, main.to_json_dict()["mismatches"][:2]
-    got = identity.verify_remark_identity(field, 1155, 60, classes)
+    got = identity.verify_remark_identity(field, 1155, 60)
     assert got.ok, got.to_json_dict()["mismatches"][:2]
     want = oracles.verify_remark_identity(field, 1155, 60, classes)
     assert got.to_json_dict() == want.to_json_dict()
@@ -159,7 +159,7 @@ def test_identities_hold_with_four_primes_in_d_b(monkeypatch):
     faulty = cancel_twice_naive(2, [3, 5, 7, 11])
     monkeypatch.setattr(identity, "op_phi_set", faulty)
     monkeypatch.setattr(oracles, "op_phi_set", faulty)
-    got = identity.verify_remark_identity(field, 1155, 60, classes).to_json_dict()
+    got = identity.verify_remark_identity(field, 1155, 60).to_json_dict()
     want = oracles.verify_remark_identity(field, 1155, 60, classes).to_json_dict()
     assert [entry["m"] for entry in got["mismatches"]] == [2]
     assert got == want
@@ -192,7 +192,7 @@ def test_fault_in_one_class_matches_the_reference(monkeypatch, delta, d_b):
     faulty = drop_class(3)
     monkeypatch.setattr(identity, "op_phi_set", faulty)
     monkeypatch.setattr(oracles, "op_phi_set", faulty)
-    got = identity.verify_remark_identity(field, d_b, 30, classes).to_json_dict()
+    got = identity.verify_remark_identity(field, d_b, 30).to_json_dict()
     want = oracles.verify_remark_identity(field, d_b, 30, classes).to_json_dict()
     assert got["mismatches"]
     for entry in got["mismatches"]:

@@ -115,29 +115,49 @@ class TestHerm:
 class TestQForm:
     def test_isotropic_basis_vector(self):
         b = CTX.vector_from_ints((1, 0), (0, 0))
-        assert qform(b).is_isotropic
+        assert qform(b) is None
         with pytest.raises(DegenerateVectorError):
             ord_qform(b)
 
     def test_unit_norm_example(self):
         b = CTX.vector_from_ints((0, 1), (1, 0))
-        assert qform(b).valuation == 0
+        assert qform(b) == 0
         assert ord_qform(b) == 0
 
     def test_scaling_shifts_by_two(self):
         b = CTX.vector_from_ints((0, 1), (1, 0))
-        assert qform(b.scale_p_power(1)).valuation == 2
-        assert qform(b.scale_p_power(-1)).valuation == -2
+        assert qform(b.scale_p_power(1)) == 2
+        assert qform(b.scale_p_power(-1)) == -2
         b2 = CTX.vector_from_ints((0, 5), (5, 0))
-        assert qform(b2).valuation == 2
+        assert qform(b2) == 2
 
     def test_values_are_rational_always(self):
+        # h(b, b) is rational, and qform is its valuation (None for zero).
+        def agrees_with_herm(b):
+            val, exp = herm(b, b)
+            assert val.y == 0
+            v = val.valuation()
+            return qform(b) == (None if v is None else v + exp)
+
         rng = random.Random(23)
         for ctx in (CTX, CTX3):
             for _ in range(300):
                 b = random_vector(ctx, rng)
-                val, _ = herm(b, b)
-                assert val.y == 0
+                k = rng.randrange(1, 4)
+                for scaled in (b, b.scale_p_power(k), b.scale_p_power(-k)):
+                    assert agrees_with_herm(scaled)
+            # Isotropic vectors: rational coordinates, and a1 a rational
+            # multiple of a0 (proportional (x, y) pairs).
+            for _ in range(100):
+                x, y = rng.randrange(1, 500), rng.randrange(-500, 500)
+                m, n = rng.randrange(-50, 50) or 1, rng.randrange(-50, 50)
+                e = rng.randrange(-2, 3)
+                for b in (
+                    ctx.vector_from_ints((x, 0), (y, 0), e),
+                    ctx.vector_from_ints((m * x, m * y), (n * x, n * y), e),
+                ):
+                    assert qform(b) is None
+                    assert agrees_with_herm(b)
 
 
 class TestEpsilon:
@@ -169,4 +189,4 @@ class TestEpsilon:
             assert (scaled.a0, scaled.a1) == (direct.a0.mul(ac), direct.a1.mul(ac))
             q1 = qform(b)
             q2 = qform(epsilon(b))
-            assert q1.valuation == q2.valuation
+            assert q1 == q2
