@@ -353,15 +353,17 @@ def tree_ball(center: VertexLattice, radius: int) -> list[tuple[VertexLattice, i
     """All vertex lattices within tree distance `radius` of `center`,
     with their distances, breadth first in `neighbors` order.  The
     children of a vertex are its neighbours minus its parent, which is
-    left out by index and never built (see `_children`)."""
+    left out by index and never built (see `_children`).  Sphere d ends
+    at index ball_size(p, d) - 1 and, for d >= 1, opens at ball_size(p, d - 1)
+    with its only infinity child, whose parent is its neighbour 1; any other
+    vertex's parent is its neighbour 0, and every other neighbour is a step out."""
     center.require_vertex()
     out = [(center, 0)]
     frontier = [(center, None)]
     for depth in range(1, radius + 1):
         nxt = []
         for node, parent in frontier:
-            # The infinity child, first unless it is the parent, finds its
-            # parent at index 1; every other child at index 0.
+            # Child 0 is the infinity child unless the parent is (see `_children`).
             for i, nb in enumerate(node._children(parent)):
                 out.append((nb, depth))
                 nxt.append((nb, 1 if i == 0 and parent != 0 else 0))

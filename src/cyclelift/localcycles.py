@@ -318,16 +318,17 @@ def path_words(center: VertexLattice, profile) -> dict:
     d = distance(lam0, center)
     labels = {}
     # ahead: the vertex is on the geodesic to the centre, short of it.
+    # up: the parent's neighbour index: 1 after a step to neighbour 0, else 0.
     frontier = [(lam0, None, "", d, d > 0)]
     while frontier:
         nxt = []
-        for node, parent_key, word, d, ahead in frontier:
+        for node, up, word, d, ahead in frontier:
             if d <= radius:
                 labels[node] = (word, d)
             if d == radius and not ahead:
                 continue
             for i, nb in enumerate(node.neighbors()):
-                if nb.key == parent_key:
+                if i == up:
                     continue
                 if ahead and distance(nb, center) < d:
                     ahead, child = False, (d - 1, d > 1)
@@ -335,7 +336,7 @@ def path_words(center: VertexLattice, profile) -> dict:
                     child = (d + 1, False)
                 else:
                     continue
-                nxt.append((nb, node.key, f"{word}.{i}" if word else str(i), *child))
+                nxt.append((nb, 1 if i == 0 else 0, f"{word}.{i}" if word else str(i), *child))
         frontier = nxt
     return labels
 

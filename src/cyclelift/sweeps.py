@@ -267,23 +267,14 @@ def horizontal_polynomials_match(j, hp, hm) -> bool:
     c0, c1, e0, e1 = eq_p.c0, eq_p.c1, eq_m.c0, eq_m.c1
     # The eigenvector lies primitively in its central lattice (r = 0).
     _, a0, a1 = center.coordinates(j.eigvec)
-    # (c0 T + c1)(e0 T + e1) against n(a0) T^2 + (a0 a1' + a0' a1) T + n(a1),
-    # up to a unit scalar over the residue field F_{p^2}: find a nonzero
-    # coefficient pair and cross-multiply the rest.
+    # (c0 T + c1)(e0 T + e1) against n(a0) T^2 + (a0 a1' + a0' a1) T + n(a1)
+    # over the residue field F_{p^2}: equal up to a unit exactly when both
+    # coefficient rows are nonzero and of rank one, every 2x2 minor zero.
     us = (c0.mul(e0), c0.mul(e1).add(c1.mul(e0)), c1.mul(e1))
     vs = (a0.mul(a0.conj()), a0.mul(a1.conj()).add(a0.conj().mul(a1)), a1.mul(a1.conj()))
-    for u, v in zip(us, vs):
-        if (u.residue() == (0, 0)) != (v.residue() == (0, 0)):
-            return False
-    pivot = next((k for k in range(3) if us[k].residue() != (0, 0)), None)
-    if pivot is None:
-        return False  # both reductions vanish
-    for k in range(3):
-        lhs = us[k].mul(vs[pivot])
-        rhs = vs[k].mul(us[pivot])
-        if lhs.sub(rhs).residue() != (0, 0):
-            return False
-    return True
+    return (all(any(x.residue() != (0, 0) for x in row) for row in (us, vs))
+            and all(us[k].mul(vs[m]).sub(us[m].mul(vs[k])).residue() == (0, 0)
+                    for k, m in ((0, 1), (0, 2), (1, 2))))
 
 
 def sweep_chart_consistency(
@@ -309,34 +300,28 @@ def sweep_chart_consistency(
         support = [(i, d) for i, (r, d) in descent if r >= 0]
         # The support is a ball around the centre, and tree_ball's order
         # is breadth first: build lattices out to its deepest vertex only.
-        reach = max((d for _, d in support), default=0)
-        ball = bttree.tree_ball(center, reach)
-        depth = {lat.key: d for lat, d in ball}
-        supported = [ball[i] for i, _ in support]
-        for lat, d in supported:
+        ball = bttree.tree_ball(center, support[-1][1] if support else 0)
+        supported = [(i, *ball[i]) for i, _ in support]
+        for _, lat, d in supported:
             checked += 1
             eq = localcycles.ordinary_equation(hom, lat)
             m = localcycles.multiplicity(hom, lat, d)
             if eq.p_exp != m:
                 mismatches.append(Mismatch(m=d, lhs=eq.p_exp, rhs=m))
-            is_center = lat.key == center.key
-            if eq.residual_is_unit() == is_center:
-                mismatches.append(Mismatch(m=d, lhs="residual-unit", rhs=is_center))
+            if eq.residual_is_unit() == (d == 0):
+                mismatches.append(Mismatch(m=d, lhs="residual-unit", rhs=d == 0))
         # Superspecial pairs: every edge with an endpoint in the
         # support, plus a sample of edges well outside it.
         size = bttree.ball_size(p, radius)
         sample = rng.sample(range(size), min(6, size))
-        edge_nodes = supported + [bttree.ball_vertex(center, i) for i in sample]
-        for lat, d in edge_nodes:
-            for nb in lat.neighbors():
-                # A neighbour is one step nearer the centre or one further.
-                # Out to reach + 1 the nearer one is in `depth`, so a
-                # missing key is a step out; past that, ask `distance`.
-                dn = depth.get(nb.key)
-                if dn is None:
-                    dn = d + 1 if d <= reach + 1 else bttree.distance(nb, center)
-                    if dn > radius:
-                        continue
+        edge_nodes = supported + [(i, *bttree.ball_vertex(center, i)) for i in sample]
+        for i, lat, d in edge_nodes:
+            # The parent's neighbour index, read off the walk order (`tree_ball`).
+            up = None if d == 0 else 1 if i == bttree.ball_size(p, d - 1) else 0
+            for k, nb in enumerate(lat.neighbors()):
+                dn = d - 1 if k == up else d + 1
+                if dn > radius:
+                    continue
                 (lat0, d0), (lat2, d2) = ((lat, d), (nb, dn)) if lat.vtype == 0 else \
                     ((nb, dn), (lat, d))
                 e0, e1 = localcycles.superspecial_exponents(hom, lat0, lat2)

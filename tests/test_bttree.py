@@ -435,6 +435,33 @@ class TestBallVertex:
                 ], (p, center.key, i)
 
 
+class TestWalkOrder:
+    # Radius 4 at p = 3 and 5, 3 at p = 7, 11 and 13.
+    @pytest.mark.parametrize("p, delta", [(3, -1), (5, -2), (7, -1), (11, -1), (13, -2)])
+    def test_parent_index_and_depth_from_the_ball_index(self, p, delta):
+        # The rule the tree sweeps read neighbour depths by: the first
+        # vertex of sphere d >= 1 finds its parent at neighbour index 1,
+        # every other vertex past the centre at index 0, and every other
+        # neighbour is one step farther out.  Checked against `distance`
+        # around Lambda0, Lambda0' and random central lattices, with
+        # ball_vertex built alone at each sphere's first and last index.
+        ctx = LocalContext(p=p, delta_sq=delta)
+        radius = {3: 4, 5: 4}.get(p, 3)
+        rng = random.Random(p)
+        centers = [*standard_lattices(ctx),
+                   *(central_lattice(random_vector(ctx, rng)) for _ in range(2))]
+        for center in centers:
+            ball = tree_ball(center, radius)
+            for i, (lat, d) in enumerate(ball):
+                up = None if d == 0 else 1 if i == ball_size(p, d - 1) else 0
+                got = [distance(nb, center) for nb in lat.neighbors()]
+                assert got == [d - 1 if k == up else d + 1 for k in range(p + 1)], (i, d)
+            for d in range(1, radius + 1):
+                for i in (ball_size(p, d - 1), ball_size(p, d) - 1):
+                    lat, depth = ball_vertex(center, i)
+                    assert (lat.key, depth) == (ball[i][0].key, d), (center.key, i)
+
+
 def random_vector(ctx, rng, digits=6):
     """An anisotropic vector with coordinates mod p^digits, the second
     skewed by a random p-power, and a denominator exponent in [-3, 2]."""

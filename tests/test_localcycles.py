@@ -16,6 +16,7 @@ from cyclelift.localcycles import (
     MINUS,
     PLUS,
     FiberKind,
+    OrdinaryEquation,
     OrthEndo,
     SpecialHom,
     cycle_json_chunks,
@@ -508,6 +509,81 @@ class TestHorizontalComparison:
                     if alpha >= 1:
                         hp, hm = split_pair(j)
                         assert horizontal_polynomials_match(j, hp, hm)
+
+    @pytest.mark.parametrize("ctx", [CTX3, CTX], ids=lambda ctx: f"p{ctx.p}")
+    def test_match_is_proportionality_over_the_residue_field(self, monkeypatch, ctx):
+        # The split pair's two linear factors are stubbed with chosen
+        # coefficients against a real endomorphism.  The verdict must be
+        # whether the product's residue row is a unit of F_{p^2} times the
+        # eigenvector's, found by trying every unit; a zero row on either
+        # side never matches.
+        from cyclelift import localcycles, sweeps
+
+        p, dsq = ctx.p, ctx.delta_sq
+        zero = (0, 0)
+
+        def mul(u, v):
+            return ((u[0] * v[0] + dsq * u[1] * v[1]) % p, (u[0] * v[1] + u[1] * v[0]) % p)
+
+        def add(u, v):
+            return ((u[0] + v[0]) % p, (u[1] + v[1]) % p)
+
+        units = [(x, y) for x in range(p) for y in range(p) if x or y]
+
+        def proportional(us, vs):
+            if vs == [zero] * 3:
+                return False
+            return any(us == [mul(lam, v) for v in vs] for lam in units)
+
+        def factors(row):
+            # (c0, c1, e0, e1) with (c0 T + c1)(e0 T + e1) = u0 T^2 + u1 T + u2:
+            # (T - r)(u0 T + u1 + u0 r) for a root r.  Every row built below
+            # is a multiple of a row over F_p, whose discriminant is a
+            # square in F_{p^2}, so a root exists.
+            u0, u1, u2 = row
+            if u0 == zero:
+                return u1, u2, zero, (1, 0)
+            r = next(r for r in [zero, *units]
+                     if add(add(mul(u0, mul(r, r)), mul(u1, r)), u2) == zero)
+            return (1, 0), mul((p - 1, 0), r), u0, add(u1, mul(u0, r))
+
+        def verdict(j, hp, hm, row):
+            c0, c1, e0, e1 = (ctx.elem(*c) for c in factors(row))
+            eqs = {id(hp): OrdinaryEquation(0, c0, c1, 0),
+                   id(hm): OrdinaryEquation(0, e0, e1, 0)}
+            monkeypatch.setattr(localcycles, "ordinary_equation", lambda hom, lat: eqs[id(hom)])
+            return sweeps.horizontal_polynomials_match(j, hp, hm)
+
+        rng = random.Random(41)
+        seen = set()
+        for alpha in (1, 2, 3, 4):
+            j = OrthEndo.from_eigenvector(alpha, random_anisotropic(ctx, rng, parity=alpha % 2))
+            hp, hm = split_pair(j)
+            _, a0, a1 = j.central().coordinates(j.eigvec)
+            vs = [e.residue() for e in (a0.mul(a0.conj()),
+                                        a0.mul(a1.conj()).add(a0.conj().mul(a1)),
+                                        a1.mul(a1.conj()))]
+            cases = [("proportional", [mul(lam, v) for v in vs]) for lam in units]
+            cases.append(("zero row", [zero] * 3))
+            for k in range(3):
+                for eps in range(1, p):
+                    row = [add(v, (eps, 0)) if i == k else v for i, v in enumerate(vs)]
+                    cases.append(("one coefficient off", row))
+            for _ in range(20):
+                row = [(rng.randrange(1, p), 0) if v != zero else zero for v in vs]
+                if not proportional(row, vs):
+                    cases.append(("same zero pattern", row))
+            for kind, row in cases:
+                want = proportional(row, vs)
+                assert verdict(j, hp, hm, row) == want, (alpha, kind, row)
+                seen.add((kind, want))
+            # A zero row on the eigenvector's side: its coordinates scaled by p.
+            monkeypatch.setattr(VertexLattice, "coordinates",
+                                lambda lat, b: (0, a0.mul_int(p), a1.mul_int(p)))
+            assert not verdict(j, hp, hm, vs), alpha
+            monkeypatch.undo()
+        assert seen == {("proportional", True), ("zero row", False),
+                        ("one coefficient off", False), ("same zero pattern", False)}
 
 
 class TestSerialization:
