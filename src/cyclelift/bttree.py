@@ -38,8 +38,10 @@ without building the ball: the two numerators move to a child's by one
 integer step each (coordinate descent), and each carries its
 valuation, which p N raises by one and N0 - alpha N1 keeps unless
 v(N0) = v(N1).  `ball_vertex` builds the one vertex at a given index
-of `tree_ball`'s order, walking the child path that the index spells
-out, so a sweep that samples a ball by index needs no ball.
+of `tree_ball`'s order: the centre's exact basis walks the child path
+that the index spells out by the same integer moves as `neighbors`, and
+only the last basis is canonicalised, so a sweep that samples a ball by
+index builds one lattice per sample and no ball.
 """
 
 from __future__ import annotations
@@ -253,26 +255,34 @@ class VertexLattice:
         `parent` (0 for infinity, 1 for alpha = 0; None keeps all).  A
         neighbour's own neighbour at index 1 is this vertex when it is
         the infinity neighbour, and at index 0 otherwise."""
-        k, a, c, b, d, va, vb, vdet = self._exact_basis()
         ctx = self.ctx
-        p = ctx.p
-        if self.vtype == 0:
-            k += 1
-        vdet += 1
-        out = []
-        if parent != 0:
-            out.append(_child(ctx, (k, a, c, p * b, p * d, va, vb + 1, vdet)))
-        pa, pc, va1 = p * a, p * c, va + 1
-        for alpha in range(1 if parent == 1 else 0, p):
-            b1 = alpha * a + b
-            if alpha == 0 or vb < va:
-                vb1 = vb
-            elif va < vb:
-                vb1 = va
-            else:
-                vb1 = pval(p, b1, 0)  # b1 >= a > 0: entries are non-negative
-            out.append(_child(ctx, (k, pa, pc, b1, alpha * c + d, va1, vb1, vdet)))
-        return out
+        steps = _steps(ctx.p, self._exact_basis(), self.vtype,
+                       [n for n in range(ctx.p + 1) if n != parent])
+        return [_child(ctx, basis) for basis in steps]
+
+
+def _steps(p: int, basis: tuple, vtype: int, positions) -> Iterator[tuple]:
+    """The exact bases of the neighbours at `positions` in `neighbors`
+    order (0 for infinity, 1 + alpha) of a vertex of type `vtype` with
+    exact basis `basis`, as integer matrix moves, none canonicalised."""
+    k, a, c, b, d, va, vb, vdet = basis
+    if vtype == 0:
+        k += 1
+    vdet += 1
+    pa, pc, va1 = p * a, p * c, va + 1
+    for n in positions:
+        if n == 0:
+            yield (k, a, c, p * b, p * d, va, vb + 1, vdet)
+            continue
+        alpha = n - 1
+        b1 = alpha * a + b
+        if alpha == 0 or vb < va:
+            vb1 = vb
+        elif va < vb:
+            vb1 = va
+        else:
+            vb1 = pval(p, b1, 0)  # b1 >= a > 0: entries are non-negative
+        yield (k, pa, pc, b1, alpha * c + d, va1, vb1, vdet)
 
 
 def _child(ctx: LocalContext, basis: tuple) -> VertexLattice:
@@ -376,8 +386,10 @@ def ball_vertex(center: VertexLattice, index: int) -> tuple[VertexLattice, int]:
     alone.  Past the centre, an index is a sphere and an offset in it,
     and the offset is the child path in mixed radix: the centre's child
     (p + 1 of them) is the leading digit, then one base-p digit per
-    level, each indexing `_children` as `tree_ball` walks them."""
-    center.require_vertex()
+    level, each indexing `_children` as `tree_ball` walks them.  The
+    centre's exact basis walks that path by integer steps, and only the
+    last basis is canonicalised, so one lattice is built."""
+    vtype = center.require_vertex()
     if index == 0:
         return center, 0
     p = center.ctx.p
@@ -389,10 +401,13 @@ def ball_vertex(center: VertexLattice, index: int) -> tuple[VertexLattice, int]:
     for _ in range(depth - 1):
         offset, digit = divmod(offset, p)
         digits.append(digit)
-    lat, parent = center, None
+    basis, parent = center._exact_basis(), None
     for digit in [offset, *reversed(digits)]:
-        lat, parent = lat._children(parent)[digit], 1 if digit == 0 and parent != 0 else 0
-    return lat, depth
+        # The child's position in `neighbors` order, past the parent's.
+        n = digit if parent is None or digit < parent else digit + 1
+        basis = next(_steps(p, basis, vtype, (n,)))
+        vtype, parent = 2 - vtype, 1 if n == 0 else 0
+    return _child(center.ctx, basis), depth
 
 
 def ball_size(p: int, radius: int) -> int:

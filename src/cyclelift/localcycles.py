@@ -281,16 +281,20 @@ def superspecial_exponents(
     hom: SpecialHom, lat0: VertexLattice, lat2: VertexLattice
 ) -> tuple[int, int]:
     """Vanishing exponents (e_T0, e_T1) of the cycle at the
-    superspecial point of an adjacent pair (type 0, type 2):
-    (r', r) for the antilinear sign and (r', r+1) for the linear sign,
-    clamped at zero when the point misses the cycle."""
+    superspecial point of an adjacent pair (type 0, type 2), by
+    `exponent_pair` from the vector's r at each end."""
     if lat0.require_vertex() != 0 or lat2.require_vertex() != 2:
         raise NotAdjacentError("expected a (type 0, type 2) pair")
     if distance(lat0, lat2) != 1:
         raise NotAdjacentError("lattices are not tree neighbours")
-    r = lat0.r_invariant(hom.vec)
-    rp = lat2.r_invariant(hom.vec)
-    if hom.sign == MINUS:
+    return exponent_pair(hom.sign, lat0.r_invariant(hom.vec), lat2.r_invariant(hom.vec))
+
+
+def exponent_pair(sign: str, r: int, rp: int) -> tuple[int, int]:
+    """(e_T0, e_T1) from r at the type-0 end and r' at the type-2 end of
+    an edge: (r', r) for the antilinear sign and (r', r+1) for the
+    linear sign, clamped at zero when the point misses the cycle."""
+    if sign == MINUS:
         return (max(rp, 0), max(r, 0))
     return (max(rp, 0), max(r + 1, 0))
 

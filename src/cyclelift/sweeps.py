@@ -170,11 +170,10 @@ def sweep_r_formula(
 
 def _geodesic(center, radius: int) -> dict:
     """The last vertex of each sphere of tree_ball(center, radius), a
-    geodesic from the centre, keyed by its index in that ball."""
-    lats = [center]
-    for _ in range(radius):
-        lats.append(lats[-1].neighbors()[-1])
-    return {bttree.ball_size(center.ctx.p, d) - 1: lat for d, lat in enumerate(lats)}
+    geodesic from the centre, keyed by its index in that ball and built
+    alone by `ball_vertex`."""
+    ends = (bttree.ball_size(center.ctx.p, d) - 1 for d in range(radius + 1))
+    return {i: bttree.ball_vertex(center, i)[0] for i in ends}
 
 
 def sweep_local_compare(
@@ -288,8 +287,12 @@ def sweep_chart_consistency(
     support must reproduce the multiplicities of both components (a
     sample of empty edges is checked for the trivial (0, 0) case).
 
-    The support comes by coordinate descent over the radius ball, and
-    lattices are built only out to the support's deepest vertex."""
+    The support comes by coordinate descent over the radius ball.
+    Lattices are built only out to one sphere past the support's
+    deepest vertex, each solved once (`r_invariant` and `multiplicity`),
+    and a support edge reads its far end off that ball by index.  The
+    6 sampled vertices are built alone, with their neighbours, and
+    their edges go through `superspecial_exponents`."""
     ctx = LocalContext(p=p, delta_sq=delta)
     mismatches = []
     checked = 0
@@ -298,43 +301,71 @@ def sweep_chart_consistency(
         center = hom.central()
         descent = enumerate(bttree.ball_r_invariants(center, hom.vec, radius))
         support = [(i, d) for i, (r, d) in descent if r >= 0]
+        # The edges of 6 vertices drawn from the whole ball are checked too;
+        # the draw needs no lattice, so it comes before any is built.
+        size = bttree.ball_size(p, radius)
+        sample = rng.sample(range(size), min(6, size))
         # The support is a ball around the centre, and tree_ball's order
-        # is breadth first: build lattices out to its deepest vertex only.
-        ball = bttree.tree_ball(center, support[-1][1] if support else 0)
-        supported = [(i, *ball[i]) for i, _ in support]
-        for _, lat, d in supported:
+        # is breadth first: build lattices out to the sphere past its
+        # deepest vertex only.
+        ball = bttree.tree_ball(center, min(support[-1][1] + 1, radius) if support else 0)
+        rs = [lat.r_invariant(hom.vec) for lat, _ in ball]
+        ms = [localcycles.multiplicity(hom, lat, d) for lat, d in ball]
+        for i, d in support:
             checked += 1
-            eq = localcycles.ordinary_equation(hom, lat)
-            m = localcycles.multiplicity(hom, lat, d)
-            if eq.p_exp != m:
-                mismatches.append(Mismatch(m=d, lhs=eq.p_exp, rhs=m))
+            eq = localcycles.ordinary_equation(hom, ball[i][0])
+            if eq.p_exp != ms[i]:
+                mismatches.append(Mismatch(m=d, lhs=eq.p_exp, rhs=ms[i]))
             if eq.residual_is_unit() == (d == 0):
                 mismatches.append(Mismatch(m=d, lhs="residual-unit", rhs=d == 0))
         # Superspecial pairs: every edge with an endpoint in the
-        # support, plus a sample of edges well outside it.
-        size = bttree.ball_size(p, radius)
-        sample = rng.sample(range(size), min(6, size))
-        edge_nodes = supported + [(i, *bttree.ball_vertex(center, i)) for i in sample]
-        for i, lat, d in edge_nodes:
-            # The parent's neighbour index, read off the walk order (`tree_ball`).
-            up = None if d == 0 else 1 if i == bttree.ball_size(p, d - 1) else 0
-            for k, nb in enumerate(lat.neighbors()):
-                dn = d - 1 if k == up else d + 1
-                if dn > radius:
-                    continue
-                (lat0, d0), (lat2, d2) = ((lat, d), (nb, dn)) if lat.vtype == 0 else \
-                    ((nb, dn), (lat, d))
-                e0, e1 = localcycles.superspecial_exponents(hom, lat0, lat2)
+        # support, plus the sampled vertices' edges, mostly well outside it.
+        edges = []  # (depth, (e0, e1), (m2, m0)) per edge, in check order
+        for i, d in support:
+            for _, j, _ in _edges(p, i, d, radius):
+                i0, i2 = (i, j) if ball[i][0].vtype == 0 else (j, i)
+                edges.append((d, localcycles.exponent_pair(hom.sign, rs[i0], rs[i2]),
+                              (ms[i2], ms[i0])))
+        for i in sample:
+            lat, d = bttree.ball_vertex(center, i)
+            nbs = lat.neighbors()
+            for k, _, dn in _edges(p, i, d, radius):
+                (lat0, d0), (lat2, d2) = ((lat, d), (nbs[k], dn)) if lat.vtype == 0 else \
+                    ((nbs[k], dn), (lat, d))
+                pair = localcycles.superspecial_exponents(hom, lat0, lat2)
                 m0 = localcycles.multiplicity(hom, lat0, d0)
-                m2 = localcycles.multiplicity(hom, lat2, d2)
-                checked += 1
-                if (e0, e1) != (m2, m0):
-                    mismatches.append(Mismatch(m=d, lhs=[e0, e1], rhs=[m2, m0]))
+                edges.append((d, pair, (localcycles.multiplicity(hom, lat2, d2), m0)))
+        for d, pair, mults in edges:
+            checked += 1
+            if pair != mults:
+                mismatches.append(Mismatch(m=d, lhs=list(pair), rhs=list(mults)))
     return VerificationReport(
         params={"p": p, "delta": delta, "count": count, "radius": radius},
         checked=checked,
         mismatches=mismatches,
     )
+
+
+def _edges(p: int, i: int, d: int, radius: int):
+    """(k, j, dn) for each neighbour of tree_ball's vertex i, at depth d,
+    that lies within `radius` of the centre: its index k in `neighbors`
+    order, its ball index j and its depth dn.  The vertex at offset o of
+    sphere d has its children at ball_size(p, d) + o p + c for c < p (the
+    centre's are 1 ... p + 1) and its parent, which comes first in the
+    walk, at index 0 for d = 1, else at ball_size(p, d - 2) + o // p."""
+    if d == 0:
+        nbs = list(range(1, p + 2))
+    else:
+        o = i - bttree.ball_size(p, d - 1)
+        first = bttree.ball_size(p, d) + o * p
+        nbs = list(range(first, first + p))
+        # The first vertex of a sphere finds its parent at neighbour index
+        # 1, any other at index 0 (see `tree_ball`).
+        nbs.insert(1 if o == 0 else 0, 0 if d == 1 else bttree.ball_size(p, d - 2) + o // p)
+    for k, j in enumerate(nbs):
+        dn = d - 1 if j < i else d + 1
+        if dn <= radius:
+            yield k, j, dn
 
 
 # -- the registry -----------------------------------------------------------------

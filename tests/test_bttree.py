@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+from cyclelift import bttree
 from cyclelift.bttree import (
     VertexLattice,
     ball_r_invariants,
@@ -414,11 +415,12 @@ class TestDistanceAndBall:
 
 class TestBallVertex:
     @pytest.mark.parametrize("p, delta", [(3, -1), (5, -2), (7, -1), (11, -1), (13, -2)])
-    def test_every_index_is_the_ball_entry(self, p, delta):
+    def test_every_index_is_the_ball_entry(self, p, delta, monkeypatch):
         # Lambda0, Lambda0', central lattices of both types (canonical
         # bases) and a ball vertex (an inherited basis) as centres: each
         # index gives the ball's vertex, with its depth and the basis it
-        # inherits along the path.
+        # inherits along the path, and canonicalises one basis (one
+        # `_child` call) past the centre, none at it.
         ctx = LocalContext(p=p, delta_sq=delta)
         radius = {3: 4, 5: 3}.get(p, 2)
         rng = random.Random(p)
@@ -426,9 +428,15 @@ class TestBallVertex:
         while {c.vtype for c in centrals} != {0, 2}:
             centrals.append(central_lattice(random_vector(ctx, rng)))
         inherited = tree_ball(centrals[-1], 2)[-1][0]
+        built = []
+        child = bttree._child
         for center in [*standard_lattices(ctx), *centrals, inherited]:
             for i, (lat, d) in enumerate(tree_ball(center, radius)):
-                got, depth = ball_vertex(center, i)
+                built.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(bttree, "_child", lambda *args: built.append(i) or child(*args))
+                    got, depth = ball_vertex(center, i)
+                assert len(built) == (1 if i else 0), (p, center.key, i)
                 assert (got.key, depth) == (lat.key, d), (p, center.key, i)
                 assert [repr(u) for u in got.hyperbolic_basis()] == [
                     repr(u) for u in lat.hyperbolic_basis()

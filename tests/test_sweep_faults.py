@@ -1,18 +1,22 @@
-"""The tree sweeps' geodesic cross-check under a fault.
+"""The tree sweeps' independent checks under a fault.
 
 Direct membership (`VertexLattice.r_invariant`) cross-checks the
 coordinate descent on one geodesic of every ball.  With r_invariant
 patched to return r - 1 the two disagree at every geodesic vertex, and
 the reports below pin each mismatch entry, in order.  (r + 1 would
-instead trip local-compare's negative-multiplicity assertion.)"""
+instead trip local-compare's negative-multiplicity assertion.)  Chart
+takes the vector's r at its support vertices and their neighbours from
+r_invariant, so the same fault shows in its multiplicities and edge
+pairs; and every chart edge, in the support or sampled, takes its
+exponent pair from `localcycles.exponent_pair`."""
 
 import json
 import random
 
 import pytest
 
-from cyclelift import bttree
-from cyclelift.sweeps import sweep_local_compare, sweep_r_formula
+from cyclelift import bttree, localcycles
+from cyclelift.sweeps import sweep_chart_consistency, sweep_local_compare, sweep_r_formula
 
 
 def entries(*rows):
@@ -43,6 +47,14 @@ LOCAL_COMPARE = {
     "params": {"alpha_max": 1, "delta": -10, "p": 3},
 }
 
+CHART = {
+    "checked": 137,
+    "mismatches": entries((1, 1, 0), (1, 1, 0), (1, 1, 0), (1, 1, 0)) + [
+        {"lhs": "[0, 0]", "m": d, "rhs": "[1, 0]"} for d in (0, 0, 0, 0, 1, 1, 1, 1)
+    ] + entries((0, 1, 0)),
+    "params": {"count": 2, "delta": -10, "p": 3, "radius": 3},
+}
+
 
 @pytest.fixture
 def r_invariant_one_low(monkeypatch):
@@ -58,3 +70,22 @@ def test_r_formula_reports_every_geodesic_disagreement(r_invariant_one_low):
 def test_local_compare_reports_every_geodesic_disagreement(r_invariant_one_low):
     report = sweep_local_compare(3, -10, 1, random.Random(7))
     assert json.loads(json.dumps(report.to_json_dict())) == LOCAL_COMPARE
+
+
+def test_chart_reports_every_membership_fault(r_invariant_one_low):
+    report = sweep_chart_consistency(3, -10, 2, 3, random.Random(1))
+    assert json.loads(json.dumps(report.to_json_dict())) == CHART
+
+
+def test_every_chart_edge_takes_the_library_exponent_pair(monkeypatch):
+    # Each support vertex is checked once through ordinary_equation; every
+    # other check is an edge, and with exponent_pair returning a pair no
+    # multiplicity matches, each edge reports exactly one mismatch.
+    vertices = []
+    equation = localcycles.ordinary_equation
+    monkeypatch.setattr(localcycles, "ordinary_equation",
+                        lambda hom, lat: vertices.append(lat) or equation(hom, lat))
+    monkeypatch.setattr(localcycles, "exponent_pair", lambda sign, r, rp: (-1, -1))
+    report = sweep_chart_consistency(3, -10, 2, 3, random.Random(1))
+    assert (report.checked, len(vertices)) == (137, 22)
+    assert [m.lhs for m in report.mismatches] == [[-1, -1]] * (report.checked - len(vertices))
