@@ -248,16 +248,16 @@ class VertexLattice:
         child alpha is (p col0, alpha col0 + col1), and k rises by one
         from type 0.  Every child's determinant gains one factor of p.
         """
-        return self._children(None)
+        return self.children(None)
 
-    def _children(self, parent: int | None) -> list["VertexLattice"]:
+    def children(self, up: int | None) -> list["VertexLattice"]:
         """The neighbours in `neighbors` order, without the one at index
-        `parent` (0 for infinity, 1 for alpha = 0; None keeps all).  A
-        neighbour's own neighbour at index 1 is this vertex when it is
-        the infinity neighbour, and at index 0 otherwise."""
+        `up` (0 for infinity, 1 for alpha = 0; None keeps all), which is
+        never built.  A neighbour's own neighbour at index 1 is this
+        vertex when it is the infinity neighbour, and at index 0 otherwise."""
         ctx = self.ctx
         steps = _steps(ctx.p, self._exact_basis(), self.vtype,
-                       [n for n in range(ctx.p + 1) if n != parent])
+                       [n for n in range(ctx.p + 1) if n != up])
         return [_child(ctx, basis) for basis in steps]
 
 
@@ -363,7 +363,7 @@ def tree_ball(center: VertexLattice, radius: int) -> list[tuple[VertexLattice, i
     """All vertex lattices within tree distance `radius` of `center`,
     with their distances, breadth first in `neighbors` order.  The
     children of a vertex are its neighbours minus its parent, which is
-    left out by index and never built (see `_children`).  Sphere d ends
+    left out by index and never built (see `children`).  Sphere d ends
     at index ball_size(p, d) - 1 and, for d >= 1, opens at ball_size(p, d - 1)
     with its only infinity child, whose parent is its neighbour 1; any other
     vertex's parent is its neighbour 0, and every other neighbour is a step out."""
@@ -373,8 +373,8 @@ def tree_ball(center: VertexLattice, radius: int) -> list[tuple[VertexLattice, i
     for depth in range(1, radius + 1):
         nxt = []
         for node, parent in frontier:
-            # Child 0 is the infinity child unless the parent is (see `_children`).
-            for i, nb in enumerate(node._children(parent)):
+            # Child 0 is the infinity child unless the parent is (see `children`).
+            for i, nb in enumerate(node.children(parent)):
                 out.append((nb, depth))
                 nxt.append((nb, 1 if i == 0 and parent != 0 else 0))
         frontier = nxt
@@ -386,7 +386,7 @@ def ball_vertex(center: VertexLattice, index: int) -> tuple[VertexLattice, int]:
     alone.  Past the centre, an index is a sphere and an offset in it,
     and the offset is the child path in mixed radix: the centre's child
     (p + 1 of them) is the leading digit, then one base-p digit per
-    level, each indexing `_children` as `tree_ball` walks them.  The
+    level, each indexing `children` as `tree_ball` walks them.  The
     centre's exact basis walks that path by integer steps, and only the
     last basis is canonicalised, so one lattice is built."""
     vtype = center.require_vertex()

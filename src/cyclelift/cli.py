@@ -43,8 +43,8 @@ DEFAULT_SEED = 12345
 LIFT_M_CAP = 10_000
 
 # Largest cycle support, in vertices, that `cycle` builds: the ord-8 ball
-# at p = 5 (117,187 vertices, 24 MB of JSON) takes about 1 s and 114 MB
-# peak RSS on one Xeon core, and both grow linearly with the count.
+# at p = 5 (117,187 vertices, 24 MB of JSON) takes about 0.6-0.8 s and
+# 69 MB peak RSS on one Xeon core, and both grow linearly with the count.
 CYCLE_VERTEX_CAP = 200_000
 
 # Largest count of ball vertices that a tree sweep of `verify` visits, as

@@ -21,6 +21,7 @@ from cyclelift.qseries import (
     FormalSeries,
     ShimuraParams,
     op_phi_set,
+    parse_rational,
     rational_str,
     series_difference_support,
     shimura_lift,
@@ -169,7 +170,7 @@ def parse_symbolic_entries(entries) -> SymbolicDivisor:
         text = entry["w"]
         if not isinstance(text, str):
             raise ValueError(f"weight {text!r} of {name!r} is not a string")
-        w = Fraction(text)
+        w = parse_rational(text)
         match = _SYMBOL.fullmatch(name) if isinstance(name, str) else None
         if match is None:
             raise ValueError(f"unknown symbol {name!r}")

@@ -302,64 +302,62 @@ def exponent_pair(sign: str, r: int, rp: int) -> tuple[int, int]:
 # -- serialization -----------------------------------------------------------
 
 
-def path_words(center: VertexLattice, profile) -> dict:
-    """Label a cycle's support, the ball of radius len(profile) - 1
-    around `center` (the centre alone for an empty profile), by
-    neighbour-index paths from Lambda0: map each vertex to its word and
-    its distance from the centre.
+def path_words(center: VertexLattice, profile):
+    """Yield (word, d, lat) for each vertex of a cycle's support, the ball
+    of radius len(profile) - 1 around `center` (the centre alone for an
+    empty profile), with d its distance from the centre, in word order.
 
-    Lambda0 gets the empty word; a child reached as neighbour i of a
-    word w gets w + '.' + str(i).  One breadth-first walk from Lambda0
-    follows only the geodesic to the centre until it enters the ball
-    (a ball is convex, so every geodesic from Lambda0 into it enters at
-    that vertex), then takes every child inside the ball.  Each vertex
-    is reached along its geodesic from Lambda0, so it has the neighbour
-    order a search from Lambda0 would give it.  A child is one step
-    farther from the centre than its parent except on that geodesic, so
-    `distance` is called only there."""
+    A word is a neighbour-index path from Lambda0: Lambda0 gets the empty
+    word, and neighbour i of a word w gets w + '.' + str(i).  One preorder
+    walk from Lambda0 follows only the geodesic to the centre until it
+    enters the ball (which is convex, so that is where every geodesic from
+    Lambda0 enters it), then takes every child inside the ball, so each
+    vertex gets the word a search from Lambda0 would give it.  Off that
+    geodesic a child is one step farther from the centre than its parent,
+    so `distance` is called only there.  `children` never builds the
+    parent.  Children go in the str order of their indices (0, 1, 10, 11,
+    2, ...) and '.' sorts before every digit, so the walk is in word order."""
     radius = max(len(profile) - 1, 0)
     lam0, _ = standard_lattices(center.ctx)
     d = distance(lam0, center)
-    labels = {}
+    steps = sorted(((str(i), i) for i in range(center.ctx.p + 1)), reverse=True)
     # ahead: the vertex is on the geodesic to the centre, short of it.
     # up: the parent's neighbour index: 1 after a step to neighbour 0, else 0.
-    frontier = [(lam0, None, "", d, d > 0)]
-    while frontier:
-        nxt = []
-        for node, up, word, d, ahead in frontier:
-            if d <= radius:
-                labels[node] = (word, d)
-            if d == radius and not ahead:
+    stack = [(lam0, None, "", d, d > 0)]
+    while stack:
+        node, up, word, d, ahead = stack.pop()
+        if d <= radius:
+            yield word, d, node
+        if d == radius and not ahead:
+            continue
+        kids = node.children(up)
+        for label, i in steps:  # pushed in decreasing str order, to pop increasing
+            if i == up:
                 continue
-            for i, nb in enumerate(node.neighbors()):
-                if i == up:
-                    continue
-                if ahead and distance(nb, center) < d:
-                    ahead, child = False, (d - 1, d > 1)
-                elif d < radius:
-                    child = (d + 1, False)
-                else:
-                    continue
-                nxt.append((nb, 1 if i == 0 else 0, f"{word}.{i}" if word else str(i), *child))
-        frontier = nxt
-    return labels
+            nb = kids[i - 1 if up is not None and i > up else i]
+            if ahead and distance(nb, center) < d:
+                ahead, child = False, (d - 1, d > 1)
+            elif d < radius:
+                child = (d + 1, False)
+            else:
+                continue
+            stack.append((nb, 1 if i == 0 else 0, f"{word}.{label}" if word else label, *child))
 
 
 def cycle_json_chunks(cycle: LocalCycle):
-    """The cycle's JSON text, in chunks: the horizontal component, the
-    vertical multiplicities and each vertex's canonical-form data
-    (denom_exp, off, pivots), laid out as json.dumps(..., sort_keys=True,
-    indent=2) + "\\n" would lay them out.  Both lists follow the path
-    words' order, sorted once, and every entry is one f-string formatted
-    straight from its vertex, so the whole text is never held at once.
-    path_words labels the ball of radius len(profile) - 1, so every label
-    carries a vertical line unless the profile is empty."""
-    labels = path_words(cycle.center, cycle.profile)
+    """The cycle's JSON text, in chunks, laid out as json.dumps(...,
+    sort_keys=True, indent=2) + "\\n" would lay it out: the horizontal
+    component, the vertical multiplicities (one per vertex, unless the
+    profile is empty) and each vertex's canonical-form data (denom_exp,
+    off, pivots), both lists in path_words' walk order, which is word
+    order.  Each entry is one f-string formatted straight from its
+    vertex, so the whole text is never held at once."""
     profile = cycle.profile
     entries = [(encode_basestring_ascii(word), d, lat)
-               for lat, (word, d) in sorted(labels.items(), key=lambda item: item[1][0])]
+               for word, d, lat in path_words(cycle.center, profile)]
+    center_word = next(word for word, d, _ in entries if d == 0)
     yield (f'{{\n  "horizontal": [\n    {{\n      "count": {cycle.horizontal},\n'
-           f'      "vertex": {encode_basestring_ascii(labels[cycle.center][0])}\n'
+           f'      "vertex": {center_word}\n'
            '    }\n  ],\n  "vertical": [')
     if profile:
         sep = "\n"

@@ -290,7 +290,8 @@ _PLAIN_RATIONAL = re.compile(f"({_NUM})/({_DEN})")
 _PLAIN_RATIONALS = re.compile(f"{_NUM}/{_DEN}(?:\n{_NUM}/{_DEN})*")
 
 
-def _rational(text: str) -> Fraction:
+def parse_rational(text: str) -> Fraction:
+    """Fraction(text), read straight from the digits when plain."""
     plain = _PLAIN_RATIONAL.fullmatch(text)
     if plain is None:
         return Fraction(text)
@@ -305,7 +306,7 @@ def _check_rationals(texts: list) -> None:
         joined.count("\n") != len(texts) - 1 or not _PLAIN_RATIONALS.fullmatch(joined)
     ):
         for text in texts:
-            _rational(text)
+            parse_rational(text)
 
 
 def series_from_json_dict(
@@ -344,7 +345,7 @@ def series_from_json_dict(
                         raise ValueError(f"symbolic coefficient at {n} not supported here")
                     value = symbolic_parser(c)
                 elif keep:
-                    value = _rational(c)
+                    value = parse_rational(c)
                 else:
                     dropped.append(c)
                 # Dropped entries stay as zeros so that FormalSeries

@@ -318,14 +318,15 @@ def sweep_chart_consistency(
                 mismatches.append(Mismatch(m=d, lhs=eq.p_exp, rhs=ms[i]))
             if eq.residual_is_unit() == (d == 0):
                 mismatches.append(Mismatch(m=d, lhs="residual-unit", rhs=d == 0))
-        # Superspecial pairs: every edge with an endpoint in the
-        # support, plus the sampled vertices' edges, mostly well outside it.
-        edges = []  # (depth, (e0, e1), (m2, m0)) per edge, in check order
+        # Superspecial pairs, each checked where it forms: every edge touching
+        # the support, then the sampled vertices', mostly well outside it.
         for i, d in support:
             for _, j, _ in _edges(p, i, d, radius):
                 i0, i2 = (i, j) if ball[i][0].vtype == 0 else (j, i)
-                edges.append((d, localcycles.exponent_pair(hom.sign, rs[i0], rs[i2]),
-                              (ms[i2], ms[i0])))
+                pair = localcycles.exponent_pair(hom.sign, rs[i0], rs[i2])
+                checked += 1
+                if pair != (ms[i2], ms[i0]):
+                    mismatches.append(Mismatch(m=d, lhs=list(pair), rhs=[ms[i2], ms[i0]]))
         for i in sample:
             lat, d = bttree.ball_vertex(center, i)
             nbs = lat.neighbors()
@@ -334,11 +335,10 @@ def sweep_chart_consistency(
                     ((nbs[k], dn), (lat, d))
                 pair = localcycles.superspecial_exponents(hom, lat0, lat2)
                 m0 = localcycles.multiplicity(hom, lat0, d0)
-                edges.append((d, pair, (localcycles.multiplicity(hom, lat2, d2), m0)))
-        for d, pair, mults in edges:
-            checked += 1
-            if pair != mults:
-                mismatches.append(Mismatch(m=d, lhs=list(pair), rhs=list(mults)))
+                mults = (localcycles.multiplicity(hom, lat2, d2), m0)
+                checked += 1
+                if pair != mults:
+                    mismatches.append(Mismatch(m=d, lhs=list(pair), rhs=list(mults)))
     return VerificationReport(
         params={"p": p, "delta": delta, "count": count, "radius": radius},
         checked=checked,

@@ -972,7 +972,8 @@ def cycle_json_text(cycle) -> str:
     labels and the vertices' canonical-form data, rendered by
     json.dumps(sort_keys=True, indent=2), the encoder that the direct
     writer `localcycles.cycle_json_chunks` replaces."""
-    labels = localcycles.path_words(cycle.center, cycle.profile)
+    labels = {lat: (word, d)
+              for word, d, lat in localcycles.path_words(cycle.center, cycle.profile)}
     profile = cycle.profile
     vertical = sorted(
         ({"vertex": w, "mult": profile[d]} for w, d in labels.values() if d < len(profile)),

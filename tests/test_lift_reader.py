@@ -20,9 +20,11 @@ import json
 import os
 import sys
 import tempfile
+from fractions import Fraction
 
 import oracles
-from cyclelift import cli, qseries
+from cyclelift import cli, identity, qseries
+from cyclelift.identity import SymbolicDivisor
 
 SYM = [{"sym": "Zo(3)", "w": "1/2"}, {"sym": "K", "w": "-1/1"}]
 
@@ -122,8 +124,9 @@ CASES = [
 ]
 # Texts that Fraction reads differently across Python versions, or that
 # miss the plain "num/den" form, each at a read and at a dropped exponent.
-for text in ("1.5", "1e2", " 3/4 ", "+3/4", "007/021", "-0/5", "1_000/3",
-             "١/2", "3", "-7", "1/٣", " 1 / 2 ", "3/4\n", "1/2\n3/4", "１/2"):
+OFF_FORM_TEXTS = ("1.5", "1e2", " 3/4 ", "+3/4", "007/021", "-0/5", "1_000/3",
+                  "١/2", "3", "-7", "1/٣", " 1 / 2 ", "3/4\n", "1/2\n3/4", "１/2")
+for text in OFF_FORM_TEXTS:
     CASES.append((f"{text!r} kept", series((2, "1/1"), (8, text)), [], None))
     CASES.append((f"{text!r} dropped", series((2, "1/1"), (7, text)), [], None))
 
@@ -169,6 +172,26 @@ def test_negative_mmax_rejected_before_reading():
     assert (code, out.getvalue(), err.getvalue()) == (
         2, "", "invalid input: --mmax must be at least 0, got -1\n"
     )
+
+
+def outcome(read, text):
+    """read(text), or the type of the exception it raises."""
+    try:
+        return read(text)
+    except Exception as exc:
+        return type(exc)
+
+
+def test_rational_texts_read_as_fraction():
+    """The one rational reader, as a coefficient and as a symbolic
+    weight, gives Fraction(text)'s value or exception type on the texts
+    off the plain form, on plain ones and on ones that raise."""
+    for text in (*OFF_FORM_TEXTS, "7/3", "-2/5", "1/0", "5/000", "x", "",
+                 "1" * 5000 + "/3", "7" * 700 + "/" + "3" * 650):
+        want = outcome(Fraction, text)
+        assert outcome(qseries.parse_rational, text) == want, text
+        weight = outcome(lambda t: identity.parse_symbolic_entries([{"sym": "K", "w": t}]), text)
+        assert weight == (want if isinstance(want, type) else SymbolicDivisor({("K",): want})), text
 
 
 # SHA-256 of `lift --kappa 3 --level 35 --t 2` on pinned_series(); the

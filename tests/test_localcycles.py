@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from cyclelift import bttree
 from cyclelift.bttree import VertexLattice, ball_size, distance, standard_lattices, tree_ball
 from cyclelift.errors import (
     CycleLiftError,
@@ -642,10 +643,39 @@ def test_path_words_match_bfs_reference(p, kind, seed):
     lam0 = standard_lattices(ctx)[0]
     assert distance(lam0, cycle.center) == k
     keys = {cycle.center.key} | {lat.key for lat in cycle.vertical}
-    labels = path_words(cycle.center, cycle.profile)
+    labels = {lat: (word, d) for word, d, lat in path_words(cycle.center, cycle.profile)}
     words = {lat.key: word for lat, (word, _) in labels.items()}
     assert words == oracles.path_words_bfs(lam0, keys, radius_cap=depth)
     assert all(d == distance(lat, cycle.center) for lat, (_, d) in labels.items())
+
+
+
+@pytest.mark.parametrize("p, delta", [(3, -10), (11, -14), (13, -2)])
+@pytest.mark.parametrize("k", [0, 3])
+def test_path_words_walk_once_in_word_order(p, delta, k, monkeypatch):
+    """path_words yields its words in strictly increasing order, so the
+    writer needs no sort, and builds no lattice twice: a vertex's
+    children leave its parent out, unbuilt.  On orthogonal cycles of
+    radius 2 centred on Lambda0 (k = 0) and at distance 3 from it, whose
+    words hold indices 10 and up for p >= 11."""
+    ctx = LocalContext(p=p, delta_sq=delta)
+    cycle = orthogonal_cycle(OrthEndo.from_eigenvector(3, vector_with_ord(ctx, random.Random(p), k)))
+    assert distance(standard_lattices(ctx)[0], cycle.center) == k
+    built, child = [], bttree._child
+
+    def recording_child(*args):
+        lat = child(*args)
+        built.append(lat.key)
+        return lat
+
+    monkeypatch.setattr(bttree, "_child", recording_child)
+    walk = list(path_words(cycle.center, cycle.profile))
+    words = [word for word, _, _ in walk]
+    assert all(a < b for a, b in zip(words, words[1:]))
+    assert len(set(built)) == len(built) >= len(walk) - (k == 0)
+    assert {lat.key for _, _, lat in walk} == {lat.key for lat in cycle.vertical}
+    if p >= 11:
+        assert any(".10" in word or word.startswith("10") for word in words)
 
 
 # The largest support, in vertices, of a cycle drawn for the writer test.
