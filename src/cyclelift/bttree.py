@@ -33,15 +33,17 @@ against the canonical form, cross-checks the r that `coordinates` and
 the descent below give, and `hyperbolic_basis` hands the exact basis
 out as padic.VectorC.
 
-`ball_r_invariants` streams b's r-invariant at every vertex of a ball
-without building the ball: the two numerators move to a child's by one
-integer step each (coordinate descent), and each carries its
-valuation, which p N raises by one and N0 - alpha N1 keeps unless
-v(N0) = v(N1).  `ball_vertex` builds the one vertex at a given index
-of `tree_ball`'s order: the centre's exact basis walks the child path
-that the index spells out by the same integer moves as `neighbors`, and
-only the last basis is canonicalised, so a sweep that samples a ball by
-index builds one lattice per sample and no ball.
+`sphere_r_invariants` streams b's r-invariants over a ball, one list
+per sphere, without building the ball: the two numerators move to a
+child's by one integer step each (coordinate descent), and each carries
+its valuation, which p N raises by one and N0 - alpha N1 keeps unless
+v(N0) = v(N1), so where they differ the p - 1 unit-alpha children share
+one r and are handled as one block.  `ball_vertex` builds the one
+vertex at a given index of `tree_ball`'s order: the centre's exact
+basis walks the child path that the index spells out by the same
+integer moves as `neighbors`, and only the last basis is canonicalised,
+so a sweep that samples a ball by index builds one lattice per sample
+and no ball.
 """
 
 from __future__ import annotations
@@ -416,13 +418,14 @@ def ball_size(p: int, radius: int) -> int:
     return 1 + (p + 1) * (p ** max(radius, 0) - 1) // (p - 1)
 
 
-def ball_r_invariants(
+def sphere_r_invariants(
     center: VertexLattice, b: VectorC, radius: int
-) -> Iterator[tuple[int, int]]:
-    """(lat.r_invariant(b), d) for each (lat, d) of tree_ball(center,
-    radius), in its order, by coordinate descent from the centre's exact
-    basis, with no lattice built past the centre.  A bad centre or a zero
-    b raises here, before the first (r, d).
+) -> Iterator[list[int]]:
+    """For each sphere d = 0 ... radius of tree_ball(center, radius), the
+    list of lat.r_invariant(b) over its vertices, in the ball's order, by
+    coordinate descent from the centre's exact basis, with no lattice
+    built past the centre.  A bad centre or a zero b raises here, before
+    the first sphere.
 
     With the basis (k; a, c, bb, dd) and b = p^-e (b0 v0 + b1 v1), the
     numerators N0 = dd b0 - bb b1 and N1 = a b1 - c b0 give
@@ -435,41 +438,58 @@ def ball_r_invariants(
     return _descend(center.ctx.p, vt, shift, n0, n1, radius)
 
 
-def _descend(p: int, ptype: int, shift: int, n0, n1, radius: int) -> Iterator[tuple[int, int]]:
-    """ball_r_invariants past its checks: no frontier past the last sphere."""
-    yield shift + min(n0[2], n1[2]), 0
+def _descend(p: int, ptype: int, shift: int, n0, n1, radius: int) -> Iterator[list[int]]:
+    """sphere_r_invariants past its checks.  Each frontier entry is a
+    vertex's (N0, N1, parent position); the last sphere builds none.
+
+    Where v(N0) != v(N1), every unit alpha gives N0 - alpha N1 the
+    valuation low = min(v(N0), v(N1)) < v(p N1), so the p - 1 unit-alpha
+    children share the r of `low` and enter the frontier as one entry
+    with N0 known by its valuation alone.  No step below them reads N0's
+    integers: each such child, and each vertex under it, has its parent
+    at index 0 (so no infinity child) and v(N0) < v(N1), and takes only
+    the alpha = 0 step, which keeps N0, and this block step again."""
+    yield [shift + min(n0[2], n1[2])]
+    units = p - 1
     frontier = [(n0, n1, None)]
     for depth in range(1, radius + 1):
         if ptype == 2:
             shift -= 1
         ptype = 2 - ptype
-        nxt = [] if depth < radius else None
+        last = depth == radius
+        sphere, nxt = [], []
         for n0, n1, parent in frontier:
             x0, y0, v0 = n0
             x1, y1, v1 = n1
             pv1 = v1 + 1
-            pn1 = (p * x1, p * y1, pv1)
+            if not last:
+                pn1 = (p * x1, p * y1, pv1)
             if parent != 0:
                 pv0 = v0 + 1
-                yield shift + (pv0 if pv0 < v1 else v1), depth
-                if nxt is not None:
+                sphere.append(shift + (pv0 if pv0 < v1 else v1))
+                if not last:
                     nxt.append(((p * x0, p * y0, pv0), n1, 1))
             if parent != 1:  # alpha = 0 keeps N0
-                yield shift + (v0 if v0 < pv1 else pv1), depth
-                if nxt is not None:
+                sphere.append(shift + (v0 if v0 < pv1 else pv1))
+                if not last:
                     nxt.append((n0, pn1, 0))
-            # N0 - alpha N1 for a unit alpha: its valuation is the
-            # smaller one unless v(N0) = v(N1).
-            low = v0 if v0 < v1 else v1
-            for alpha in range(1, p):
-                x, y = x0 - alpha * x1, y0 - alpha * y1
-                if v0 == v1:
-                    low = pval(p, x, y)
-                    if low is None:
-                        low = _NO_VAL
-                yield shift + (low if low < pv1 else pv1), depth
-                if nxt is not None:
+            if v0 != v1:
+                low = v0 if v0 < v1 else v1
+                sphere += [shift + low] * units
+                if not last:
+                    nxt += [((None, None, low), pn1, 0)] * units
+                continue
+            x, y = x0, y0
+            for _ in range(units):
+                x -= x1
+                y -= y1
+                low = pval(p, x, y)
+                if low is None:
+                    low = _NO_VAL
+                sphere.append(shift + (low if low < pv1 else pv1))
+                if not last:
                     nxt.append(((x, y, low), pn1, 0))
+        yield sphere
         frontier = nxt
 
 

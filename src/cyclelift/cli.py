@@ -50,12 +50,12 @@ CYCLE_VERTEX_CAP = 200_000
 # Largest count of ball vertices that a tree sweep of `verify` visits, as
 # its registry entry in sweeps.SWEEPS counts them.  On one Xeon core,
 # local-compare at p = 11, --alpha-max 3 (425,144 vertices) takes about
-# 0.4-0.7 s and 24 MB peak RSS, and chart at p = 13, --count 2 --radius 5
-# (866,350) about 0.4-0.7 s and 23 MB; each further alpha or radius
-# multiplies the count by about p.  Chart also builds and solves the ball
-# out to one sphere past each cycle's support, which the count leaves
-# out: at p = 17, --radius 3 (138,175) it takes about 1.3-1.8 s.  The
-# kinds that walk no tree carry their own caps in sweeps.SWEEPS.
+# 0.1-0.2 s and 23 MB peak RSS, and r-formula and chart at p = 13,
+# --count 2 --radius 5 (866,350) about 0.1-0.2 s and 22 MB; each further
+# alpha or radius multiplies the count by about p.  Chart also builds and
+# solves the ball out to one sphere past each cycle's support, which the
+# count leaves out: at p = 17, --radius 3 (138,175) it takes about 0.8 s.
+# The kinds that walk no tree carry their own caps in sweeps.SWEEPS.
 VERIFY_VERTEX_CAP = 1_000_000
 
 # Radii above this are counted as this radius: even at p = 3 its ball

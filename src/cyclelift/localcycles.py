@@ -141,9 +141,18 @@ def multiplicity(hom: SpecialHom, lat: VertexLattice, depth: int | None = None) 
     A caller that already knows d (a ball enumeration around the
     central lattice) passes it as `depth`; the membership test stays an
     independent exact solve either way."""
-    if lat.r_invariant(hom.vec) < 0:
+    r = lat.r_invariant(hom.vec)
+    if r < 0:
         return 0
-    d = distance(lat, hom.central()) if depth is None else depth
+    return multiplicity_from_r(hom, r, distance(lat, hom.central()) if depth is None else depth)
+
+
+def multiplicity_from_r(hom: SpecialHom, r: int, d: int) -> int:
+    """The vertical multiplicity at a vertex where the vector has
+    r-invariant r, at tree distance d from the central lattice: zero for
+    r < 0 (the vector is not in the lattice), else mult_from_depth."""
+    if r < 0:
+        return 0
     m = mult_from_depth(hom.ord_qpm, d)
     if m < 0:
         raise AssertionError("negative multiplicity with membership; formula bug")

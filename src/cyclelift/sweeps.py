@@ -142,9 +142,11 @@ def sweep_r_formula(
     p: int, delta: int, count: int, radius: int, rng: random.Random
 ) -> VerificationReport:
     """Coordinate-descent r-invariants against the distance formula on
-    full balls around the central lattice.  Direct membership
-    (`r_invariant`) cross-checks the descent at the last vertex of each
-    sphere, a geodesic from the centre; those checks are not counted."""
+    full balls around the central lattice, a sphere at a time: a sphere
+    whose r all equal the formula's is one count, and only a sphere that
+    misses is read vertex by vertex.  Direct membership (`r_invariant`)
+    cross-checks the descent at the last vertex of each sphere, a
+    geodesic from the centre; those checks are not counted."""
     ctx = LocalContext(p=p, delta_sq=delta)
     mismatches = []
     checked = 0
@@ -152,14 +154,15 @@ def sweep_r_formula(
         vec = random_anisotropic_vector(ctx, rng)
         ordq = qform(vec)
         center = bttree.central_lattice(vec)
-        expected = [localcycles.mult_from_depth(ordq, d) for d in range(radius + 1)]
         geodesic, crossed = _geodesic(center, radius), []
-        for i, (r, d) in enumerate(bttree.ball_r_invariants(center, vec, radius)):
-            checked += 1
-            if r != expected[d]:
-                mismatches.append(Mismatch(m=checked, lhs=r, rhs=expected[d]))
-            if i in geodesic and (direct := geodesic[i].r_invariant(vec)) != r:
-                crossed.append(Mismatch(m=checked, lhs=direct, rhs=r))
+        for d, rs in enumerate(bttree.sphere_r_invariants(center, vec, radius)):
+            want = localcycles.mult_from_depth(ordq, d)
+            if rs.count(want) != len(rs):
+                mismatches += [Mismatch(m=checked + k, lhs=r, rhs=want)
+                               for k, r in enumerate(rs, 1) if r != want]
+            checked += len(rs)
+            if (direct := geodesic[d].r_invariant(vec)) != rs[-1]:
+                crossed.append(Mismatch(m=checked, lhs=direct, rhs=rs[-1]))
         mismatches += crossed
     return VerificationReport(
         params={"p": p, "delta": delta, "count": count, "radius": radius},
@@ -168,12 +171,11 @@ def sweep_r_formula(
     )
 
 
-def _geodesic(center, radius: int) -> dict:
+def _geodesic(center, radius: int) -> list:
     """The last vertex of each sphere of tree_ball(center, radius), a
-    geodesic from the centre, keyed by its index in that ball and built
-    alone by `ball_vertex`."""
-    ends = (bttree.ball_size(center.ctx.p, d) - 1 for d in range(radius + 1))
-    return {i: bttree.ball_vertex(center, i)[0] for i in ends}
+    geodesic from the centre, by depth, each built alone by `ball_vertex`."""
+    p = center.ctx.p
+    return [bttree.ball_vertex(center, bttree.ball_size(p, d) - 1)[0] for d in range(radius + 1)]
 
 
 def sweep_local_compare(
@@ -188,8 +190,10 @@ def sweep_local_compare(
     counts must be 1 + 1 = 2 at the shared central lattice, and the
     residue horizontal polynomials must match up to a unit.
 
-    Membership on the ball comes by coordinate descent, so the ball is
-    never built; `multiplicity`, with its own `r_invariant` and tree
+    Membership on the ball comes by coordinate descent, a sphere at a
+    time, so the ball is never built: the two descents' lists of a sphere
+    are read side by side, and only a sphere whose sums miss is read entry
+    by entry.  `multiplicity`, with its own `r_invariant` and tree
     distance, re-checks a spot sample of vertices built by index."""
     ctx = LocalContext(p=p, delta_sq=delta)
     mismatches = []
@@ -211,19 +215,21 @@ def sweep_local_compare(
             mult_m = [localcycles.mult_from_depth(hm.ord_qpm, d) for d in range(radius + 1)]
             expected = [max(alpha - d, 0) for d in range(radius + 1)]
             # Direct membership cross-checks both descents on one geodesic
-            # per ball; those checks are not counted.
+            # per ball, the last vertex of each sphere; those checks are not
+            # counted.
             geodesic, crossed_p, crossed_m = _geodesic(center, radius), [], []
-            descents = zip(bttree.ball_r_invariants(center, hp.vec, radius),
-                           bttree.ball_r_invariants(center, hm.vec, radius))
-            for i, ((rp, d), (rm, _)) in enumerate(descents):
-                checked += 1
-                total = (mult_p[d] if rp >= 0 else 0) + (mult_m[d] if rm >= 0 else 0)
-                if total != expected[d]:
-                    mismatches.append(Mismatch(m=d, lhs=total, rhs=expected[d]))
-                if i in geodesic:
-                    for hom, r, crossed in ((hp, rp, crossed_p), (hm, rm, crossed_m)):
-                        if (direct := geodesic[i].r_invariant(hom.vec)) != r:
-                            crossed.append(Mismatch(m=d, lhs=direct, rhs=r))
+            descents = zip(bttree.sphere_r_invariants(center, hp.vec, radius),
+                           bttree.sphere_r_invariants(center, hm.vec, radius))
+            for d, (rps, rms) in enumerate(descents):
+                mp, mm, want = mult_p[d], mult_m[d], expected[d]
+                totals = [(mp if rp >= 0 else 0) + (mm if rm >= 0 else 0)
+                          for rp, rm in zip(rps, rms)]
+                checked += len(totals)
+                if totals.count(want) != len(totals):
+                    mismatches += [Mismatch(m=d, lhs=t, rhs=want) for t in totals if t != want]
+                for hom, r, crossed in ((hp, rps[-1], crossed_p), (hm, rms[-1], crossed_m)):
+                    if (direct := geodesic[d].r_invariant(hom.vec)) != r:
+                        crossed.append(Mismatch(m=d, lhs=direct, rhs=r))
             mismatches += crossed_p + crossed_m
             # Exercise the multiplicity op, with its own membership test and
             # tree distance, on a spot sample of vertices built by index.
@@ -287,10 +293,11 @@ def sweep_chart_consistency(
     support must reproduce the multiplicities of both components (a
     sample of empty edges is checked for the trivial (0, 0) case).
 
-    The support comes by coordinate descent over the radius ball.
-    Lattices are built only out to one sphere past the support's
-    deepest vertex, each solved once (`r_invariant` and `multiplicity`),
-    and a support edge reads its far end off that ball by index.  The
+    The support comes by coordinate descent over the radius ball, as
+    ball indices gathered sphere by sphere.  Lattices are built only out
+    to one sphere past the support's deepest vertex, each solved once
+    (`r_invariant`, whose r and depth give `multiplicity_from_r`), and a
+    support edge reads its far end off that ball by index.  The
     6 sampled vertices are built alone, with their neighbours, and
     their edges go through `superspecial_exponents`."""
     ctx = LocalContext(p=p, delta_sq=delta)
@@ -299,8 +306,11 @@ def sweep_chart_consistency(
     for _ in range(count):
         hom = random_special_hom(ctx, rng, _CHART_ORD_MAX)
         center = hom.central()
-        descent = enumerate(bttree.ball_r_invariants(center, hom.vec, radius))
-        support = [(i, d) for i, (r, d) in descent if r >= 0]
+        # The support as (ball index, depth), sphere by sphere.
+        support, offset = [], 0
+        for d, sphere in enumerate(bttree.sphere_r_invariants(center, hom.vec, radius)):
+            support += [(offset + k, d) for k, r in enumerate(sphere) if r >= 0]
+            offset += len(sphere)
         # The edges of 6 vertices drawn from the whole ball are checked too;
         # the draw needs no lattice, so it comes before any is built.
         size = bttree.ball_size(p, radius)
@@ -310,7 +320,7 @@ def sweep_chart_consistency(
         # deepest vertex only.
         ball = bttree.tree_ball(center, min(support[-1][1] + 1, radius) if support else 0)
         rs = [lat.r_invariant(hom.vec) for lat, _ in ball]
-        ms = [localcycles.multiplicity(hom, lat, d) for lat, d in ball]
+        ms = [localcycles.multiplicity_from_r(hom, r, d) for r, (_, d) in zip(rs, ball)]
         for i, d in support:
             checked += 1
             eq = localcycles.ordinary_equation(hom, ball[i][0])

@@ -5,8 +5,8 @@ object-path Bruhat-Tits tree core on it, breadth-first searches for
 tree distance and path-word labels, the `cycle` output rendered by the
 json encoder, the whole-file series reader, the L-value at s = 1 by
 Gauss sums (numerically) and by the 2^(number of prime factors)
-rational, the local-compare and chart sweeps that build every ball
-vertex and test its membership directly, and the remark-identity
+rational, the r-formula, local-compare and chart sweeps that build
+every ball vertex and test its membership directly, and the remark-identity
 verifier with every weight a Fraction in true units.
 
 These deliberately avoid the code paths they check.
@@ -19,7 +19,7 @@ from math import gcd, isqrt
 
 from dataclasses import dataclass
 
-from cyclelift import localcycles, sweeps
+from cyclelift import bttree, localcycles, sweeps
 from cyclelift.errors import CycleLiftError, DegenerateVectorError, HypothesisError
 from cyclelift.identity import Mismatch, SymbolicDivisor, VerificationReport
 from cyclelift.numth import is_prime, kronecker
@@ -30,7 +30,7 @@ from cyclelift.qseries import (
     op_phi_set,
     series_difference_support,
 )
-from cyclelift.padic import LocalContext
+from cyclelift.padic import LocalContext, qform
 from cyclelift.quadfield import (
     QuadField,
     check_discriminant_hypotheses,
@@ -1091,14 +1091,35 @@ def lvalue_series_rational(field: QuadField, d_b: int) -> Fraction:
 
 
 # -- the ball-walking sweeps --------------------------------------------------
-# sweeps.sweep_local_compare and sweeps.sweep_chart_consistency as they were
-# before coordinate descent: the same draws, checks and report, with every
+# sweeps.sweep_r_formula, sweeps.sweep_local_compare and
+# sweeps.sweep_chart_consistency as they were before coordinate descent:
+# the same draws, checks and report, with every
 # vertex of the ball built (by the key-deduplicating tree_ball above, so no
 # child is found by index) and its membership taken from its own
 # r_invariant.  SPOT_CHECKS and CHART_ORD_MAX are the sweeps' sample sizes.
 
 SPOT_CHECKS = 12
 CHART_ORD_MAX = 4
+
+
+def r_formula_by_ball(p: int, delta: int, count: int, radius: int, rng) -> VerificationReport:
+    ctx = LocalContext(p=p, delta_sq=delta)
+    mismatches = []
+    checked = 0
+    for _ in range(count):
+        vec = sweeps.random_anisotropic_vector(ctx, rng)
+        ordq = qform(vec)
+        for lat, d in tree_ball(bttree.central_lattice(vec), radius):
+            checked += 1
+            r = lat.r_invariant(vec)
+            expected = localcycles.mult_from_depth(ordq, d)
+            if r != expected:
+                mismatches.append(Mismatch(m=checked, lhs=r, rhs=expected))
+    return VerificationReport(
+        params={"p": p, "delta": delta, "count": count, "radius": radius},
+        checked=checked,
+        mismatches=mismatches,
+    )
 
 
 def local_compare_by_ball(p: int, delta: int, alpha_max: int, rng) -> VerificationReport:

@@ -7,11 +7,11 @@ import pytest
 from cyclelift import bttree
 from cyclelift.bttree import (
     VertexLattice,
-    ball_r_invariants,
     ball_size,
     ball_vertex,
     central_lattice,
     distance,
+    sphere_r_invariants,
     standard_lattices,
     tree_ball,
 )
@@ -227,7 +227,7 @@ class TestRInvariant:
         with pytest.raises(DegenerateVectorError):
             LAM0.r_invariant(vec(CTX, (0, 0), (0, 0)))
         with pytest.raises(DegenerateVectorError):
-            ball_r_invariants(LAM0, vec(CTX, (0, 0), (0, 0)), 1)
+            sphere_r_invariants(LAM0, vec(CTX, (0, 0), (0, 0)), 1)
         with pytest.raises(DegenerateVectorError):
             LAM0.coordinates(vec(CTX, (0, 0), (0, 0)))
 
@@ -512,7 +512,65 @@ def coarse_vector(tctx, rng, precision):
     return None if b.is_zero() else b
 
 
+def descent(center, b, radius):
+    """sphere_r_invariants flattened to (r, d), one per vertex, in
+    tree_ball order."""
+    return [(r, d) for d, rs in enumerate(sphere_r_invariants(center, b, radius)) for r in rs]
+
+
+def unit_alpha_path(lat, b):
+    """How the descent takes r at the unit-alpha children of `lat`:
+    "block" where v(N0) != v(N1), so that all p - 1 share one r, and
+    "raised" where v(N0) = v(N1) and some unit alpha has
+    v(N0 - alpha N1) > v(N0), so that child's r is not its siblings'
+    (None for v(N0) = v(N1) with no such alpha).  The coefficients that
+    `coordinates` gives are N0 and N1 over p^min(v(N0), v(N1))."""
+    _, c0, c1 = lat.coordinates(b)
+    if c0.valuation() != c1.valuation():
+        return "block"
+    p = lat.ctx.p
+    if any(c0.sub(c1.mul_int(alpha)).residue() == (0, 0) for alpha in range(1, p)):
+        return "raised"
+    return None
+
+
 class TestBallRInvariants:
+    def test_one_list_per_sphere(self):
+        for p, delta, radius in ((3, -1, 5), (5, -2, 4), (7, -1, 3), (11, -1, 3)):
+            ctx = LocalContext(p=p, delta_sq=delta)
+            rng = random.Random(p)
+            for _ in range(4):
+                b = random_vector(ctx, rng)
+                center = central_lattice(random_vector(ctx, rng))
+                lengths = [len(rs) for rs in sphere_r_invariants(center, b, radius)]
+                assert lengths == [1] + [ball_size(p, d) - ball_size(p, d - 1)
+                                         for d in range(1, radius + 1)]
+
+    def test_both_unit_alpha_paths_on_inner_and_last_spheres(self):
+        # Each path feeds children on the last sphere, which the descent
+        # builds no frontier for, and on an inner one, whose frontier it
+        # carries on to the next sphere.
+        for p, delta in ((3, -1), (5, -2), (11, -1)):
+            ctx = LocalContext(p=p, delta_sq=delta)
+            rng = random.Random(200 + p)
+            radius = 3
+            seen = set()
+            for _ in range(100):
+                b = random_vector(ctx, rng)
+                center = central_lattice(random_vector(ctx, rng))
+                ball = tree_ball(center, radius)
+                paths = {(path, d + 1 == radius)
+                         for lat, d in ball[:ball_size(p, radius - 1)]
+                         if (path := unit_alpha_path(lat, b)) is not None}
+                if paths - seen:
+                    assert descent(center, b, radius) == [
+                        (lat.r_invariant(b), d) for lat, d in ball], (p, center.key)
+                    seen |= paths
+                if len(seen) == 4:
+                    break
+            assert seen == {(path, last) for path in ("block", "raised")
+                            for last in (False, True)}, p
+
     def test_matches_membership_in_ball_order(self):
         # Central lattices of both types (canonical bases), a ball vertex
         # (an inherited basis), and Lambda0, Lambda0'; vectors with skewed
@@ -533,7 +591,7 @@ class TestBallRInvariants:
                 for lat in (center, inherited) + standard_lattices(ctx):
                     for b in (random_vector(ctx, rng), w.scale_p_power(rng.randrange(-3, 3))):
                         want = [(v.r_invariant(b), d) for v, d in tree_ball(lat, radius)]
-                        assert list(ball_r_invariants(lat, b, radius)) == want, (p, lat.key)
+                        assert descent(lat, b, radius) == want, (p, lat.key)
 
     def test_never_guesses(self):
         # Coordinates known to 1..precision digits: wherever the truncated
@@ -561,7 +619,7 @@ class TestBallRInvariants:
                         want = None
                     for _ in range(3):
                         b_exact = lift(ctx, b, rng)
-                        rs = list(ball_r_invariants(center, b_exact, radius))
+                        rs = descent(center, b_exact, radius)
                         assert rs == [(lat.r_invariant(b_exact), d) for lat, d in ball]
                         if want is not None:
                             assert rs == want
@@ -585,22 +643,23 @@ class TestBallRInvariants:
             )
         for x1, r in ((27, 1), (81, 2), (0, 2)):
             b = vec(ctx, (1, 0), (x1, 0))
-            assert list(ball_r_invariants(lat, b, 0)) == [(r, 0)] == [(lat.r_invariant(b), 0)]
-            assert list(ball_r_invariants(lat, b, 2)) == [
+            assert descent(lat, b, 0) == [(r, 0)] == [(lat.r_invariant(b), 0)]
+            assert descent(lat, b, 2) == [
                 (v.r_invariant(b), d) for v, d in tree_ball(lat, 2)
             ]
 
     def test_the_descent_holds_no_ball(self):
-        # The descent streams its (r, d): over a radius-4 ball at p = 13
+        # The descent streams its spheres: over a radius-4 ball at p = 13
         # (33,321 vertices) it keeps the numerators of the spheres before
-        # the last, about 0.5 MiB.  The ball as a list peaks near 8.6 MiB,
-        # and numerators kept for the last sphere too near 6.6 MiB.
+        # the last and one sphere's list of r, about 0.35 MiB.  The ball as
+        # a list peaks near 8.6 MiB, and numerators kept for the last
+        # sphere too near 6.6 MiB.
         ctx = LocalContext(p=13, delta_sq=-2)
         b = random_vector(ctx, random.Random(13))
         center = central_lattice(b)
         tracemalloc.start()
         try:
-            count = sum(1 for _ in ball_r_invariants(center, b, 4))
+            count = sum(len(rs) for rs in sphere_r_invariants(center, b, 4))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
