@@ -1,5 +1,7 @@
 """Elementary exact number theory: factorization, Kronecker/Jacobi
-symbols, and Hilbert symbols over the rationals.
+symbols, and Hilbert symbols over the rationals.  A Hilbert symbol
+reads each rational argument n/d, in lowest terms, as the integer n*d
+of its square class; an int is its own.
 
 Everything here is desk-scale by contract: trial division, deliberate
 and not a placeholder, takes inputs up to _MAX_FACTOR_INPUT.
@@ -14,7 +16,6 @@ from typing import Iterator, Union
 INFINITY = "infinity"
 
 Place = Union[int, str]
-Rational = Union[int, Fraction]
 
 # Largest input of `factorize`, and so of `is_prime`.  Trial division
 # costs about sqrt(n): on one Xeon core a prime near 10**12 takes 0.05 s,
@@ -129,41 +130,23 @@ def kronecker(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def _val_and_unit(x: Rational, p: int) -> tuple[int, Fraction]:
-    """Write x = p^v * u with u a p-adic unit; returns (v, u)."""
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("valuation of 0 requested")
-    num, den = x.numerator, x.denominator
+def _split(n: int, p: int) -> tuple[int, int]:
+    """Write the nonzero integer n = p^v * u with p not dividing u; returns (v, u)."""
     v = 0
-    while num % p == 0:
-        num //= p
+    while n % p == 0:
+        n //= p
         v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v, Fraction(num, den)
+    return v, n
 
 
-def _legendre_of_unit(u: Fraction, p: int) -> int:
-    # Legendre symbol of a p-adic unit given as a fraction, p odd.
-    return kronecker(u.numerator, p) * kronecker(u.denominator, p)
-
-
-def _mod_odd(u: Fraction, m: int) -> int:
-    # Residue of a 2-adic unit fraction modulo m (m a power of 2).
-    return u.numerator * pow(u.denominator, -1, m) % m
-
-
-def hilbert_symbol(a: Rational, b: Rational, place: Place) -> int:
+def hilbert_symbol(a: int | Fraction, b: int | Fraction, place: Place) -> int:
     """Hilbert symbol (a, b)_v over Q at a finite prime or at infinity.
 
     Returns +1 iff z^2 = a x^2 + b y^2 has a nontrivial solution over
     the completion at `place`.  Raises ValueError on zero arguments or
     an invalid place.
     """
-    a = Fraction(a)
-    b = Fraction(b)
+    a, b = a.numerator * a.denominator, b.numerator * b.denominator
     if a == 0 or b == 0:
         raise ValueError("hilbert_symbol requires nonzero arguments")
     if place == INFINITY:
@@ -171,20 +154,20 @@ def hilbert_symbol(a: Rational, b: Rational, place: Place) -> int:
     if not isinstance(place, int) or place < 2 or not is_prime(place):
         raise ValueError(f"invalid place {place!r}")
     p = place
-    alpha, u = _val_and_unit(a, p)
-    beta, v = _val_and_unit(b, p)
+    alpha, u = _split(a, p)
+    beta, v = _split(b, p)
     if p != 2:
         sign = 1
         if (alpha * beta) % 2 == 1 and p % 4 == 3:
             sign = -sign
         if beta % 2 == 1:
-            sign *= _legendre_of_unit(u, p)
+            sign *= kronecker(u, p)
         if alpha % 2 == 1:
-            sign *= _legendre_of_unit(v, p)
+            sign *= kronecker(v, p)
         return sign
     # p = 2: closed epsilon/omega formula.
-    u8 = _mod_odd(u, 8)
-    v8 = _mod_odd(v, 8)
+    u8 = u % 8
+    v8 = v % 8
     eps_u = (u8 - 1) // 2 % 2
     eps_v = (v8 - 1) // 2 % 2
     om_u = (u8 * u8 - 1) // 8 % 2
@@ -193,12 +176,10 @@ def hilbert_symbol(a: Rational, b: Rational, place: Place) -> int:
     return -1 if exponent % 2 == 1 else 1
 
 
-def hilbert_places(a: Rational, b: Rational) -> list[Place]:
+def hilbert_places(a: int | Fraction, b: int | Fraction) -> list[Place]:
     """Places where (a, b)_v can be nontrivial: infinity, 2, and the odd
     primes dividing the numerator or denominator of a or b."""
     places: set[int] = {2}
-    for x in (Fraction(a), Fraction(b)):
-        for n in (x.numerator, x.denominator):
-            for q, _ in factorize(abs(n)):
-                places.add(q)
+    for x in (a, b):
+        places.update(factorize(abs(x.numerator * x.denominator)).primes)
     return [INFINITY] + sorted(places)

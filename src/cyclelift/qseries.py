@@ -289,11 +289,22 @@ _NUM, _DEN = r"-?[0-9]{1,640}", r"(?=0*[1-9])[0-9]{1,640}"
 _PLAIN_RATIONAL = re.compile(f"({_NUM})/({_DEN})")
 _PLAIN_RATIONALS = re.compile(f"{_NUM}/{_DEN}(?:\n{_NUM}/{_DEN})*")
 
+# Fraction(text) builds 10**|e| for a decimal exponent e, in time that
+# grows with |e|.  A text whose power would have more digits than
+# Python's default int-to-str limit is refused before it is built.
+_DIGIT_LIMIT = 4300
+_EXPONENT = r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z"
+
 
 def parse_rational(text: str) -> Fraction:
-    """Fraction(text), read straight from the digits when plain."""
+    """Fraction(text), read straight from the digits when plain; a text
+    whose decimal exponent would pass _DIGIT_LIMIT is a ValueError."""
     plain = _PLAIN_RATIONAL.fullmatch(text)
     if plain is None:
+        exponent = re.search(_EXPONENT, text)
+        if exponent and abs(int(exponent[1])) >= _DIGIT_LIMIT:
+            raise ValueError(f"the exponent of {text!r} makes a power of 10 of more "
+                             f"than {_DIGIT_LIMIT} digits")
         return Fraction(text)
     return Fraction(int(plain[1]), int(plain[2]))
 

@@ -19,6 +19,7 @@ from cyclelift.numth import (
     INFINITY,
     divisors,
     factorize,
+    hilbert_places,
     hilbert_symbol,
     is_prime,
     kronecker,
@@ -232,18 +233,10 @@ def lvalue_closed_form(field: QuadField, d_b: int) -> Fraction:
 def auxiliary_prime_profile_ok(field: QuadField, p: int, q: int) -> bool:
     """Check the full Hilbert-symbol profile of (-p*q, Delta): the
     symbol must be -1 exactly at infinity and p, and +1 at every other
-    place (only 2, q and primes dividing Delta can be nontrivial)."""
-    a = -p * q
-    b = field.delta
-    places = {2, p, q}
-    places.update(factorize(-field.delta).primes)
-    if hilbert_symbol(a, b, INFINITY) != -1:
-        return False
-    for ell in sorted(places):
-        expected = -1 if ell == p else 1
-        if hilbert_symbol(a, b, ell) != expected:
-            return False
-    return True
+    place of `hilbert_places`."""
+    a, b = -p * q, field.delta
+    return all(hilbert_symbol(a, b, place) == (-1 if place in (INFINITY, p) else 1)
+               for place in hilbert_places(a, b))
 
 
 def auxiliary_split_prime(field: QuadField, p: int, bound: int = 10**5) -> int:

@@ -34,7 +34,7 @@ RHO_DELTAS = (-2, -6, -10, -14, -22, -26)
 
 # The most checks that each kind walking no tree runs.  At its cap, on one
 # Xeon core: rho at Delta = -2 takes about 0.2 s (its two tables), hilbert
-# about 8 s, remark-identity about 0.9 s at Delta = -74, D_B = 119 (40
+# about 2 s, remark-identity about 0.9 s at Delta = -74, D_B = 119 (40
 # embedding classes, the most for |Delta| <= 100, D_B <= 500) and 0.3 s at
 # Delta = -10, D_B = 51, and main-identity at most 0.5 s; each grows at
 # least linearly with the count.
@@ -128,9 +128,11 @@ def sweep_hilbert(count: int, rng: random.Random) -> VerificationReport:
     for i in range(count):
         a = Fraction(rng.randint(-99, 99) or 1, rng.randint(1, 99))
         b = Fraction(rng.randint(-99, 99) or 1, rng.randint(1, 99))
+        # The symbols read only the square classes: n*d of reduced n/d.
+        sa, sb = a.numerator * a.denominator, b.numerator * b.denominator
         product = 1
-        for place in hilbert_places(a, b):
-            product *= hilbert_symbol(a, b, place)
+        for place in hilbert_places(sa, sb):
+            product *= hilbert_symbol(sa, sb, place)
         if product != 1:
             mismatches.append(Mismatch(m=i, lhs=f"({a},{b})", rhs=product))
     return VerificationReport(

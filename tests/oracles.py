@@ -1014,10 +1014,23 @@ def tree_ball(center: ObjectLattice, radius: int) -> list[tuple[ObjectLattice, i
 # -- the reference series reader --------------------------------------------
 
 
+def _fraction(text: str) -> Fraction:
+    """Fraction(text), but refused first when its decimal exponent e, the
+    text after the last e or E, gives a 10**|e| of more than 4300 digits."""
+    head, _, tail = text.replace("E", "e").rpartition("e")
+    try:
+        exponent = int(tail)
+    except ValueError:
+        exponent = 0
+    if head and abs(exponent) >= 4300:
+        raise ValueError(f"the exponent of {text!r} makes a power of 10 of more than 4300 digits")
+    return Fraction(text)
+
+
 def series_from_json_dict(data: dict, symbolic_parser=None) -> FormalSeries:
-    """The whole series, every coefficient through Fraction(str): the
-    reader that cyclelift.qseries.series_from_json_dict must agree with
-    on every input, with or without its square_class."""
+    """The whole series, every coefficient through Fraction(str) with its
+    exponent bounded: the reader that cyclelift.qseries.series_from_json_dict
+    must agree with on every input, with or without its square_class."""
 
     def exponent(value, what):
         if isinstance(value, bool) or not isinstance(value, int):
@@ -1031,7 +1044,7 @@ def series_from_json_dict(data: dict, symbolic_parser=None) -> FormalSeries:
             n = exponent(entry["n"], "exponent")
             c = entry["c"]
             if isinstance(c, str):
-                coeffs[n] = Fraction(c)
+                coeffs[n] = _fraction(c)
             elif symbolic_parser is not None:
                 coeffs[n] = symbolic_parser(c)
             else:

@@ -203,7 +203,7 @@ WEIGHTS = rarely(st.sampled_from(["1/2", "-1/1", "0/1"]),
 TEXTS = rarely(
     st.tuples(st.integers(-9, 9), st.integers(1, 9)).map("{0[0]}/{0[1]}".format),
     st.sampled_from(["1/0", "0/0", "x", "", "/", "3/-4", "1e5", "1.5", " 2 ", "1_0",
-                     "٣", "0x10", "1e-3", "-7"]), 20)
+                     "٣", "0x10", "1e-3", "-7", "1e10000000", "1e-10000000"]), 20)
 COEFFS = rarely(
     rarely(TEXTS, st.lists(st.fixed_dictionaries({"sym": SYMBOLS, "w": WEIGHTS}), max_size=3)),
     st.sampled_from([3, 1.5, None, True, {}, {"sym": "K", "w": "1/1"}]), 20)

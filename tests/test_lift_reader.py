@@ -121,6 +121,12 @@ CASES = [
     ("long digits kept", series((2, "7" * 700 + "/" + "3" * 650)), [], 0),
     ("long denominator dropped", series((3, "1/" + "0" * 700 + "1")), [], 0),
     ("zero denominator with leading zeros", series((3, "5/000")), [], 2),
+    # An exponent whose power of 10 passes the digit limit is refused
+    # before that power is built, read or dropped.
+    ("exponent 1e10000000 kept", series((2, "1/1"), (8, "1e10000000")), [], 2),
+    ("exponent 1e10000000 dropped", series((2, "1/1"), (7, "1e10000000")), [], 2),
+    ("exponent 1e-10000000 kept", series((2, "1/1"), (8, "1e-10000000")), [], 2),
+    ("exponent 1e-10000000 dropped", series((2, "1/1"), (7, "1e-10000000")), [], 2),
 ]
 # Texts that Fraction reads differently across Python versions, or that
 # miss the plain "num/den" form, each at a read and at a dropped exponent.

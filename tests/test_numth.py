@@ -141,6 +141,7 @@ class TestHilbert:
                 got = hilbert_symbol(a, b, place)
                 assert got == hilbert_symbol(b, a, place)
                 assert got == hilbert_bruteforce(a, b, place), (a, b, place)
+                assert got == hilbert_symbol(a.numerator * a.denominator, b, place)
 
     def test_reciprocity_random(self):
         rng = random.Random(4)

@@ -8,15 +8,23 @@ instead trip local-compare's negative-multiplicity assertion.)  Chart
 takes the vector's r at its support vertices and their neighbours from
 r_invariant, so the same fault shows in its multiplicities and edge
 pairs; and every chart edge, in the support or sampled, takes its
-exponent pair from `localcycles.exponent_pair`."""
+exponent pair from `localcycles.exponent_pair`.
+
+The hilbert sweep's one check is reciprocity over `hilbert_places`; a
+symbol negated at the place 3 breaks it for every pair that lists 3."""
 
 import json
 import random
 
 import pytest
 
-from cyclelift import bttree, localcycles
-from cyclelift.sweeps import sweep_chart_consistency, sweep_local_compare, sweep_r_formula
+from cyclelift import bttree, localcycles, sweeps
+from cyclelift.sweeps import (
+    sweep_chart_consistency,
+    sweep_hilbert,
+    sweep_local_compare,
+    sweep_r_formula,
+)
 
 
 def entries(*rows):
@@ -89,3 +97,21 @@ def test_every_chart_edge_takes_the_library_exponent_pair(monkeypatch):
     report = sweep_chart_consistency(3, -10, 2, 3, random.Random(1))
     assert (report.checked, len(vertices)) == (137, 22)
     assert [m.lhs for m in report.mismatches] == [[-1, -1]] * (report.checked - len(vertices))
+
+
+def test_hilbert_reports_every_pair_its_fault_reaches(monkeypatch):
+    # The places are those of each pair in lowest terms: 6/3 lists 2, not 3.
+    symbol = sweeps.hilbert_symbol
+    monkeypatch.setattr(sweeps, "hilbert_symbol",
+                        lambda a, b, place: -symbol(a, b, place) if place == 3 else symbol(a, b, place))
+    rng = random.Random(1)
+    report = sweep_hilbert(400, rng)
+    assert (report.checked, len(report.mismatches)) == (400, 300)
+    assert [(m.m, m.lhs, m.rhs) for m in report.mismatches[:3]] == [
+        (0, "(-65/73,32/3)", -1), (1, "(-17/8,27/98)", -1), (6, "(-1/3,-41/76)", -1)]
+    # Four draws a pair, whatever the symbols say.
+    replay = random.Random(1)
+    for _ in range(400):
+        for low in (-99, 1, -99, 1):
+            replay.randint(low, 99)
+    assert rng.getstate() == replay.getstate()
