@@ -6,7 +6,7 @@ The grid: every odd prime p <= 109, each with the first two Delta of
 samples at the largest radius whose ball holds at most 20,000 vertices;
 local-compare runs at the largest --alpha-max that visits fewer than
 40,000 vertices (twice the radius-(alpha + 2) ball per alpha).  That is
-168 sweeps, about 25 s on a 2-core Xeon.
+168 sweeps, about 17 s on a 2-core Xeon.
 
     python ci/tree_grid.py
 

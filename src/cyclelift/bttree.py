@@ -38,7 +38,9 @@ per sphere, without building the ball: the two numerators move to a
 child's by one integer step each (coordinate descent), and each carries
 its valuation, which p N raises by one and N0 - alpha N1 keeps unless
 v(N0) = v(N1), so where they differ the p - 1 unit-alpha children share
-one r and are handled as one block.  `ball_vertex` builds the one
+one r and are handled as one block.  `sphere_numerators` hands each
+sphere's numerators over with its r, so a sweep reads b's coordinates at
+every ball vertex off the same walk.  `ball_vertex` builds the one
 vertex at a given index of `tree_ball`'s order: the centre's exact
 basis walks the child path that the index spells out by the same
 integer moves as `neighbors`, and only the last basis is canonicalised,
@@ -433,14 +435,57 @@ def sphere_r_invariants(
     (N0, N1) to (p N0, N1) and child alpha to (N0 - alpha N1, p N1);
     each child has v(det) + 1, and k + 1 under a type-0 parent.
     """
-    vt = center.require_vertex()
+    return (rs for rs, _ in _descend(center, b, radius, False))
+
+
+def sphere_numerators(
+    center: VertexLattice, b: VectorC, radius: int
+) -> Iterator[tuple[list[int], list[tuple]]]:
+    """sphere_r_invariants with each sphere's numerators: (rs, nums), where
+    nums[k] is the (N0, N1, parent position) that the descent carries for
+    the sphere's vertex k, each numerator (x, y, v) with v = v(x + y delta)
+    (_NO_VAL for zero), so that `coordinates` at that vertex of tree_ball
+    gives ci = Ni / p^min(v(N0), v(N1)).  In a unit-alpha block N0 is
+    (None, None, v): only its valuation is known, and it is below v(N1).
+    The descent itself needs no numerators on the last sphere, so they
+    come there only when it holds a vertex with r >= 0 (else its nums is
+    empty)."""
+    return _descend(center, b, radius, True)
+
+
+def _descend(center: VertexLattice, b: VectorC, radius: int, numerators: bool):
+    """The centre's numerators, read at once (so a bad centre or a zero b
+    raises before the first sphere), and a generator of each sphere's
+    (rs, frontier) out to `radius`, the frontier being its vertices'
+    (N0, N1, parent position).  The last sphere builds none, unless
+    `numerators` asks for them and it holds an r >= 0: it is then made
+    again, with them."""
+    ptype = center.require_vertex()
     shift, n0, n1 = _numerators(center, b)
-    return _descend(center.ctx.p, vt, shift, n0, n1, radius)
+    return _spheres(center.ctx.p, ptype, shift, n0, n1, radius, numerators)
 
 
-def _descend(p: int, ptype: int, shift: int, n0, n1, radius: int) -> Iterator[list[int]]:
-    """sphere_r_invariants past its checks.  Each frontier entry is a
-    vertex's (N0, N1, parent position); the last sphere builds none.
+def _spheres(p: int, ptype: int, shift: int, n0, n1, radius: int, numerators: bool):
+    """_descend's generator, from the centre's type, shift and numerators."""
+    frontier = [(n0, n1, None)]
+    sphere = [shift + min(n0[2], n1[2])]
+    yield sphere, frontier
+    for depth in range(1, radius + 1):
+        if ptype == 2:
+            shift -= 1
+        ptype = 2 - ptype
+        sphere, nxt = _sphere(p, shift, frontier, depth < radius)
+        if depth == radius and numerators and max(sphere) >= 0:
+            sphere, nxt = _sphere(p, shift, frontier, True)
+        yield sphere, nxt
+        frontier = nxt
+
+
+def _sphere(p: int, shift: int, frontier: list, build: bool) -> tuple[list, list]:
+    """The r list of the sphere whose parents make up `frontier`, each
+    entry a vertex's (N0, N1, parent position), and the sphere's own
+    frontier if `build` (else an empty list), `shift` being the sphere's
+    k - e - v(det).
 
     Where v(N0) != v(N1), every unit alpha gives N0 - alpha N1 the
     valuation low = min(v(N0), v(N1)) < v(p N1), so the p - 1 unit-alpha
@@ -449,48 +494,40 @@ def _descend(p: int, ptype: int, shift: int, n0, n1, radius: int) -> Iterator[li
     integers: each such child, and each vertex under it, has its parent
     at index 0 (so no infinity child) and v(N0) < v(N1), and takes only
     the alpha = 0 step, which keeps N0, and this block step again."""
-    yield [shift + min(n0[2], n1[2])]
     units = p - 1
-    frontier = [(n0, n1, None)]
-    for depth in range(1, radius + 1):
-        if ptype == 2:
-            shift -= 1
-        ptype = 2 - ptype
-        last = depth == radius
-        sphere, nxt = [], []
-        for n0, n1, parent in frontier:
-            x0, y0, v0 = n0
-            x1, y1, v1 = n1
-            pv1 = v1 + 1
-            if not last:
-                pn1 = (p * x1, p * y1, pv1)
-            if parent != 0:
-                pv0 = v0 + 1
-                sphere.append(shift + (pv0 if pv0 < v1 else v1))
-                if not last:
-                    nxt.append(((p * x0, p * y0, pv0), n1, 1))
-            if parent != 1:  # alpha = 0 keeps N0
-                sphere.append(shift + (v0 if v0 < pv1 else pv1))
-                if not last:
-                    nxt.append((n0, pn1, 0))
-            if v0 != v1:
-                low = v0 if v0 < v1 else v1
-                sphere += [shift + low] * units
-                if not last:
-                    nxt += [((None, None, low), pn1, 0)] * units
-                continue
-            x, y = x0, y0
-            for _ in range(units):
-                x -= x1
-                y -= y1
-                low = pval(p, x, y)
-                if low is None:
-                    low = _NO_VAL
-                sphere.append(shift + (low if low < pv1 else pv1))
-                if not last:
-                    nxt.append(((x, y, low), pn1, 0))
-        yield sphere
-        frontier = nxt
+    sphere, nxt = [], []
+    for n0, n1, parent in frontier:
+        x0, y0, v0 = n0
+        x1, y1, v1 = n1
+        pv1 = v1 + 1
+        if build:
+            pn1 = (p * x1, p * y1, pv1)
+        if parent != 0:
+            pv0 = v0 + 1
+            sphere.append(shift + (pv0 if pv0 < v1 else v1))
+            if build:
+                nxt.append(((p * x0, p * y0, pv0), n1, 1))
+        if parent != 1:  # alpha = 0 keeps N0
+            sphere.append(shift + (v0 if v0 < pv1 else pv1))
+            if build:
+                nxt.append((n0, pn1, 0))
+        if v0 != v1:
+            low = v0 if v0 < v1 else v1
+            sphere += [shift + low] * units
+            if build:
+                nxt += [((None, None, low), pn1, 0)] * units
+            continue
+        x, y = x0, y0
+        for _ in range(units):
+            x -= x1
+            y -= y1
+            low = pval(p, x, y)
+            if low is None:
+                low = _NO_VAL
+            sphere.append(shift + (low if low < pv1 else pv1))
+            if build:
+                nxt.append(((x, y, low), pn1, 0))
+    return sphere, nxt
 
 
 def _numerators(lat: VertexLattice, b: VectorC) -> tuple:

@@ -52,9 +52,10 @@ CYCLE_VERTEX_CAP = 200_000
 # local-compare at p = 11, --alpha-max 3 (425,144 vertices) takes about
 # 0.1-0.2 s and 23 MB peak RSS, and r-formula and chart at p = 13,
 # --count 2 --radius 5 (866,350) about 0.1-0.2 s and 22 MB; each further
-# alpha or radius multiplies the count by about p.  Chart also builds and
-# solves the ball out to one sphere past each cycle's support, which the
-# count leaves out: at p = 17, --radius 3 (138,175) it takes about 0.8 s.
+# alpha or radius multiplies the count by about p.  Chart reads its support
+# off the descent that the count counts: just under the cap, at p = 17,
+# --delta 10 --count 180 --radius 3 (994,860), chart takes about 0.3-0.4 s
+# and r-formula about 0.1-0.2 s.
 # The kinds that walk no tree carry their own caps in sweeps.SWEEPS.
 VERIFY_VERTEX_CAP = 1_000_000
 

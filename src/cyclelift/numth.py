@@ -57,8 +57,7 @@ def factorize(n: int) -> Factorization:
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
-    if n > _MAX_FACTOR_INPUT:
-        raise ValueError(f"{n} is above the cap of {_MAX_FACTOR_INPUT} on trial division")
+    _require_under_cap(n)
     factors = []
     m = n
     d = 2
@@ -76,8 +75,24 @@ def factorize(n: int) -> Factorization:
 
 
 def is_prime(n: int) -> bool:
-    """Primality by trial division, so n is at most _MAX_FACTOR_INPUT."""
-    return n >= 2 and factorize(n).factors == ((n, 1),)
+    """Primality by trial division, which stops at the first divisor; n
+    is at most _MAX_FACTOR_INPUT, as for `factorize`."""
+    _require_under_cap(n)
+    if n < 3:
+        return n == 2
+    if n % 2 == 0:
+        return False
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def _require_under_cap(n: int) -> None:
+    if n > _MAX_FACTOR_INPUT:
+        raise ValueError(f"{n} is above the cap of {_MAX_FACTOR_INPUT} on trial division")
 
 
 def is_squarefree(n: int) -> bool:

@@ -295,50 +295,59 @@ def sweep_chart_consistency(
     support must reproduce the multiplicities of both components (a
     sample of empty edges is checked for the trivial (0, 0) case).
 
-    The support comes by coordinate descent over the radius ball, as
-    ball indices gathered sphere by sphere.  Lattices are built only out
-    to one sphere past the support's deepest vertex, each solved once
-    (`r_invariant`, whose r and depth give `multiplicity_from_r`), and a
-    support edge reads its far end off that ball by index.  The
-    6 sampled vertices are built alone, with their neighbours, and
-    their edges go through `superspecial_exponents`."""
+    Everything over the support comes by coordinate descent, and no ball
+    is built.  The numerators that the descent carries to a vertex are
+    those `coordinates` reads there, so the p-exponent is r (r + 1 for
+    the plus sign at a type-0 vertex), and the residual factor is a unit
+    where v(N0) != v(N1), or else where p^(2m + 1) divides x1 y0 - x0 y1
+    (m the common valuation); they are read only where r >= 0, out to the
+    support's deepest sphere.  An edge's pair reads the type-2 end's r in
+    its first entry and the type-0 end's in its second, so each vertex has
+    an end test against its own multiplicity, taken per distinct r of a
+    sphere: when the spheres either side of a support sphere pass too,
+    all its edges are counted at once, and only a sphere that misses reads
+    its edges one by one off the ball index (`_edges`).  Direct
+    membership (`r_invariant`) and `ordinary_equation` cross-check the
+    descent's r, p-exponent and residual flag on one geodesic per ball,
+    the last vertex of each sphere; those checks are not counted.  The 6
+    sampled vertices are built alone, with their neighbours, and their
+    edges go through `superspecial_exponents`."""
     ctx = LocalContext(p=p, delta_sq=delta)
     mismatches = []
     checked = 0
     for _ in range(count):
         hom = random_special_hom(ctx, rng, _CHART_ORD_MAX)
         center = hom.central()
-        # The support as (ball index, depth), sphere by sphere.
-        support, offset = [], 0
-        for d, sphere in enumerate(bttree.sphere_r_invariants(center, hom.vec, radius)):
-            support += [(offset + k, d) for k, r in enumerate(sphere) if r >= 0]
-            offset += len(sphere)
         # The edges of 6 vertices drawn from the whole ball are checked too;
         # the draw needs no lattice, so it comes before any is built.
         size = bttree.ball_size(p, radius)
         sample = rng.sample(range(size), min(6, size))
-        # The support is a ball around the centre, and tree_ball's order
-        # is breadth first: build lattices out to the sphere past its
-        # deepest vertex only.
-        ball = bttree.tree_ball(center, min(support[-1][1] + 1, radius) if support else 0)
-        rs = [lat.r_invariant(hom.vec) for lat, _ in ball]
-        ms = [localcycles.multiplicity_from_r(hom, r, d) for r, (_, d) in zip(rs, ball)]
-        for i, d in support:
-            checked += 1
-            eq = localcycles.ordinary_equation(hom, ball[i][0])
-            if eq.p_exp != ms[i]:
-                mismatches.append(Mismatch(m=d, lhs=eq.p_exp, rhs=ms[i]))
-            if eq.residual_is_unit() == (d == 0):
-                mismatches.append(Mismatch(m=d, lhs="residual-unit", rhs=d == 0))
-        # Superspecial pairs, each checked where it forms: every edge touching
-        # the support, then the sampled vertices', mostly well outside it.
-        for i, d in support:
-            for _, j, _ in _edges(p, i, d, radius):
-                i0, i2 = (i, j) if ball[i][0].vtype == 0 else (j, i)
-                pair = localcycles.exponent_pair(hom.sign, rs[i0], rs[i2])
-                checked += 1
-                if pair != (ms[i2], ms[i0]):
-                    mismatches.append(Mismatch(m=d, lhs=list(pair), rhs=[ms[i2], ms[i0]]))
+        ctype = center.vtype
+        geodesic, at_vertices, on_edges, crossed = _geodesic(center, radius), [], [], []
+        # Each sphere's r by depth, kept from d - 2 on for the edges of
+        # sphere d - 1, and the deepest support sphere so far.
+        spheres, deepest = {}, -1
+        for d, (rs, nums) in enumerate(bttree.sphere_numerators(center, hom.vec, radius)):
+            spheres[d] = rs
+            bump = 1 if hom.sign == localcycles.PLUS and (ctype, 2 - ctype)[d % 2] == 0 else 0
+            if (direct := geodesic[d].r_invariant(hom.vec)) != rs[-1]:
+                crossed.append(Mismatch(m=d, lhs=direct, rhs=rs[-1]))
+            if rs[-1] >= 0:
+                eq = localcycles.ordinary_equation(hom, geodesic[d])
+                for lhs, rhs in ((eq.p_exp, rs[-1] + bump),
+                                 (eq.residual_is_unit(), _residual_is_unit(p, *nums[-1][:2]))):
+                    if lhs != rhs:
+                        crossed.append(Mismatch(m=d, lhs=lhs, rhs=rhs))
+            if d and deepest == d - 1:
+                checked += _support_edges(hom, ctype, radius, d - 1, spheres, on_edges)
+            spheres.pop(d - 2, None)
+            if max(rs) >= 0:
+                deepest = d
+                checked += _support_vertices(hom, d, bump, rs, nums, at_vertices)
+        if deepest == radius:
+            checked += _support_edges(hom, ctype, radius, radius, spheres, on_edges)
+        mismatches += at_vertices + on_edges
+        # The sampled vertices' edges, mostly well outside the support.
         for i in sample:
             lat, d = bttree.ball_vertex(center, i)
             nbs = lat.neighbors()
@@ -351,11 +360,72 @@ def sweep_chart_consistency(
                 checked += 1
                 if pair != mults:
                     mismatches.append(Mismatch(m=d, lhs=list(pair), rhs=list(mults)))
+        mismatches += crossed
     return VerificationReport(
         params={"p": p, "delta": delta, "count": count, "radius": radius},
         checked=checked,
         mismatches=mismatches,
     )
+
+
+def _support_vertices(hom, d, bump, rs, nums, misses) -> int:
+    """Check the p-exponent r + bump and the residual flag at each support
+    vertex of sphere d, from the sphere's r and numerators, each mismatch
+    appended to misses; the multiplicity is taken once per distinct r.
+    Returns the count of vertices checked."""
+    p, checked = hom.vec.ctx.p, 0
+    mults = {r: localcycles.multiplicity_from_r(hom, r, d) for r in set(rs) if r >= 0}
+    for r, (n0, n1, _) in zip(rs, nums):
+        if r >= 0:
+            checked += 1
+            if r + bump != mults[r]:
+                misses.append(Mismatch(m=d, lhs=r + bump, rhs=mults[r]))
+            if _residual_is_unit(p, n0, n1) == (d == 0):
+                misses.append(Mismatch(m=d, lhs="residual-unit", rhs=d == 0))
+    return checked
+
+
+def _support_edges(hom, ctype, radius, d, spheres, misses) -> int:
+    """Check every edge of sphere d's support vertices, `spheres` holding the
+    r of each sphere from d - 1 to d + 1 inside the radius, by depth, and
+    ctype being the centre's type.  An edge's pair takes its first entry
+    from the type-2 end's r and its second from the type-0 end's, and each
+    must equal that end's multiplicity: when every r of the three spheres
+    passes the test of its end, every edge passes, and the sphere's edges
+    are counted at once.  Else each edge is read off the ball index
+    (`_edges`), its mismatch appended to misses.  Returns the count of
+    edges checked."""
+    p, rs = hom.vec.ctx.p, spheres[d]
+    if all(localcycles.exponent_pair(hom.sign, r, r)[(ctype, 2 - ctype)[e % 2] == 0] ==
+           localcycles.multiplicity_from_r(hom, r, e)
+           for e in range(max(d - 1, 0), min(d + 1, radius) + 1) for r in set(spheres[e])):
+        # The parent, and the p children (p + 1 at the centre) inside the radius.
+        members = len(rs) - sum(rs.count(r) for r in set(rs) if r < 0)
+        return ((d > 0) + (p + (d == 0) if d < radius else 0)) * members
+    vtype, checked = (ctype, 2 - ctype)[d % 2], 0
+    first = bttree.ball_size(p, d - 1) if d else 0
+    for k, r in enumerate(rs):
+        if r < 0:
+            continue
+        for _, j, dn in _edges(p, first + k, d, radius):
+            rj = spheres[dn][j - (bttree.ball_size(p, dn - 1) if dn else 0)]
+            (r0, d0), (r2, d2) = ((r, d), (rj, dn)) if vtype == 0 else ((rj, dn), (r, d))
+            pair = localcycles.exponent_pair(hom.sign, r0, r2)
+            mults = (localcycles.multiplicity_from_r(hom, r2, d2),
+                     localcycles.multiplicity_from_r(hom, r0, d0))
+            checked += 1
+            if pair != mults:
+                misses.append(Mismatch(m=d, lhs=list(pair), rhs=list(mults)))
+    return checked
+
+
+def _residual_is_unit(p: int, n0, n1) -> bool:
+    """OrdinaryEquation.residual_is_unit at a vertex where b has the
+    numerators n0 and n1 (as `sphere_numerators` gives them): c = N / p^m
+    for m = min(v(N0), v(N1)) has one entry = 0 mod p where the valuations
+    differ, and else p | c1.x c0.y - c0.x c1.y; conjugation only negates it."""
+    (x0, y0, v0), (x1, y1, v1) = n0, n1
+    return v0 != v1 or (x1 * y0 - x0 * y1) % p ** (2 * v0 + 1) == 0
 
 
 def _edges(p: int, i: int, d: int, radius: int):

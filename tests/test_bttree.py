@@ -11,6 +11,7 @@ from cyclelift.bttree import (
     ball_vertex,
     central_lattice,
     distance,
+    sphere_numerators,
     sphere_r_invariants,
     standard_lattices,
     tree_ball,
@@ -545,6 +546,37 @@ class TestBallRInvariants:
                 lengths = [len(rs) for rs in sphere_r_invariants(center, b, radius)]
                 assert lengths == [1] + [ball_size(p, d) - ball_size(p, d - 1)
                                          for d in range(1, radius + 1)]
+
+    def test_numerators_are_the_coordinates(self):
+        # At every vertex, sphere_numerators' N0 and N1 over p^min(v) are
+        # the coefficients that `coordinates` gives at that tree_ball
+        # vertex (N0 by its valuation alone in a unit-alpha block), beside
+        # sphere_r_invariants' r; the last sphere's come only where it
+        # holds an r >= 0, else that sphere's list is empty.
+        last_kinds = set()
+        for p, delta, radius in ((3, -1, 4), (5, -2, 3), (11, -1, 2)):
+            ctx = LocalContext(p=p, delta_sq=delta)
+            rng = random.Random(300 + p)
+            for k in range(8):
+                b = random_vector(ctx, rng)
+                center = central_lattice(b if k % 2 else random_vector(ctx, rng))
+                ball = tree_ball(center, radius)
+                spheres = list(sphere_numerators(center, b, radius))
+                assert [rs for rs, _ in spheres] == list(sphere_r_invariants(center, b, radius))
+                rs, nums = spheres[-1]
+                last_kinds.add(bool(nums))
+                assert bool(nums) == (max(rs) >= 0)
+                flat = [(r, numbers) for rs, nums in spheres for r, numbers in zip(rs, nums)]
+                for (lat, _), (r, (n0, n1, _)) in zip(ball, flat):
+                    want_r, c0, c1 = lat.coordinates(b)
+                    m = min(n0[2], n1[2])
+                    assert want_r == r
+                    assert (c1.x, c1.y) == (n1[0] // p**m, n1[1] // p**m)
+                    if n0[0] is None:
+                        assert c0.valuation() == n0[2] - m and n0[2] < n1[2]
+                    else:
+                        assert (c0.x, c0.y) == (n0[0] // p**m, n0[1] // p**m)
+        assert last_kinds == {False, True}
 
     def test_both_unit_alpha_paths_on_inner_and_last_spheres(self):
         # Each path feeds children on the last sphere, which the descent

@@ -45,6 +45,16 @@ class TestFactorize:
             with pytest.raises(ValueError, match=f"{_MAX_FACTOR_INPUT + 1} is above the cap"):
                 f(_MAX_FACTOR_INPUT + 1)
 
+    def test_is_prime_agrees_with_factorize(self):
+        # is_prime stops at the first divisor and builds no factorization;
+        # it says what the factorization would, below 2 included.
+        for n in range(-3, 20_000):
+            assert is_prime(n) == (n >= 2 and factorize(n).factors == ((n, 1),)), n
+        huge = 2305843009213693951  # a 61-bit prime
+        with pytest.raises(ValueError, match=f"^{huge} is above the cap of {_MAX_FACTOR_INPUT} "
+                                             "on trial division$"):
+            is_prime(huge)
+
     @given(st.integers(min_value=1, max_value=10**6))
     @settings(max_examples=200, deadline=None)
     def test_reconstruction_and_ordering(self, n):

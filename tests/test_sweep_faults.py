@@ -5,9 +5,11 @@ coordinate descent on one geodesic of every ball.  With r_invariant
 patched to return r - 1 the two disagree at every geodesic vertex, and
 the reports below pin each mismatch entry, in order.  (r + 1 would
 instead trip local-compare's negative-multiplicity assertion.)  Chart
-takes the vector's r at its support vertices and their neighbours from
-r_invariant, so the same fault shows in its multiplicities and edge
-pairs; and every chart edge, in the support or sampled, takes its
+reads r, the p-exponent and the residual flag over its support off the
+descent, so the same fault shows at its geodesic cross-check, where
+`r_invariant` and `ordinary_equation` run on their own; its 6 sampled
+vertices, which take r from r_invariant at both ends of each edge, miss
+it at this seed.  Every chart edge, in the support or sampled, takes its
 exponent pair from `localcycles.exponent_pair`.
 
 The hilbert sweep's one check is reciprocity over `hilbert_places`; a
@@ -18,6 +20,7 @@ import random
 
 import pytest
 
+import oracles
 from cyclelift import bttree, localcycles, sweeps
 from cyclelift.sweeps import (
     sweep_chart_consistency,
@@ -57,9 +60,10 @@ LOCAL_COMPARE = {
 
 CHART = {
     "checked": 137,
-    "mismatches": entries((1, 1, 0), (1, 1, 0), (1, 1, 0), (1, 1, 0)) + [
-        {"lhs": "[0, 0]", "m": d, "rhs": "[1, 0]"} for d in (0, 0, 0, 0, 1, 1, 1, 1)
-    ] + entries((0, 1, 0)),
+    "mismatches": entries(
+        (0, 0, 1), (1, -1, 0), (2, -1, 0), (3, -2, -1),
+        (0, -1, 0), (1, -1, 0), (2, -2, -1), (3, -2, -1),
+    ),
     "params": {"count": 2, "delta": -10, "p": 3, "radius": 3},
 }
 
@@ -86,17 +90,47 @@ def test_chart_reports_every_membership_fault(r_invariant_one_low):
 
 
 def test_every_chart_edge_takes_the_library_exponent_pair(monkeypatch):
-    # Each support vertex is checked once through ordinary_equation; every
-    # other check is an edge, and with exponent_pair returning a pair no
-    # multiplicity matches, each edge reports exactly one mismatch.
+    # Each of the 22 support vertices is checked once; every other check is
+    # an edge, and with exponent_pair returning a pair no multiplicity
+    # matches, each edge reports exactly one mismatch.  ordinary_equation
+    # runs only at the support vertices of the two geodesics, 3 and 2.
     vertices = []
     equation = localcycles.ordinary_equation
     monkeypatch.setattr(localcycles, "ordinary_equation",
                         lambda hom, lat: vertices.append(lat) or equation(hom, lat))
     monkeypatch.setattr(localcycles, "exponent_pair", lambda sign, r, rp: (-1, -1))
     report = sweep_chart_consistency(3, -10, 2, 3, random.Random(1))
-    assert (report.checked, len(vertices)) == (137, 22)
-    assert [m.lhs for m in report.mismatches] == [[-1, -1]] * (report.checked - len(vertices))
+    assert (report.checked, len(vertices)) == (137, 5)
+    assert [m.lhs for m in report.mismatches] == [[-1, -1]] * (report.checked - 22)
+
+
+def test_chart_builds_no_ball(monkeypatch):
+    def no_ball(center, radius):
+        raise AssertionError("chart built a ball")
+
+    monkeypatch.setattr(bttree, "tree_ball", no_ball)
+    report = sweep_chart_consistency(5, -2, 3, 3, random.Random(2))
+    assert report.checked > 0 and report.ok
+
+
+def test_chart_reports_a_multiplicity_fault_as_the_ball_walk_does(monkeypatch):
+    # With the formula one too high at depth 2 only, the spheres whose
+    # checks touch depth 2 are read vertex by vertex and edge by edge, and
+    # their entries come in the order of the ball walk; sphere 0's edges
+    # still pass as one count.  The cross-check compares the descent with
+    # r_invariant and ordinary_equation, not with the formula, so it adds
+    # nothing.
+    formula = localcycles.mult_from_depth
+    monkeypatch.setattr(localcycles, "mult_from_depth", lambda o, d: formula(o, d) + (d == 2))
+    rng, ref_rng = random.Random(4), random.Random(4)
+    report = sweep_chart_consistency(5, -2, 3, 3, rng)
+    reference = oracles.chart_by_ball(5, -2, 3, 3, ref_rng)
+    assert report.to_json_dict() == reference.to_json_dict()
+    assert rng.getstate() == ref_rng.getstate()
+    depths = {m.m for m in report.mismatches}
+    assert {1, 2, 3} <= depths and 0 not in depths
+    assert any(isinstance(m.lhs, int) for m in report.mismatches)
+    assert any(isinstance(m.lhs, list) for m in report.mismatches)
 
 
 def test_hilbert_reports_every_pair_its_fault_reaches(monkeypatch):
