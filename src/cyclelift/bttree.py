@@ -38,9 +38,11 @@ per sphere, without building the ball: the two numerators move to a
 child's by one integer step each (coordinate descent), and each carries
 its valuation, which p N raises by one and N0 - alpha N1 keeps unless
 v(N0) = v(N1), so where they differ the p - 1 unit-alpha children share
-one r and are handled as one block.  `sphere_numerators` hands each
-sphere's numerators over with its r, so a sweep reads b's coordinates at
-every ball vertex off the same walk.  `ball_vertex` builds the one
+one r and are handled as one block.  The subtree under such a child is
+flat: the p^k vertices k spheres below it share one r, and the descent
+carries them as one run.  `sphere_numerators` hands each sphere's
+numerators over with its r, so a sweep reads b's coordinates at every
+ball vertex off the same walk.  `ball_vertex` builds the one
 vertex at a given index of `tree_ball`'s order: the centre's exact
 basis walks the child path that the index spells out by the same
 integer moves as `neighbors`, and only the last basis is canonicalised,
@@ -433,7 +435,10 @@ def sphere_r_invariants(
     numerators N0 = dd b0 - bb b1 and N1 = a b1 - c b0 give
     r = k - e - v(det) + min(v(N0), v(N1)).  The infinity child maps
     (N0, N1) to (p N0, N1) and child alpha to (N0 - alpha N1, p N1);
-    each child has v(det) + 1, and k + 1 under a type-0 parent.
+    each child has v(det) + 1, and k + 1 under a type-0 parent.  A flat
+    subtree, where every r is known, is carried as one run (see
+    `_sphere`), so the descent's Python steps scale with the vertices
+    outside such runs, not with the ball.
     """
     return (rs for rs, _ in _descend(center, b, radius, False))
 
@@ -445,77 +450,93 @@ def sphere_numerators(
     nums[k] is the (N0, N1, parent position) that the descent carries for
     the sphere's vertex k, each numerator (x, y, v) with v = v(x + y delta)
     (_NO_VAL for zero), so that `coordinates` at that vertex of tree_ball
-    gives ci = Ni / p^min(v(N0), v(N1)).  In a unit-alpha block N0 is
-    (None, None, v): only its valuation is known, and it is below v(N1).
-    The descent itself needs no numerators on the last sphere, so they
-    come there only when it holds a vertex with r >= 0 (else its nums is
-    empty)."""
-    return _descend(center, b, radius, True)
+    gives ci = Ni / p^min(v(N0), v(N1)).  In a unit-alpha block, and at
+    every vertex of a flat run below one (alpha = 0 children included),
+    N0 is (None, None, v): only its valuation is known, and it is below
+    v(N1).  A run hands over one tuple per vertex, the same tuple repeated.
+    The last sphere's numerators come only when it holds a vertex with
+    r >= 0 (else its nums is empty)."""
+    for depth, (rs, frontier) in enumerate(_descend(center, b, radius, True)):
+        nums = []
+        if depth < radius or max(rs) >= 0:
+            for n0, n1, parent, count in frontier:
+                nums += [(n0, n1, parent)] * count
+        yield rs, nums
 
 
 def _descend(center: VertexLattice, b: VectorC, radius: int, numerators: bool):
     """The centre's numerators, read at once (so a bad centre or a zero b
     raises before the first sphere), and a generator of each sphere's
-    (rs, frontier) out to `radius`, the frontier being its vertices'
-    (N0, N1, parent position).  The last sphere builds none, unless
-    `numerators` asks for them and it holds an r >= 0: it is then made
-    again, with them."""
+    (rs, frontier) out to `radius`, the frontier being its entries'
+    (N0, N1, parent position, count) as `_sphere` takes them.  The last
+    sphere's frontier is made only if `numerators` asks for it (else it is
+    empty)."""
     ptype = center.require_vertex()
     shift, n0, n1 = _numerators(center, b)
     return _spheres(center.ctx.p, ptype, shift, n0, n1, radius, numerators)
 
 
 def _spheres(p: int, ptype: int, shift: int, n0, n1, radius: int, numerators: bool):
-    """_descend's generator, from the centre's type, shift and numerators."""
-    frontier = [(n0, n1, None)]
-    sphere = [shift + min(n0[2], n1[2])]
-    yield sphere, frontier
+    """_descend's generator, from the centre's type, shift and numerators.
+    Each sphere is made in one `_sphere` pass: the last builds its
+    frontier only for `numerators`, which runs keep small."""
+    frontier = [(n0, n1, None, 1)]
+    yield [shift + min(n0[2], n1[2])], frontier
     for depth in range(1, radius + 1):
         if ptype == 2:
             shift -= 1
         ptype = 2 - ptype
-        sphere, nxt = _sphere(p, shift, frontier, depth < radius)
-        if depth == radius and numerators and max(sphere) >= 0:
-            sphere, nxt = _sphere(p, shift, frontier, True)
-        yield sphere, nxt
-        frontier = nxt
+        sphere, frontier = _sphere(p, shift, frontier, numerators or depth < radius)
+        yield sphere, frontier
 
 
 def _sphere(p: int, shift: int, frontier: list, build: bool) -> tuple[list, list]:
-    """The r list of the sphere whose parents make up `frontier`, each
-    entry a vertex's (N0, N1, parent position), and the sphere's own
-    frontier if `build` (else an empty list), `shift` being the sphere's
-    k - e - v(det).
+    """The r list of the sphere whose parents make up `frontier`, and the
+    sphere's own frontier if `build` (else an empty list), `shift` being
+    the sphere's k - e - v(det).  Each frontier entry (N0, N1, parent
+    position, count) stands for `count` consecutive vertices of its sphere
+    that all carry those numerators.
 
-    Where v(N0) != v(N1), every unit alpha gives N0 - alpha N1 the
-    valuation low = min(v(N0), v(N1)) < v(p N1), so the p - 1 unit-alpha
-    children share the r of `low` and enter the frontier as one entry
-    with N0 known by its valuation alone.  No step below them reads N0's
-    integers: each such child, and each vertex under it, has its parent
-    at index 0 (so no infinity child) and v(N0) < v(N1), and takes only
-    the alpha = 0 step, which keeps N0, and this block step again."""
+    An entry whose parent sits at index 0 and whose numerators have
+    v(N0) < v(N1) is flat: it has no infinity child, and its alpha = 0
+    child (N0, p N1) and unit-alpha children (N0 - alpha N1, p N1) all have
+    v(N0) < v(p N1), their parent at index 0 and the r of v(N0), so they are
+    flat again.  So a flat run of `count` vertices adds count * p copies of
+    one r and hands on one run of count * p vertices, N0 known by its
+    valuation alone.  Only flat entries have a count above 1.
+
+    Elsewhere, where v(N0) != v(N1), every unit alpha gives N0 - alpha N1
+    the valuation low = min(v(N0), v(N1)) < v(p N1), so the p - 1 unit-alpha
+    children share the r of `low` and go on as one flat run, N0 known by
+    its valuation alone."""
     units = p - 1
     sphere, nxt = [], []
-    for n0, n1, parent in frontier:
+    for n0, n1, parent, count in frontier:
         x0, y0, v0 = n0
         x1, y1, v1 = n1
         pv1 = v1 + 1
         if build:
             pn1 = (p * x1, p * y1, pv1)
+        if parent == 0 and v0 < v1:
+            count *= p
+            sphere += [shift + v0] * count
+            if build:
+                nxt.append(((None, None, v0), pn1, 0, count))
+            continue
         if parent != 0:
             pv0 = v0 + 1
             sphere.append(shift + (pv0 if pv0 < v1 else v1))
             if build:
-                nxt.append(((p * x0, p * y0, pv0), n1, 1))
+                nxt.append(((p * x0, p * y0, pv0), n1, 1, 1))
         if parent != 1:  # alpha = 0 keeps N0
             sphere.append(shift + (v0 if v0 < pv1 else pv1))
             if build:
-                nxt.append((n0, pn1, 0))
+                nxt.append((n0, pn1, 0, 1))
         if v0 != v1:
             low = v0 if v0 < v1 else v1
             sphere += [shift + low] * units
             if build:
-                nxt += [((None, None, low), pn1, 0)] * units
+                nxt.append(((None, None, low), pn1, 0, units))
             continue
         x, y = x0, y0
         for _ in range(units):
@@ -526,7 +547,7 @@ def _sphere(p: int, shift: int, frontier: list, build: bool) -> tuple[list, list
                 low = _NO_VAL
             sphere.append(shift + (low if low < pv1 else pv1))
             if build:
-                nxt.append(((x, y, low), pn1, 0))
+                nxt.append(((x, y, low), pn1, 0, 1))
     return sphere, nxt
 
 

@@ -110,6 +110,28 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
+def max_divisor_count(limit: int) -> int:
+    """The most divisors of any m in 1 ... limit (1 below that).  Putting
+    m's prime exponents, largest first, on 2, 3, 5, ... keeps its count of
+    divisors and does not raise m, so the most is reached at an m whose
+    exponents fall along the primes in order, and only those are walked."""
+    best = 1
+    # (m, the next prime, its largest exponent, the divisors of m)
+    stack = [(1, 2, limit.bit_length(), 1)]
+    while stack:
+        m, p, cap, count = stack.pop()
+        best = max(best, count)
+        q = p + 1
+        while not is_prime(q):
+            q += 1
+        for e in range(1, cap + 1):
+            m *= p
+            if m > limit:
+                break
+            stack.append((m, q, e, count * (e + 1)))
+    return best
+
+
 def kronecker(a: int, n: int) -> int:
     """The Kronecker symbol (a|n), total on all integer pairs.
 

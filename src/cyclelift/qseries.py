@@ -14,10 +14,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, log10
 
 from cyclelift.errors import HypothesisError, TruncationInsufficientError
-from cyclelift.numth import divisors, is_prime, is_squarefree, kronecker
+from cyclelift.numth import divisors, is_prime, is_squarefree, kronecker, max_divisor_count
 from cyclelift.quadfield import lvalue_closed_form, make_field
 
 # -- series ------------------------------------------------------------------
@@ -192,6 +192,13 @@ def shimura_lift(
     read = [series.coefficient(t * k * k) for k in range(1, m_top + 1)]
     if len({isinstance(a, (int, Fraction)) for a in read if a}) > 1:
         raise ValueError("the lift would add rational and symbolic coefficients")
+    a0 = series.coefficient(0)
+    lrat = _closed_form_lvalue(params) if a0 else None
+    constant = None if lrat is None else a0 * -lrat
+    digits = _lift_digits(read, power, m_top, constant)
+    if digits > _DIGIT_LIMIT:
+        raise ValueError(f"a lifted coefficient could have {digits} digits, above the "
+                         f"cap of {_DIGIT_LIMIT}")
     out: dict[int, object] = {}
     for m in range(1, m_top + 1):
         acc = 0
@@ -205,11 +212,38 @@ def shimura_lift(
             acc += a * (ch * n**power)
         if acc:
             out[t * m] = acc
-    a0 = series.coefficient(0)
-    lrat = _closed_form_lvalue(params) if a0 else None
-    if lrat is not None:
-        out[0] = a0 * -lrat
+    if constant is not None:
+        out[0] = constant
     return FormalSeries(out, t * m_top)
+
+
+def _lift_digits(read: list, power: int, m_top: int, constant) -> int:
+    """A bound on the decimal digits of the numerators and denominators
+    that shimura_lift writes: those of `constant`, its constant term (or
+    None), and of each b(1..m_top) that it forms from `read`.  b(m) adds at
+    most D terms chi_t(n) n^power a, D the most divisors of any m <= m_top,
+    and each a is a rational N/Q with |N| <= top and Q <= bottom.  So b(m)
+    has a denominator of at most bottom^D and, over it, a numerator of at
+    most D m_top^power top bottom^(D - 1).  A symbolic coefficient counts
+    by its weights."""
+    top = bottom = 1
+    for a in read:
+        for w in _weights(a):
+            top = max(top, abs(w.numerator))
+            bottom = max(bottom, w.denominator)
+    most = max_divisor_count(m_top)
+    logs = [log10(most) + power * log10(max(m_top, 1)) + log10(top)
+            + (most - 1) * log10(bottom), most * log10(bottom)]
+    for w in _weights(constant) if constant else ():
+        logs += [log10(abs(w.numerator)), log10(w.denominator)]
+    # The slack covers float rounding, so that the bound is never below.
+    return int(max(logs) * (1 + 1e-12) + 1e-9) + 1
+
+
+def _weights(a):
+    """The rational weights of a coefficient: itself when rational, else
+    those of its symbols."""
+    return (a,) if isinstance(a, (int, Fraction)) else a.terms.values()
 
 
 # -- reindexing operators -------------------------------------------------------

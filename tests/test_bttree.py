@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from cyclelift import bttree
+from cyclelift import bttree, sweeps
 from cyclelift.bttree import (
     VertexLattice,
     ball_size,
@@ -679,6 +679,63 @@ class TestBallRInvariants:
             assert descent(lat, b, 2) == [
                 (v.r_invariant(b), d) for v, d in tree_ball(lat, 2)
             ]
+
+    def test_nested_runs_match_the_ball(self):
+        # At these depths flat runs nest: a run of p^2 or more vertices
+        # comes from a run's children.  Every r still matches membership
+        # at its tree_ball vertex, and every numerator the coordinates
+        # there, with centres on b's central lattice and off it (a vertex
+        # two steps out, with an inherited basis, and another vector's).
+        longest = {}
+        for p, delta, radius in ((3, -1, 6), (5, -2, 4), (7, -1, 3)):
+            ctx = LocalContext(p=p, delta_sq=delta)
+            rng = random.Random(400 + p)
+            for _ in range(3):
+                b = random_vector(ctx, rng)
+                own = central_lattice(b)
+                for center in (own, tree_ball(own, 2)[-1][0],
+                               central_lattice(random_vector(ctx, rng))):
+                    ball = tree_ball(center, radius)
+                    assert descent(center, b, radius) == [
+                        (lat.r_invariant(b), d) for lat, d in ball], (p, center.key)
+                    flat = [(r, numbers) for rs, nums in sphere_numerators(center, b, radius)
+                            for r, numbers in zip(rs, nums)]
+                    for (lat, _), (r, (n0, n1, _)) in zip(ball[:len(flat)], flat):
+                        _, c0, c1 = lat.coordinates(b)
+                        m = min(n0[2], n1[2])
+                        assert (c1.x, c1.y) == (n1[0] // p**m, n1[1] // p**m)
+                        if n0[0] is None:
+                            assert c0.valuation() == n0[2] - m < n1[2] - m
+                        else:
+                            assert (c0.x, c0.y) == (n0[0] // p**m, n0[1] // p**m)
+            # The frontier entries are (N0, N1, parent position, count).
+            longest[p] = max(entry[3] for _, frontier in bttree._descend(own, b, radius, True)
+                             for entry in frontier)
+        assert all(longest[p] >= p**2 for p in longest), longest
+
+    def test_the_descent_steps_through_runs(self, monkeypatch):
+        # On the three vectors of the CI pin `verify r-formula --p 3
+        # --delta -10 --count 3 --radius 10` (354,291 vertices), nearly
+        # every vertex lies in a flat run: the descent takes 219 frontier
+        # entries, where one per vertex took 118,095.  sphere_numerators
+        # makes each sphere once, the last too.
+        entries = []
+        sphere = bttree._sphere
+
+        def counted(p, shift, frontier, build):
+            entries.append(len(frontier))
+            return sphere(p, shift, frontier, build)
+
+        monkeypatch.setattr(bttree, "_sphere", counted)
+        report = sweeps.sweep_r_formula(3, -10, 3, 10, random.Random(12345))
+        assert report.ok and report.checked == 3 * ball_size(3, 10)
+        assert sum(entries) < 1000, sum(entries)
+        b = random_vector(CTX3, random.Random(3))
+        for radius in (1, 4):
+            # p^radius b has an r >= 0 on the last sphere, so its numerators come.
+            entries.clear()
+            spheres = list(sphere_numerators(central_lattice(b), b.scale_p_power(radius), radius))
+            assert len(entries) == radius and len(spheres[-1][1]) == len(spheres[-1][0])
 
     def test_the_descent_holds_no_ball(self):
         # The descent streams its spheres: over a radius-4 ball at p = 13

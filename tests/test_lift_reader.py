@@ -43,6 +43,12 @@ CASES = [
     ("kronecker chi 0", series((2, "1/1")), ["--chi-kronecker", "0"], 2),
     ("kappa 5", series((0, "1/1"), (2, "1/1"), (18, "4/1")), ["--kappa", "5"], 0),
     ("mmax", series((2, "1/1"), (8, "1/3"), (18, "1/2")), ["--mmax", "2"], 0),
+    # b(5) would carry 5^((kappa - 3)/2): 350 digits at kappa 1,001, and
+    # far past the 4,300-digit output limit at kappa 100,001 and 1,000,001,
+    # which are refused before the lift.
+    ("kappa 1001", series((2, "1/1"), (8, "2/3"), (50, "-5/7")), ["--kappa", "1001"], 0),
+    ("kappa 100001", series((2, "1/1"), (8, "2/3"), (50, "-5/7")), ["--kappa", "100001"], 2),
+    ("kappa 1000001", series((2, "1/1"), (8, "2/3"), (50, "-5/7")), ["--kappa", "1000001"], 2),
     ("1/0 kept", series((2, "1/0")), [], 2),
     ("1/0 dropped", series((2, "1/1"), (3, "1/0")), [], 2),
     ("0/0 dropped", series((3, "0/0")), [], 2),
@@ -217,6 +223,19 @@ def test_pinned_large_lift():
     code, out, err = run_lift(pinned_series(), ["--kappa", "3"])
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SHA256
+
+
+def test_kappa_refused_by_its_digit_bound():
+    # Without the bound, the lift of a 20,000-exponent file at kappa
+    # 1,000,001 worked for seconds and then failed on Python's own
+    # int-to-str limit.  m_top is 100, so 100^((kappa - 3)/2) alone has
+    # 99,999 and 999,999 digits; the rest of each bound is the file's
+    # numerators and denominators over up to 12 divisors.
+    for kappa, digits in (("100001", 100_024), ("1000001", 1_000_024)):
+        code, out, err = run_lift(pinned_series(), ["--kappa", kappa])
+        assert (code, out) == (2, "")
+        assert err == (f"invalid input: a lifted coefficient could have {digits} digits, "
+                       "above the cap of 4300\n")
 
 
 if __name__ == "__main__":

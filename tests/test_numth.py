@@ -16,6 +16,7 @@ from cyclelift.numth import (
     is_prime,
     is_squarefree,
     kronecker,
+    max_divisor_count,
 )
 from oracles import hilbert_bruteforce, squares_mod
 
@@ -54,6 +55,15 @@ class TestFactorize:
         with pytest.raises(ValueError, match=f"^{huge} is above the cap of {_MAX_FACTOR_INPUT} "
                                              "on trial division$"):
             is_prime(huge)
+
+    def test_max_divisor_count_is_the_running_maximum(self):
+        most = 1
+        for n in range(-2, 12_000):
+            if n >= 1:
+                most = max(most, len(divisors(n)))
+            assert max_divisor_count(n) == most, n
+        # 7560 and 10080 hold the records below the lift's m cap and past it.
+        assert (max_divisor_count(10_000), max_divisor_count(10_080)) == (64, 72)
 
     @given(st.integers(min_value=1, max_value=10**6))
     @settings(max_examples=200, deadline=None)

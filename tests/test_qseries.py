@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclelift import qseries
 from cyclelift.errors import HypothesisError, TruncationInsufficientError
+from cyclelift.identity import SymbolicDivisor
 from cyclelift.numth import kronecker
 from cyclelift.qseries import (
     FormalSeries,
@@ -139,6 +141,37 @@ class TestShimuraLift:
         assert lifted.coefficient(4) == 1
         # b(3) = chi_t(3) * 3^1 * a(2) (n=3 term; n=1 needs a(18)=0)
         assert lifted.coefficient(6) == chi_t(params, 3) * 3
+
+    def test_digit_bound_holds_and_refuses(self):
+        # Every numerator and denominator that a lift writes has at most the
+        # digits that _lift_digits allows, over rational and symbolic
+        # coefficients, weights from kappa 3 to 41, and the closed-form
+        # constant term; a bound above the limit refuses before any sum.
+        rng = random.Random(41)
+        for kappa in (3, 5, 7, 11, 41):
+            params = ShimuraParams(kappa=kappa, level_N=35, t=2)
+            for _ in range(6):
+                f = rand_series(rng, bound=2 * rng.randint(1, 30) ** 2, density=0.7)
+                f.coeffs[0] = Fraction(rng.randint(1, 10**40), rng.randint(1, 10**30))
+                if rng.random() < 0.5:
+                    f = FormalSeries({n: SymbolicDivisor({("K",): c, ("Zo", 1): c * c})
+                                      for n, c in f.coeffs.items()}, f.max_exponent)
+                m_top = qseries.lift_count(f, 2)
+                read = [f.coefficient(2 * k * k) for k in range(1, m_top + 1)]
+                lifted = shimura_lift(f, params)
+                constant = lifted.coeffs.get(0)
+                bound = qseries._lift_digits(read, (kappa - 3) // 2, m_top, constant)
+                for c in lifted.coeffs.values():
+                    for w in qseries._weights(c):
+                        assert len(str(abs(w.numerator))) <= bound
+                        assert len(str(w.denominator)) <= bound
+        # Up to m = 4 some m has 3 divisors, so a denominator of 1501 digits
+        # could be cubed; up to m = 3 only squared.
+        big = FormalSeries({2: Fraction(1, 10**1500 + 1)}, 32)
+        with pytest.raises(ValueError, match="^a lifted coefficient could have 4501 digits, "
+                                             "above the cap of 4300$"):
+            shimura_lift(big, PARAMS, mmax=4)
+        assert shimura_lift(big, PARAMS, mmax=3).coefficient(2) == big.coefficient(2)
 
     def test_truncation_contract(self):
         f = FormalSeries({2: 1}, 100)
