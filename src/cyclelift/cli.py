@@ -10,6 +10,7 @@ vector is exact.  `cycle` exits only 0 or 2.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import random
 import re
@@ -128,10 +129,17 @@ def _json_text(data: dict) -> str:
 
 
 def _csv_text(data: dict) -> str:
-    rows = ["m,lhs,rhs"]
+    """The mismatch table: a text side is written as itself, a list side
+    as its JSON text, each quoted so that a row reads as three fields."""
+    import csv  # here, so that only a CSV report pays for loading it
+
+    out = io.StringIO()
+    out.write("m,lhs,rhs\n")
+    rows = csv.writer(out, quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
     for mm in data.get("mismatches", []):
-        rows.append(f"{mm['m']},{json.dumps(mm['lhs'])},{json.dumps(mm['rhs'])}")
-    return "\n".join(rows) + "\n"
+        sides = [s if isinstance(s, str) else json.dumps(s) for s in (mm["lhs"], mm["rhs"])]
+        rows.writerow([mm["m"], *sides])
+    return out.getvalue()
 
 
 def _report_exit(report: VerificationReport, args) -> int:

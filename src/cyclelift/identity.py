@@ -258,9 +258,9 @@ def _as_divisor(c) -> SymbolicDivisor:
 def _coeff_json(c):
     if isinstance(c, SymbolicDivisor):
         return c.to_json_entries()
-    if isinstance(c, (int, Fraction)):
-        return rational_str(c)
-    return repr(c)
+    if isinstance(c, list):
+        return [_coeff_json(x) for x in c]
+    return c if isinstance(c, str) else rational_str(c)
 
 
 @dataclass
@@ -336,13 +336,12 @@ def verify_remark_identity(field: QuadField, d_b: int, m_max: int) -> Verificati
 
     coefficientwise, and that C' = 0.
 
-    Every naive coefficient carries the weight 1/(2h), so both sides are
-    built in units of 1/(2h), where every Zplus weight is an integer.
-    Each phi_p = B_p(1 - U_p) only reindexes and subtracts, so phi_I is
-    linear, and the right side is (2 + sum_I phi_I) applied once to the
-    summed naive series sum_i Phi^naive_i: the cost is linear in the
-    class count.  The left side calls no operator.  Reported mismatches
-    are scaled back to true units; C' is checked in true units.
+    Each class carries the same weight on both sides, and phi_I is
+    linear and never reads the class, so the check is exact in one
+    class-free symbol Zp(n) per exponent: the left side (no operator),
+    the naive series and each phi_I(naive) are built once, in units of
+    1/(2h), where every Zp weight is an integer.  A mismatch is written
+    per class, as Zplus(n, i) in true units; C' is checked in true units.
     """
     num_classes = optimal_embedding_count(field, d_b)
     primes = check_discriminant_hypotheses(field, d_b)
@@ -353,33 +352,32 @@ def verify_remark_identity(field: QuadField, d_b: int, m_max: int) -> Verificati
     c_prime = SymbolicDivisor.K(lrat) + c_naive * (-2 * num_classes)
     classes = range(1, num_classes + 1)
 
-    # Left side: the definition of Phi^u in the free symbols, times 2h.
+    # Left side: the definition of Phi^u, times 2h; Zp(m) + Zp(m*).
     lhs_coeffs: dict[int, SymbolicDivisor] = {0: SymbolicDivisor.K(lrat * two_h)}
     for m in range(1, m_max + 1):
         mstar = m // gcd(m, d_b)
         w = 1 if mstar < m else 2
-        lhs_coeffs[m] = SymbolicDivisor._of(
-            {("Zp", k, i): w for k in (m, mstar) for i in classes}
-        )
+        lhs_coeffs[m] = SymbolicDivisor._of({("Zp", k): w for k in (m, mstar)})
     lhs = FormalSeries(lhs_coeffs, m_max)
 
-    # Right side: the operator expansion of the summed naive series, times 2h.
-    naive_coeffs = {0: c_naive * (two_h * num_classes)}
-    for n in range(1, m_max + 1):
-        naive_coeffs[n] = SymbolicDivisor._of({("Zp", n, i): 1 for i in classes})
-    naive = FormalSeries(naive_coeffs, m_max)
+    # Right side: the operator expansion of the naive series, times 2h.
+    naive_coeffs = {n: SymbolicDivisor._of({("Zp", n): 1}) for n in range(1, m_max + 1)}
+    naive = FormalSeries({0: c_naive * (two_h * num_classes), **naive_coeffs}, m_max)
     rhs = FormalSeries({0: c_prime * two_h}, m_max).add(naive.scale(2))
     for mask in range(1, 2 ** len(primes)):
         subset = [p for k, p in enumerate(primes) if mask >> k & 1]
         rhs = rhs.add(op_phi_set(subset, naive))
 
-    unit = Fraction(1, two_h)
+    def in_classes(c) -> SymbolicDivisor:
+        """Zp(n) of weight w as Zplus(n, i) of weight w/(2h) for each class i."""
+        return SymbolicDivisor({
+            key: Fraction(w, two_h)
+            for sym, w in _as_divisor(c).terms.items()
+            for key in ([sym] if sym[0] == "K" else [(*sym, i) for i in classes])
+        })
+
     mismatches = [
-        Mismatch(
-            m,
-            _as_divisor(lhs.coefficient(m)) * unit,
-            _as_divisor(rhs.coefficient(m)) * unit,
-        )
+        Mismatch(m, in_classes(lhs.coefficient(m)), in_classes(rhs.coefficient(m)))
         for m in series_difference_support(lhs, rhs)
     ]
     if c_prime:

@@ -34,10 +34,12 @@ RHO_DELTAS = (-2, -6, -10, -14, -22, -26)
 
 # The most checks that each kind walking no tree runs.  At its cap, on one
 # Xeon core: rho at Delta = -2 takes about 0.2 s (its two tables), hilbert
-# about 2 s, remark-identity about 0.9 s at Delta = -74, D_B = 119 (40
-# embedding classes, the most for |Delta| <= 100, D_B <= 500) and 0.3 s at
-# Delta = -10, D_B = 51, and main-identity at most 0.5 s; each grows at
-# least linearly with the count.
+# about 2 s, remark-identity about 0.1 s at Delta = -74, D_B = 119 (40
+# embedding classes, the most for |Delta| <= 100, D_B <= 500; its series
+# are class-free, so the class count costs nothing) or Delta = -10,
+# D_B = 51, and 2-3 s with the eight primes of D_B = 16360572865 (255
+# operator subsets, which the cap does not count), and main-identity at
+# most 0.5 s; each grows at least linearly with the count.
 RHO_CHECK_CAP = 200_000
 HILBERT_CHECK_CAP = 100_000
 IDENTITY_CHECK_CAP = 10_000

@@ -1,11 +1,13 @@
+import csv
 import hashlib
+import io
 import json
 import time
 
 import pytest
 
 import oracles
-from cyclelift import sweeps
+from cyclelift import identity, sweeps
 from cyclelift.bttree import ball_size
 from cyclelift.cli import (
     CYCLE_VERTEX_CAP,
@@ -146,6 +148,34 @@ class TestVerifyCommand:
         )
         assert code == EXIT_OK
         assert out.splitlines()[0] == "m,lhs,rhs"
+
+    def test_csv_rows_keep_three_fields(self, capsys, monkeypatch):
+        # chi_k(3) flipped on the unitary side: each mismatch side is a
+        # divisor, whose JSON entries hold commas and quotes of their own.
+        real_chi_k = identity.chi_k
+        monkeypatch.setattr(identity, "chi_k",
+                            lambda field, a: -real_chi_k(field, a) if a == 3 else real_chi_k(field, a))
+        argv = ("verify", "main-identity", "--delta", "-2", "--db", "35", "--mmax", "30")
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == EXIT_MISMATCH
+        want = json.loads(run(capsys, *argv)[1])["mismatches"]
+        header, *rows = csv.reader(io.StringIO(out))
+        assert header == ["m", "lhs", "rhs"]
+        assert all(len(row) == 3 for row in rows)
+        got = [{"m": int(m), "lhs": json.loads(lhs), "rhs": json.loads(rhs)}
+               for m, lhs, rhs in rows]
+        assert got == want and [entry["m"] for entry in got] == [6, 12, 18, 24, 30]
+
+    def test_csv_rows_of_rationals_keep_their_bytes(self, capsys, monkeypatch):
+        # One side of the rho identity one too high at every N = 3 mod 7.
+        table = sweeps.rho_table
+        monkeypatch.setattr(sweeps, "rho_table",
+                            lambda field, n_max: [v + (n % 7 == 3)
+                                                  for n, v in enumerate(table(field, n_max))])
+        code, out, _ = run(capsys, "verify", "rho", "--delta", "-2", "--max", "10",
+                           "--format", "csv")
+        assert code == EXIT_MISMATCH
+        assert out.splitlines()[:2] == ["m,lhs,rhs", '3,"3/1","2/1"']
 
     def test_missing_flag_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "main-identity", "--db", "35")

@@ -4,13 +4,15 @@ path by a deliberately wrong side, so a passing run is known to be able
 to fail.  The remark verifier, which counts in units of 1/(2h), is held
 to the true-units reference in oracles.py, passing and failing."""
 
+import tracemalloc
+
 import pytest
 
 import cyclelift.identity as identity
 import oracles
-from cyclelift.identity import SymbolicDivisor
 from cyclelift.qseries import FormalSeries
 from cyclelift.quadfield import make_field, optimal_embedding_count
+from cyclelift.sweeps import IDENTITY_CHECK_CAP
 
 F2 = make_field(-2)
 
@@ -165,38 +167,47 @@ def test_identities_hold_with_four_primes_in_d_b(monkeypatch):
     assert got == want
 
 
-def drop_class(i):
-    """An op_phi_set that drops every Zplus(n, i) term from its output:
-    a defect in one embedding class, which summing the classes before
-    the operators act must not hide."""
+def negate_phi_at(exponent, hit):
+    """An op_phi_set whose phi_I for I = hit negates its own coefficient
+    at q^exponent: a fault in a term that the operator contributes."""
     real_phi_set = identity.op_phi_set
-
-    def in_class(sym):
-        return sym[0] == "Zp" and sym[2] == i
 
     def faulty(primes, series):
         out = real_phi_set(primes, series)
-        kept = {
-            n: SymbolicDivisor({s: w for s, w in c.terms.items() if not in_class(s)})
-            for n, c in out.coeffs.items()
-        }
-        return FormalSeries(kept, out.max_exponent)
+        if list(primes) == hit:
+            flip = FormalSeries({exponent: out.coefficient(exponent) * -2}, out.max_exponent)
+            out = out.add(flip)
+        return out
 
     return faulty
 
 
-@pytest.mark.parametrize("delta, d_b", [(-2, 35), (-10, 51)])
-def test_fault_in_one_class_matches_the_reference(monkeypatch, delta, d_b):
-    field = make_field(delta)
-    classes = optimal_embedding_count(field, d_b)
-    faulty = drop_class(3)
+def test_fault_in_an_operator_term_matches_the_reference(monkeypatch):
+    # D_B = 1155 = 3 * 5 * 7 * 11: phi_{3,5} of the naive series is
+    # nonzero at q^15 in every class, so negating it there must show at
+    # q^15 alone.
+    field = make_field(-58)
+    classes = optimal_embedding_count(field, 1155)
+    faulty = negate_phi_at(15, [3, 5])
     monkeypatch.setattr(identity, "op_phi_set", faulty)
     monkeypatch.setattr(oracles, "op_phi_set", faulty)
-    got = identity.verify_remark_identity(field, d_b, 30).to_json_dict()
-    want = oracles.verify_remark_identity(field, d_b, 30, classes).to_json_dict()
-    assert got["mismatches"]
-    for entry in got["mismatches"]:
-        lhs = {(e["sym"], e["w"]) for e in entry["lhs"]}
-        rhs = {(e["sym"], e["w"]) for e in entry["rhs"]}
-        assert all(sym.endswith(",3)") for sym, _ in lhs ^ rhs)
+    got = identity.verify_remark_identity(field, 1155, 30).to_json_dict()
+    want = oracles.verify_remark_identity(field, 1155, 30, classes).to_json_dict()
+    assert [entry["m"] for entry in got["mismatches"]] == [15]
     assert got == want
+
+
+def test_remark_identity_at_the_cap_holds_no_class_series():
+    # Delta = -74, D_B = 119 has 40 embedding classes, the most for
+    # |Delta| <= 100, D_B <= 500.  Built in one class-free symbol per
+    # exponent, the three series peak near 13 MiB; one symbol per class
+    # peaked near 104 MiB.
+    field = make_field(-74)
+    tracemalloc.start()
+    try:
+        report = identity.verify_remark_identity(field, 119, IDENTITY_CHECK_CAP - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.params["classes"] == 40
+    assert peak < 20 * 2**20, peak

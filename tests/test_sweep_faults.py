@@ -149,3 +149,39 @@ def test_hilbert_reports_every_pair_its_fault_reaches(monkeypatch):
         for low in (-99, 1, -99, 1):
             replay.randint(low, 99)
     assert rng.getstate() == replay.getstate()
+
+
+def mismatch_texts(report) -> list:
+    """Every JSON string in a report's mismatch entries."""
+    def texts(value):
+        if isinstance(value, str):
+            yield value
+        elif isinstance(value, (list, dict)):
+            for item in value.values() if isinstance(value, dict) else value:
+                yield from texts(item)
+
+    return list(texts(report.to_json_dict()["mismatches"]))
+
+
+def test_no_mismatch_text_is_a_python_repr(monkeypatch):
+    # A hilbert pair, local-compare's and chart's markers and chart's edge
+    # pairs are written as themselves: no text opens with a quote or a
+    # bracket, as Python's repr of a str or a list would.
+    symbol = sweeps.hilbert_symbol
+    monkeypatch.setattr(sweeps, "hilbert_symbol",
+                        lambda a, b, place: -symbol(a, b, place) if place == 3 else symbol(a, b, place))
+    monkeypatch.setattr(sweeps, "horizontal_polynomials_match", lambda j, hp, hm: False)
+    multiplicity = localcycles.multiplicity
+    monkeypatch.setattr(localcycles, "multiplicity",
+                        lambda hom, lat, *d: multiplicity(hom, lat, *d) + 1)
+    unit = sweeps._residual_is_unit
+    monkeypatch.setattr(sweeps, "_residual_is_unit", lambda p, n0, n1: not unit(p, n0, n1))
+    monkeypatch.setattr(localcycles, "exponent_pair", lambda sign, r, rp: (-1, -1))
+    hilbert = sweep_hilbert(40, random.Random(1))
+    assert hilbert.to_json_dict()["mismatches"][0]["lhs"] == "(-65/73,32/3)"
+    local = sweep_local_compare(3, -10, 1, random.Random(7))
+    chart = sweep_chart_consistency(3, -10, 2, 3, random.Random(1))
+    texts = mismatch_texts(hilbert) + mismatch_texts(local) + mismatch_texts(chart)
+    assert {"horizontal-poly", "mismatch", "spot", "residual-unit"} <= set(texts)
+    assert ["-1/1", "-1/1"] in [entry["lhs"] for entry in chart.to_json_dict()["mismatches"]]
+    assert not [text for text in texts if text.startswith(("'", "["))]
